@@ -1,14 +1,17 @@
-//! `perfdump_qverify` — machine-readable ZX-tier perf trajectory.
+//! `perfdump_qverify` — machine-readable verifier perf trajectory.
 //!
 //! Runs the ZX scaling suite — certify (Clifford+T restore round-trips
 //! at 20/30/40 qubits), stall (a corrupted restore whose atom-sum
 //! residue cannot be witnessed, i.e. the price of falling through),
 //! and witness (wrong-key rejection via the replay-confirmed witness:
-//! bit replay at 20/30 qubits, basis-column replay at 20 qubits, and
-//! the sharded out-of-core column at 30 qubits — past the statevector
-//! cap) — and writes `BENCH_qverify.json` with
-//! the median wall-clock per case, so the ZX tier's cost trajectory is
-//! recorded on every run instead of claimed once.
+//! bit replay at 20/30 qubits, and sparse basis-column replay at 20
+//! and 30 qubits — the latter past the statevector cap) — plus the
+//! restored pairs of `tetrislock batch --suite table1` (default job
+//! config) for rd53/rd73/rd84, timed through the forced dense tier and
+//! through the full tier cascade. It writes `BENCH_qverify.json` with
+//! the median wall-clock per case and a provenance block (commit,
+//! `nproc`, resolved qsim workers), so the verifier's cost trajectory
+//! is recorded on every run instead of claimed once.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfdump_qverify            # full suite
@@ -16,7 +19,7 @@
 //! cargo run --release -p bench --bin perfdump_qverify -- --out path.json
 //! ```
 //!
-//! The smoke suite (20-qubit cases only) finishes in seconds and is
+//! The smoke suite (20-qubit cases and rd53) finishes in seconds and is
 //! wired into CI so the emitter can never silently rot. All timing
 //! goes through [`qobs::time_median_ms`], so the numbers landing in
 //! `BENCH_qverify.json` are the same qobs samples a live trace sees.
@@ -24,6 +27,8 @@
 use qcir::random::{random_reversible, RandomCircuitConfig};
 use qcir::Circuit;
 use qverify::{Verdict, Verifier};
+use std::process::Command;
+use tetrislock::job::{JobConfig, JobStage, JobState};
 use tetrislock::recombine::recombine;
 use tetrislock::Obfuscator;
 
@@ -138,17 +143,16 @@ fn main() {
     }
 
     // witness (basis-column replay): a non-classical residue confirmed
-    // by replaying single basis columns of the miter. At 14/20 qubits
-    // this costs one sharded column; the 30-qubit case sits past the
-    // statevector cap and is only decidable through the out-of-core
-    // sharded column — the headline of the witness-past-28q work.
+    // by replaying single basis columns of the miter through the sparse
+    // column. The 30-qubit case sits past the statevector cap and is
+    // only decidable that way.
     let column_widths: &[u32] = if smoke { &[14] } else { &[20, 30] };
     for &n in column_widths {
         let mut orig = Circuit::new(n);
         orig.t(0).tdg(0).swap(3, 7);
         let bad = Circuit::new(n);
         let label = if n > qverify::MAX_STIMULUS_QUBITS {
-            "sharded"
+            "sparse"
         } else {
             "basis_replay"
         };
@@ -168,10 +172,101 @@ fn main() {
         });
     }
 
+    // restored pairs: what a protection job's verify stage checks. The
+    // forced dense tier walks every basis column on sparse columns;
+    // the full cascade adds the ZX stall that precedes it.
+    let restored_names: &[&str] = if smoke {
+        &["rd53"]
+    } else {
+        &["rd53", "rd73", "rd84"]
+    };
+    let config = JobConfig::default();
+    let job_verifier = Verifier::new()
+        .with_trials(config.trials)
+        .with_seed(config.verify_seed);
+    for bench in revlib::table1_benchmarks()
+        .into_iter()
+        .filter(|b| restored_names.contains(&b.name()))
+    {
+        let (orig, restored) = restored_pair(bench.name(), bench.circuit(), &config);
+        let gates = orig.gate_count() + restored.gate_count();
+        let name = format!("dense_restored_{}", bench.name());
+        eprintln!("timing {name}…");
+        let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, reps, || {
+            let report = job_verifier
+                .check_dense(&orig, &restored)
+                .expect("the restored pair fits the dense tier");
+            assert!(report.verdict.is_equivalent(), "{report}");
+        });
+        cases.push(CaseResult {
+            name,
+            qubits: orig.num_qubits(),
+            gates,
+            reps,
+            median_ms: ms,
+            outcome: "equivalent",
+        });
+        let name = format!("report_restored_{}", bench.name());
+        eprintln!("timing {name}…");
+        let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, reps, || {
+            let report = job_verifier.check_report(&orig, &restored);
+            assert!(report.verdict.is_equivalent(), "{report}");
+        });
+        cases.push(CaseResult {
+            name,
+            qubits: orig.num_qubits(),
+            gates,
+            reps,
+            median_ms: ms,
+            outcome: "equivalent",
+        });
+    }
+
     let json = render_json(&cases, smoke);
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("{json}");
     eprintln!("wrote {out}");
+}
+
+/// The (original, restored) pair a default-config protection job of
+/// `circuit` verifies, padded to one register as its verify stage does.
+fn restored_pair(id: &str, circuit: &Circuit, config: &JobConfig) -> (Circuit, Circuit) {
+    let mut job = JobState::new(id, circuit.clone(), config.clone());
+    let unused_out_dir = std::env::temp_dir();
+    while job.stage != JobStage::Verify {
+        job.advance(&unused_out_dir)
+            .expect("pre-verify stages write nothing");
+    }
+    let restored = job.restored.expect("the recombine stage ran");
+    let n = circuit.num_qubits().max(restored.num_qubits());
+    let pad = |c: &Circuit| {
+        let mut out = Circuit::with_name(n, c.name());
+        out.compose(c).expect("a narrower register always composes");
+        out
+    };
+    (pad(circuit), pad(&restored))
+}
+
+/// `git` output for `args`, trimmed; `None` without git or a repository.
+fn git(args: &[&str]) -> Option<String> {
+    let out = Command::new("git").args(args).output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// Where the numbers came from: the checked-out commit (and whether the
+/// tree had uncommitted changes), the host's cores, and the qsim worker
+/// count every statevector replay resolved to.
+fn provenance_json() -> String {
+    let commit = git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"]).map(|s| !s.is_empty());
+    let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
+    format!(
+        "{{\"commit\": \"{commit}\", \"dirty\": {}, \"nproc\": {nproc}, \"resolved_workers\": {}}}",
+        dirty.map_or("null".to_string(), |d| d.to_string()),
+        qsim::resolved_workers(),
+    )
 }
 
 fn render_json(cases: &[CaseResult], smoke: bool) -> String {
@@ -191,13 +286,15 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
     }
     format!(
         "{{\n  \"suite\": \"qverify_zx\",\n  \"schema_version\": 1,\n  \"smoke\": {smoke},\n  \
+         \"provenance\": {},\n  \
          \"engine\": {{\"max_mcx_controls\": {}, \"stimulus_cap_qubits\": {}, \
          \"dyadic_grid_log\": {}, \"column_cap_qubits\": {}, \
-         \"column_branching_cap\": {}}},\n  \"cases\": [\n{body}  ]\n}}\n",
+         \"column_support_budget\": {}}},\n  \"cases\": [\n{body}  ]\n}}\n",
+        provenance_json(),
         qverify::MAX_MCX_CONTROLS,
         qverify::MAX_STIMULUS_QUBITS,
         qverify::DYADIC_GRID_LOG,
         qverify::MAX_COLUMN_QUBITS,
-        qverify::MAX_COLUMN_BRANCHING,
+        qsim::column::MAX_SUPPORT_BUDGET,
     )
 }

@@ -469,17 +469,21 @@ Tier selection — the cheapest applicable decision procedure wins:
                  can also certify INEQUIVALENCE, but only through a
                  replay-confirmed witness — a bit-level replay of both
                  circuits (classical pairs, any width), or basis-column
-                 replays of the miter: sharded out-of-core up to
-                 {column} wires when the miter has <= {branching} branching
-                 gates (H-like), dense statevector otherwise
-                 (<= {stimulus} qubits). A magnitude deficit is a basis-
-                 column witness; two diverging unit phases are a
-                 relative-phase witness (the diagonal-residue shape,
+                 replays of the miter on a sparse support map up to
+                 {column} wires, switching to a dense statevector
+                 (<= {stimulus} qubits) once a column passes its support
+                 budget (at most {budget} amplitudes). A magnitude deficit
+                 is a basis-column witness; two diverging unit phases are
+                 a relative-phase witness (the diagonal-residue shape,
                  e.g. T vs Tdg). With no confirmed witness the stall
                  proves nothing and falls through.
-  dense-unitary  <= {dense} qubits. Exact full-unitary comparison; produces
-                 a concrete witness (basis column or relative phase) on
-                 failure.
+  dense-unitary  <= {dense} qubits. Exact comparison of every basis column,
+                 each run on a sparse support map (cost 2^n * gates *
+                 support). Pruned amplitudes are an explicit error bound
+                 charged against the tolerance; a column that bound could
+                 flip, or one past the support budget, switches the check
+                 to statevectors. Produces a concrete witness (basis
+                 column or relative phase) on failure.
   stimulus       <= {stimulus} qubits. Statistical: the miter runs on --trials
                  random product states (default 16), in parallel. A
                  failed trial is a concrete, reproducible witness; a
@@ -500,7 +504,7 @@ Exit status: 0 iff equivalent, 1 otherwise (including inconclusive).
         dense = qverify::MAX_UNITARY_QUBITS,
         stimulus = qverify::MAX_STIMULUS_QUBITS,
         column = qverify::MAX_COLUMN_QUBITS,
-        branching = qverify::MAX_COLUMN_BRANCHING,
+        budget = qsim::column::MAX_SUPPORT_BUDGET,
     )
 }
 
@@ -987,19 +991,45 @@ fn parse_opt<T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("tlk_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A scratch directory unique to one test (pid + counter), so
+    /// tests running in parallel, or concurrent runs of the suite, never
+    /// share a file. Removed on drop.
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new() -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "tlk_cli_test-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            // A leftover from an earlier run that had the same pid.
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+
+        /// Writes the 4-qubit demo circuit into the directory.
+        fn demo_circuit(&self) -> PathBuf {
+            let path = self.path("demo.qasm");
+            let mut c = Circuit::with_name(4, "demo");
+            c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).x(3).cx(3, 2);
+            io::write_circuit(&path, &c).unwrap();
+            path
+        }
     }
 
-    fn write_demo_circuit() -> PathBuf {
-        let path = tmp("demo.qasm");
-        let mut c = Circuit::with_name(4, "demo");
-        c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).x(3).cx(3, 2);
-        io::write_circuit(&path, &c).unwrap();
-        path
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn s(v: &[&str]) -> Vec<String> {
@@ -1030,8 +1060,10 @@ mod tests {
             "--seed",
             "stimulus",
             "relative-phase",
-            "sharded out-of-core",
+            "sparse support map",
+            "error bound",
             &qverify::MAX_COLUMN_QUBITS.to_string(),
+            &qsim::column::MAX_SUPPORT_BUDGET.to_string(),
         ] {
             assert!(
                 verify_help().contains(needle),
@@ -1042,17 +1074,19 @@ mod tests {
 
     #[test]
     fn inspect_demo() {
-        let path = write_demo_circuit();
+        let dir = TestDir::new();
+        let path = dir.demo_circuit();
         assert!(run(&s(&["inspect", path.to_str().unwrap()])).is_ok());
     }
 
     #[test]
     fn protect_recombine_verify_roundtrip() {
-        let input = write_demo_circuit();
-        let left = tmp("left.qasm");
-        let right = tmp("right.qasm");
-        let meta = tmp("demo.tlk");
-        let restored = tmp("restored.qasm");
+        let dir = TestDir::new();
+        let input = dir.demo_circuit();
+        let left = dir.path("left.qasm");
+        let right = dir.path("right.qasm");
+        let meta = dir.path("demo.tlk");
+        let restored = dir.path("restored.qasm");
 
         run(&s(&[
             "protect",
@@ -1093,14 +1127,15 @@ mod tests {
 
     #[test]
     fn protect_compile_recombine_roundtrip() {
+        let dir = TestDir::new();
         // The full shell workflow including the untrusted-compiler step.
-        let input = write_demo_circuit();
-        let left = tmp("cl.qasm");
-        let right = tmp("cr.qasm");
-        let meta = tmp("c.tlk");
-        let left_c = tmp("clc.qasm");
-        let right_c = tmp("crc.qasm");
-        let restored = tmp("crestored.qasm");
+        let input = dir.demo_circuit();
+        let left = dir.path("cl.qasm");
+        let right = dir.path("cr.qasm");
+        let meta = dir.path("c.tlk");
+        let left_c = dir.path("clc.qasm");
+        let right_c = dir.path("crc.qasm");
+        let restored = dir.path("crestored.qasm");
 
         run(&s(&[
             "protect",
@@ -1142,10 +1177,11 @@ mod tests {
 
     #[test]
     fn multiway_protect_recombine_roundtrip() {
-        let input = write_demo_circuit();
-        let meta = tmp("mw.tlk");
-        let prefix = tmp("mwseg").to_str().unwrap().to_string();
-        let restored = tmp("mwrestored.qasm");
+        let dir = TestDir::new();
+        let input = dir.demo_circuit();
+        let meta = dir.path("mw.tlk");
+        let prefix = dir.path("mwseg").to_str().unwrap().to_string();
+        let restored = dir.path("mwrestored.qasm");
 
         run(&s(&[
             "protect",
@@ -1180,10 +1216,11 @@ mod tests {
 
     #[test]
     fn recombine_rejects_wrong_segment_count() {
-        let input = write_demo_circuit();
-        let left = tmp("wl.qasm");
-        let right = tmp("wr.qasm");
-        let meta = tmp("w.tlk");
+        let dir = TestDir::new();
+        let input = dir.demo_circuit();
+        let left = dir.path("wl.qasm");
+        let right = dir.path("wr.qasm");
+        let meta = dir.path("w.tlk");
         run(&s(&[
             "protect",
             input.to_str().unwrap(),
@@ -1203,7 +1240,7 @@ mod tests {
             "--meta",
             meta.to_str().unwrap(),
             "--out",
-            tmp("wout.qasm").to_str().unwrap(),
+            dir.path("wout.qasm").to_str().unwrap(),
         ]))
         .unwrap_err();
         assert!(err.contains("segments"));
@@ -1211,8 +1248,9 @@ mod tests {
 
     #[test]
     fn verify_detects_difference() {
-        let a_path = tmp("a.qasm");
-        let b_path = tmp("b.qasm");
+        let dir = TestDir::new();
+        let a_path = dir.path("a.qasm");
+        let b_path = dir.path("b.qasm");
         let mut a = Circuit::new(2);
         a.x(0);
         let mut b = Circuit::new(2);
@@ -1229,8 +1267,9 @@ mod tests {
 
     #[test]
     fn compile_produces_device_circuit() {
-        let input = write_demo_circuit();
-        let out = tmp("compiled.qasm");
+        let dir = TestDir::new();
+        let input = dir.demo_circuit();
+        let out = dir.path("compiled.qasm");
         run(&s(&[
             "compile",
             input.to_str().unwrap(),
@@ -1265,8 +1304,9 @@ mod tests {
 
     #[test]
     fn batch_runs_files_and_resumes() {
-        let input = write_demo_circuit();
-        let out_dir = tmp("batch_out");
+        let dir = TestDir::new();
+        let input = dir.demo_circuit();
+        let out_dir = dir.path("batch_out");
         run(&s(&[
             "batch",
             input.to_str().unwrap(),
@@ -1319,9 +1359,10 @@ mod tests {
 
     #[test]
     fn serve_refuses_non_directory_watch_path() {
-        let file = tmp("serve_watch_file");
+        let dir = TestDir::new();
+        let file = dir.path("serve_watch_file");
         std::fs::write(&file, "not a dir").unwrap();
-        let out = tmp("serve_out_nd");
+        let out = dir.path("serve_out_nd");
         let err = run(&s(&[
             "serve",
             "--watch",
@@ -1352,7 +1393,8 @@ mod tests {
 
     #[test]
     fn report_serve_renders_and_validates_status() {
-        let status = tmp("status.json");
+        let dir = TestDir::new();
+        let status = dir.path("status.json");
         std::fs::write(
             &status,
             "{\"type\":\"serve_status\",\"schema_version\":1,\"workers\":2,\
@@ -1362,7 +1404,7 @@ mod tests {
         .unwrap();
         assert!(run(&s(&["report", "--serve", status.to_str().unwrap()])).is_ok());
         // A trace file is not a status file: loud error, not garbage.
-        let trace = tmp("not_status.jsonl");
+        let trace = dir.path("not_status.jsonl");
         std::fs::write(&trace, "{\"type\":\"meta\",\"schema_version\":1}\n").unwrap();
         let err = run(&s(&["report", "--serve", trace.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("not a serve status"), "{err}");
@@ -1370,8 +1412,14 @@ mod tests {
 
     #[test]
     fn batch_requires_inputs_and_out_dir() {
+        let dir = TestDir::new();
         assert!(run(&s(&["batch"])).is_err());
-        let err = run(&s(&["batch", "--out-dir", tmp("be").to_str().unwrap()])).unwrap_err();
+        let err = run(&s(&[
+            "batch",
+            "--out-dir",
+            dir.path("be").to_str().unwrap(),
+        ]))
+        .unwrap_err();
         assert!(err.contains("circuit file or --suite"), "{err}");
         let err = run(&s(&["batch", "--suite", "nope", "--out-dir", "x"])).unwrap_err();
         assert!(err.contains("unknown suite"), "{err}");
@@ -1379,7 +1427,8 @@ mod tests {
 
     #[test]
     fn missing_options_reported() {
-        let input = write_demo_circuit();
+        let dir = TestDir::new();
+        let input = dir.demo_circuit();
         let err = run(&s(&["protect", input.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("meta"));
     }

@@ -1,94 +1,88 @@
-//! Out-of-core single-column simulation for witness replay.
+//! Sparse single-column simulation: the exact-check engine.
 //!
-//! The witness layer of the verifier needs one number from a miter
-//! `C₂†·C₁`: the amplitude `⟨x|M|x⟩` for a candidate basis input `x`.
-//! A dense statevector caps that question at
-//! [`crate::statevector::MAX_QUBITS`] qubits because it materialises all
-//! `2ⁿ` amplitudes. But a *column* of the miter — the state `M|x⟩` —
-//! usually has tiny support: permutation gates (X/CX/CCX/MCX/SWAP) move
-//! the single amplitude around, diagonal gates (Z/S/T/Rz/P and their
-//! controlled forms) only rotate its phase, and each branching gate
-//! (H/Sx/Rx/Ry/U, …) at most doubles the number of non-zero amplitudes.
-//! A wrong-key miter built from reversible logic plus a bounded number
-//! of branching gates therefore fits in a handful of sparse blocks even
-//! at 60 qubits.
+//! Two verifier questions need single columns `C|x⟩` of a circuit, not
+//! the whole unitary: the dense tier compares two circuits column by
+//! column, and the ZX tier's witness replay needs one diagonal entry
+//! `⟨x|M|x⟩` of a miter. A dense statevector answers both by pushing
+//! all `2ⁿ` amplitudes through every gate. But a column usually has
+//! tiny support: permutation gates (X/CX/CCX/MCX/SWAP) move amplitudes
+//! around, diagonal gates (Z/S/T/Rz/P and their controlled forms) only
+//! rotate phases, and each branching gate (H/Sx/Rx/Ry/U, …) at most
+//! doubles the number of non-zero amplitudes — and interference shrinks
+//! it again. Sampled columns of the compiled Table I circuits peak at
+//! 4–8 live amplitudes (rd84: 8 of 4096).
 //!
-//! [`ShardedColumn`] exploits that: the column is a sparse map from
-//! *shard id* (the basis index's high bits) to a fixed-size block of
-//! amplitudes (`2^shard_qubits`, default [`crate::exec::BLOCK_QUBITS`]
-//! ⇒ 512 KiB per shard — the same cache-sweep block discipline the
-//! dense engine uses). Absent shards are exactly zero. A bounded number
-//! of shards stay resident; excess shards spill to a temporary
-//! directory in LRU order and stream back on demand, so memory stays
-//! bounded no matter the register width. A hard budget
-//! ([`ColumnConfig::max_shards`]) turns "this miter branches too much"
-//! into a typed error ([`SimError::ShardBudgetExceeded`]) instead of an
-//! OOM — the caller treats that as "replay infeasible" and falls
-//! through, which keeps the witness contract sound.
+//! [`SparseColumn`] exploits that: its state is a support map from `u64`
+//! basis index to [`C64`]. A [`ColumnProgram`] lowers a circuit once to
+//! single-target ops, so a check that runs many columns pays for the
+//! lowering once. Two rules keep the map small and the result sound:
+//!
+//! * **Pruning.** An amplitude with `|a|² < 10⁻²⁶` is
+//!   dropped (this is what removes the cancelled branches). Each op's
+//!   dropped vector is orthogonal to what it keeps, and later gates are
+//!   unitary, so the sum over ops of the dropped `ℓ₂` norms bounds
+//!   `‖exact − kept‖₂`. [`SparseColumn::error_bound`] reports that sum,
+//!   and callers charge it against their tolerance. Floating-point
+//!   rounding is not part of the bound; the statevector path shares it.
+//! * **Budget.** A column whose support would pass its budget fails
+//!   with the typed [`SimError::SupportBudgetExceeded`] instead of
+//!   growing without bound; the caller falls back to a statevector or
+//!   reports the replay as infeasible.
 //!
 //! The width cap is [`MAX_COLUMN_QUBITS`] = 63: the only hard limit is
-//! `u64` basis-index addressability, *not* memory — feasibility is
-//! support-dependent, enforced by the shard budget.
+//! `u64` basis-index addressing, not memory.
 //!
 //! # Example
 //!
 //! ```
 //! use qcir::Circuit;
-//! use qsim::column::{basis_column_amplitude, ColumnConfig};
+//! use qsim::column::{ColumnProgram, SparseColumn};
 //!
-//! // A 40-qubit permutation miter: dense simulation is hopeless, the
-//! // sharded column never leaves one shard.
+//! // A 40-qubit miter: a statevector is hopeless, the column keeps one
+//! // amplitude.
 //! let mut m = Circuit::new(40);
-//! m.x(35).cx(35, 7).x(35);
-//! let amp = basis_column_amplitude(&m, 0, ColumnConfig::default())?;
-//! assert!(amp.abs() < 1e-12); // |0…0⟩ maps elsewhere: diagonal entry 0
+//! m.x(35).cx(35, 7).x(35).t(7);
+//! let program = ColumnProgram::new(&m)?;
+//! let mut column = SparseColumn::new(16);
+//! column.run(&program, 0)?;
+//! assert_eq!(column.support(), 1);
+//! assert!(column.amplitude(0).abs() < 1e-12); // |0…0⟩ maps to |1₇⟩
+//! assert!((column.amplitude(1 << 7).arg() - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
+//! assert_eq!(column.error_bound(), 0.0);
 //! # Ok::<(), qsim::SimError>(())
 //! ```
 
 use crate::complex::C64;
 use crate::error::SimError;
-use crate::exec::BLOCK_QUBITS;
 use crate::matrix::gate_matrix;
 use qcir::{Circuit, Gate, Instruction};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+static COLUMN_RUNS: qobs::Counter = qobs::Counter::new("qsim.column.runs");
 static COLUMN_OPS: qobs::Counter = qobs::Counter::new("qsim.column.ops");
-static COLUMN_SPILLS: qobs::Counter = qobs::Counter::new("qsim.column.spills");
+static COLUMN_BUDGET_TRIPS: qobs::Counter = qobs::Counter::new("qsim.column.budget_trips");
 
-/// Hard width cap for sharded columns: `u64` basis indices address at
-/// most 63 qubit registers without ambiguity against the budget
-/// sentinel arithmetic. Feasibility below the cap is governed by
-/// [`ColumnConfig::max_shards`], not width.
+/// Hard width cap for sparse columns: `u64` basis indices address at
+/// most 63-qubit registers (the dense pairing key shifts an index left
+/// by one bit). Feasibility below the cap is governed by the support
+/// budget, not width.
 pub const MAX_COLUMN_QUBITS: u32 = 63;
 
-/// Memory/disk envelope for a [`ShardedColumn`].
-#[derive(Debug, Clone)]
-pub struct ColumnConfig {
-    /// Qubits per shard: each shard holds `2^shard_qubits` amplitudes.
-    /// Clamped to the register width (and to 30 as an allocation guard).
-    pub shard_qubits: u32,
-    /// Shards kept in memory before LRU spilling kicks in (≥ 1; the
-    /// shards an in-flight gate touches are pinned and may briefly
-    /// exceed this by one).
-    pub resident_shards: usize,
-    /// Hard budget on *live* shards (resident + spilled). Exceeding it
-    /// returns [`SimError::ShardBudgetExceeded`] instead of allocating.
-    pub max_shards: usize,
-}
+/// Amplitudes with `|a|²` below this are pruned (`|a| < 10⁻¹³`). Exact
+/// cancellation leaves residues near `10⁻¹⁷`; a genuine amplitude this
+/// small could not move any verdict at the verifier's `ε = 10⁻⁹`, and
+/// the pruned norm is tracked anyway.
+const PRUNE_NORM_SQR: f64 = 1e-26;
 
-impl Default for ColumnConfig {
-    /// 512 KiB shards ([`BLOCK_QUBITS`]), 64 resident (≤ 32 MiB in
-    /// memory), 4096 live (≤ 2 GiB spilled worst case).
-    fn default() -> Self {
-        ColumnConfig {
-            shard_qubits: BLOCK_QUBITS,
-            resident_shards: 64,
-            max_shards: 4096,
-        }
-    }
+/// Largest support budget [`support_budget`] hands out: 2¹⁶ entries
+/// (1.5 MiB), the bound for registers past every statevector.
+pub const MAX_SUPPORT_BUDGET: usize = 1 << 16;
+
+/// The support budget for an `n`-qubit column: `2ⁿ⁻⁴` live amplitudes,
+/// clamped to `[2⁴, MAX_SUPPORT_BUDGET]`. Past a sixteenth of the
+/// register the map does more work per amplitude than a statevector
+/// sweep, so callers that can fall back to one should.
+pub fn support_budget(num_qubits: u32) -> usize {
+    (1usize << num_qubits.saturating_sub(4).max(4)).min(MAX_SUPPORT_BUDGET)
 }
 
 /// The 2×2 action class of a lowered gate on its target qubit.
@@ -201,481 +195,198 @@ fn lower(inst: &Instruction) -> Vec<Op> {
     }
 }
 
-/// A sparse, spillable column `M|x⟩` over up to [`MAX_COLUMN_QUBITS`]
-/// qubits. See the module docs for the shard model.
-pub struct ShardedColumn {
+/// A circuit lowered once to single-target ops over `u64` basis
+/// indices, ready to run from any number of basis inputs.
+pub struct ColumnProgram {
     num_qubits: u32,
-    shard_qubits: u32,
-    resident_cap: usize,
-    max_shards: usize,
-    resident: BTreeMap<u64, Vec<C64>>,
-    spilled: BTreeSet<u64>,
-    /// LRU candidates, oldest first. May hold stale ids (already
-    /// spilled or pruned); the eviction scan skips those lazily.
-    lru: VecDeque<u64>,
-    spill_dir: Option<PathBuf>,
-    spill_count: u64,
-    peak_shards: usize,
+    ops: Vec<Op>,
 }
 
-impl ShardedColumn {
-    /// Starts the column at basis state `|index⟩` with the default
-    /// [`ColumnConfig`].
+impl ColumnProgram {
+    /// Lowers `circuit`.
     ///
     /// # Errors
     ///
-    /// [`SimError::TooManyQubits`] past [`MAX_COLUMN_QUBITS`];
-    /// [`SimError::InvalidState`] if `index` does not name a basis
-    /// state of the register.
-    pub fn basis(num_qubits: u32, index: u64) -> Result<Self, SimError> {
-        Self::with_config(num_qubits, index, ColumnConfig::default())
-    }
-
-    /// Starts the column at `|index⟩` with an explicit envelope.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedColumn::basis`].
-    pub fn with_config(
-        num_qubits: u32,
-        index: u64,
-        config: ColumnConfig,
-    ) -> Result<Self, SimError> {
+    /// [`SimError::TooManyQubits`] past [`MAX_COLUMN_QUBITS`].
+    pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
+        let num_qubits = circuit.num_qubits();
         if num_qubits > MAX_COLUMN_QUBITS {
             return Err(SimError::TooManyQubits {
                 requested: num_qubits,
                 max: MAX_COLUMN_QUBITS,
             });
         }
-        check_index(num_qubits, index)?;
-        let shard_qubits = config.shard_qubits.min(num_qubits).min(30);
-        let mut column = ShardedColumn {
+        Ok(ColumnProgram {
             num_qubits,
-            shard_qubits,
-            resident_cap: config.resident_shards.max(1),
-            max_shards: config.max_shards.max(1),
-            resident: BTreeMap::new(),
-            spilled: BTreeSet::new(),
-            lru: VecDeque::new(),
-            spill_dir: None,
-            spill_count: 0,
-            peak_shards: 1,
-        };
-        let id = index >> shard_qubits;
-        let mut amps = vec![C64::ZERO; column.shard_len()];
-        amps[(index & column.lo_mask()) as usize] = C64::ONE;
-        column.resident.insert(id, amps);
-        column.lru.push_back(id);
-        Ok(column)
+            ops: circuit.iter().flat_map(lower).collect(),
+        })
+    }
+}
+
+/// One column `C|x⟩` as a support map, reusable across runs so a
+/// column-by-column check allocates once. See the module docs for the
+/// pruning and budget rules.
+#[derive(Debug)]
+pub struct SparseColumn {
+    max_support: usize,
+    /// `(basis index, amplitude)`, sorted by index after every run.
+    entries: Vec<(u64, C64)>,
+    scratch: Vec<(u64, C64)>,
+    error_bound: f64,
+}
+
+impl SparseColumn {
+    /// An empty column that fails any run whose support would pass
+    /// `max_support` amplitudes (at least 1).
+    pub fn new(max_support: usize) -> Self {
+        SparseColumn {
+            max_support: max_support.max(1),
+            entries: Vec::new(),
+            scratch: Vec::new(),
+            error_bound: 0.0,
+        }
     }
 
-    /// Register width in qubits.
-    pub fn num_qubits(&self) -> u32 {
-        self.num_qubits
-    }
-
-    /// Effective qubits per shard (clamped to the register width).
-    pub fn shard_qubits(&self) -> u32 {
-        self.shard_qubits
-    }
-
-    /// Live shards right now (resident + spilled).
-    pub fn live_shards(&self) -> usize {
-        self.resident.len() + self.spilled.len()
-    }
-
-    /// High-water mark of live shards over the column's lifetime.
-    pub fn peak_shards(&self) -> usize {
-        self.peak_shards
-    }
-
-    /// Number of shard spills to disk so far.
-    pub fn spill_count(&self) -> u64 {
-        self.spill_count
-    }
-
-    /// Applies a circuit gate by gate.
+    /// Resets the column to `|input⟩` and applies `program`.
     ///
     /// # Errors
     ///
-    /// [`SimError::QubitMismatch`] if the circuit is wider than the
-    /// column; [`SimError::ShardBudgetExceeded`] when branching gates
-    /// push the live shard count over [`ColumnConfig::max_shards`];
-    /// [`SimError::InvalidState`] on spill I/O failure. After an error
-    /// the column contents are unspecified — discard it.
-    pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-        if circuit.num_qubits() > self.num_qubits {
-            return Err(SimError::QubitMismatch {
-                circuit: circuit.num_qubits(),
-                state: self.num_qubits,
-            });
-        }
-        for inst in circuit.iter() {
-            for op in lower(inst) {
-                self.apply_op(&op)?;
-                COLUMN_OPS.incr();
-            }
-        }
-        Ok(())
-    }
-
-    /// The amplitude at basis index `index` (exactly zero for indices
-    /// outside the live support).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidState`] if `index` is outside the register or
-    /// a spilled shard fails to stream back.
-    pub fn amplitude(&mut self, index: u64) -> Result<C64, SimError> {
-        check_index(self.num_qubits, index)?;
-        let id = index >> self.shard_qubits;
-        let offset = (index & self.lo_mask()) as usize;
-        if !self.resident.contains_key(&id) && !self.spilled.contains(&id) {
-            return Ok(C64::ZERO);
-        }
-        self.make_resident(id, &[id])?;
-        Ok(self.resident[&id][offset])
-    }
-
-    fn shard_len(&self) -> usize {
-        1usize << self.shard_qubits
-    }
-
-    fn lo_mask(&self) -> u64 {
-        (1u64 << self.shard_qubits) - 1
-    }
-
-    fn apply_op(&mut self, op: &Op) -> Result<(), SimError> {
-        let k = self.shard_qubits;
-        let ctrl_lo = (op.ctrl & self.lo_mask()) as usize;
-        let ctrl_hi = op.ctrl >> k;
-        if op.target < k {
-            // Local target: every matching shard transforms in place.
-            let ids: Vec<u64> = self.live_ids(ctrl_hi);
-            for id in ids {
-                self.make_resident(id, &[id])?;
-                let shard_len = self.shard_len();
-                let amps = self.resident.get_mut(&id).expect("just made resident");
-                apply_local(amps, shard_len, op, ctrl_lo);
-            }
-            Ok(())
-        } else {
-            // High target: the target bit lives in the shard id.
-            let tb = 1u64 << (op.target - k);
-            match &op.kind {
-                Kind::Diag(d) => {
-                    let ids: Vec<u64> = self.live_ids(ctrl_hi);
-                    for id in ids {
-                        let factor = d[((id & tb) != 0) as usize];
-                        self.make_resident(id, &[id])?;
-                        let amps = self.resident.get_mut(&id).expect("just made resident");
-                        for (j, amp) in amps.iter_mut().enumerate() {
-                            if j & ctrl_lo == ctrl_lo {
-                                *amp *= factor;
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                Kind::Anti(_) | Kind::Dense(_) => {
-                    // The control mask never contains the target, so
-                    // both members of a shard pair agree on ctrl_hi.
-                    let bases: BTreeSet<u64> = self
-                        .live_ids(ctrl_hi)
-                        .into_iter()
-                        .map(|id| id & !tb)
-                        .collect();
-                    for base in bases {
-                        self.transform_shard_pair(base, base | tb, op, ctrl_lo)?;
-                    }
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Live shard ids whose high index bits satisfy `ctrl_hi`.
-    fn live_ids(&self, ctrl_hi: u64) -> Vec<u64> {
-        self.resident
-            .keys()
-            .chain(self.spilled.iter())
-            .copied()
-            .filter(|id| id & ctrl_hi == ctrl_hi)
-            .collect()
-    }
-
-    /// Pairs shards `lo`/`hi` across the target bit, transforms the
-    /// controlled entries, and prunes any shard the op zeroed out.
-    fn transform_shard_pair(
-        &mut self,
-        lo: u64,
-        hi: u64,
-        op: &Op,
-        ctrl_lo: usize,
-    ) -> Result<(), SimError> {
-        self.ensure_shard(lo, &[lo, hi])?;
-        self.ensure_shard(hi, &[lo, hi])?;
-        // Take both shards out of the map — the transform needs two
-        // mutable views at once.
-        let mut a0 = self.resident.remove(&lo).expect("pinned resident");
-        let mut a1 = self.resident.remove(&hi).expect("pinned resident");
-        for j in 0..self.shard_len() {
-            if j & ctrl_lo != ctrl_lo {
-                continue;
-            }
-            let (x, y) = (a0[j], a1[j]);
-            match &op.kind {
-                Kind::Anti(a) => {
-                    a0[j] = a[0] * y;
-                    a1[j] = a[1] * x;
-                }
-                Kind::Dense(m) => {
-                    a0[j] = m[0][0] * x + m[0][1] * y;
-                    a1[j] = m[1][0] * x + m[1][1] * y;
-                }
-                Kind::Diag(_) => unreachable!("diagonal ops never pair shards"),
-            }
-        }
-        self.put_back(lo, a0);
-        self.put_back(hi, a1);
-        Ok(())
-    }
-
-    /// Reinserts a transformed shard, pruning it if the op moved all
-    /// its weight away (keeps X-ladders and interference from leaking
-    /// zero shards into the budget).
-    fn put_back(&mut self, id: u64, amps: Vec<C64>) {
-        if amps.iter().all(|&a| a == C64::ZERO) {
-            // Stale lru entry is skipped lazily by the eviction scan.
-            return;
-        }
-        self.resident.insert(id, amps);
-    }
-
-    /// Makes shard `id` resident, creating it as all-zeros if it does
-    /// not exist yet (budget-checked).
-    fn ensure_shard(&mut self, id: u64, pinned: &[u64]) -> Result<(), SimError> {
-        if self.resident.contains_key(&id) || self.spilled.contains(&id) {
-            return self.make_resident(id, pinned);
-        }
-        let live = self.live_shards();
-        if live + 1 > self.max_shards {
-            return Err(SimError::ShardBudgetExceeded {
-                shards: live + 1,
-                max: self.max_shards,
-            });
-        }
-        self.peak_shards = self.peak_shards.max(live + 1);
-        let len = self.shard_len();
-        self.resident.insert(id, vec![C64::ZERO; len]);
-        self.lru.push_back(id);
-        self.evict_over(pinned)
-    }
-
-    /// Makes an *existing* shard resident, streaming it back from the
-    /// spill directory if needed.
-    fn make_resident(&mut self, id: u64, pinned: &[u64]) -> Result<(), SimError> {
-        if self.resident.contains_key(&id) {
-            self.touch(id);
-            return Ok(());
-        }
-        debug_assert!(self.spilled.contains(&id), "shard {id} is not live");
-        self.spilled.remove(&id);
-        let amps = self.read_shard(id)?;
-        self.resident.insert(id, amps);
-        self.lru.push_back(id);
-        self.evict_over(pinned)
-    }
-
-    /// Moves `id` to the most-recently-used position.
-    fn touch(&mut self, id: u64) {
-        if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(id);
-    }
-
-    /// Spills least-recently-used resident shards (never the pinned
-    /// ones) until the resident count fits the cap.
-    fn evict_over(&mut self, pinned: &[u64]) -> Result<(), SimError> {
-        while self.resident.len() > self.resident_cap {
-            let mut victim = None;
-            let mut scan = 0;
-            while scan < self.lru.len() {
-                let id = self.lru[scan];
-                if !self.resident.contains_key(&id) {
-                    // Stale entry (already spilled or pruned): drop it.
-                    self.lru.remove(scan);
-                    continue;
-                }
-                if pinned.contains(&id) {
-                    scan += 1;
-                    continue;
-                }
-                victim = Some((scan, id));
-                break;
-            }
-            let Some((pos, id)) = victim else {
-                // Everything resident is pinned: tolerate the overage.
-                return Ok(());
-            };
-            self.lru.remove(pos);
-            let amps = self.resident.remove(&id).expect("victim is resident");
-            self.write_shard(id, &amps)?;
-            self.spilled.insert(id);
-            self.spill_count += 1;
-            COLUMN_SPILLS.incr();
-        }
-        Ok(())
-    }
-
-    fn spill_dir(&mut self) -> Result<PathBuf, SimError> {
-        if self.spill_dir.is_none() {
-            static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "qsim-column-{}-{}",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            fs::create_dir_all(&dir).map_err(spill_io)?;
-            self.spill_dir = Some(dir);
-        }
-        Ok(self.spill_dir.clone().expect("just created"))
-    }
-
-    fn shard_path(&mut self, id: u64) -> Result<PathBuf, SimError> {
-        Ok(self.spill_dir()?.join(format!("shard-{id:016x}.amps")))
-    }
-
-    /// Raw little-endian `f64` (re, im) pairs.
-    fn write_shard(&mut self, id: u64, amps: &[C64]) -> Result<(), SimError> {
-        let mut bytes = Vec::with_capacity(amps.len() * 16);
-        for amp in amps {
-            bytes.extend_from_slice(&amp.re.to_le_bytes());
-            bytes.extend_from_slice(&amp.im.to_le_bytes());
-        }
-        let path = self.shard_path(id)?;
-        fs::write(path, bytes).map_err(spill_io)
-    }
-
-    fn read_shard(&mut self, id: u64) -> Result<Vec<C64>, SimError> {
-        let path = self.shard_path(id)?;
-        let bytes = fs::read(&path).map_err(spill_io)?;
-        let _ = fs::remove_file(&path);
-        if bytes.len() != self.shard_len() * 16 {
+    /// [`SimError::InvalidState`] if `input` does not fit the register;
+    /// [`SimError::SupportBudgetExceeded`] when the support passes the
+    /// budget. After an error the column contents are unspecified.
+    pub fn run(&mut self, program: &ColumnProgram, input: u64) -> Result<(), SimError> {
+        let n = program.num_qubits;
+        if input >> n != 0 {
             return Err(SimError::InvalidState(format!(
-                "column shard file {} has {} bytes, expected {}",
-                path.display(),
-                bytes.len(),
-                self.shard_len() * 16,
+                "basis index {input:#b} does not fit {n} qubits"
             )));
         }
-        Ok(bytes
-            .chunks_exact(16)
-            .map(|pair| {
-                C64::new(
-                    f64::from_le_bytes(pair[..8].try_into().expect("8-byte chunk")),
-                    f64::from_le_bytes(pair[8..].try_into().expect("8-byte chunk")),
-                )
-            })
-            .collect())
+        COLUMN_RUNS.incr();
+        COLUMN_OPS.add(program.ops.len() as u64);
+        self.entries.clear();
+        self.entries.push((input, C64::ONE));
+        self.error_bound = 0.0;
+        for op in &program.ops {
+            self.apply(op)?;
+        }
+        self.entries.sort_unstable_by_key(|&(index, _)| index);
+        Ok(())
     }
-}
 
-impl Drop for ShardedColumn {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.spill_dir {
-            let _ = fs::remove_dir_all(dir);
+    /// The amplitude at basis index `index` (zero off the support).
+    pub fn amplitude(&self, index: u64) -> C64 {
+        match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(k) => self.entries[k].1,
+            Err(_) => C64::ZERO,
         }
     }
-}
 
-impl std::fmt::Debug for ShardedColumn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedColumn")
-            .field("num_qubits", &self.num_qubits)
-            .field("shard_qubits", &self.shard_qubits)
-            .field("resident", &self.resident.len())
-            .field("spilled", &self.spilled.len())
-            .field("peak_shards", &self.peak_shards)
-            .finish()
+    /// `⟨self|other⟩`, a merge over the two sorted supports.
+    pub fn inner(&self, other: &SparseColumn) -> C64 {
+        let (mut j, mut sum) = (0, C64::ZERO);
+        for &(index, a) in &self.entries {
+            while j < other.entries.len() && other.entries[j].0 < index {
+                j += 1;
+            }
+            if j < other.entries.len() && other.entries[j].0 == index {
+                sum += a.conj() * other.entries[j].1;
+            }
+        }
+        sum
     }
-}
 
-/// Transforms one resident shard in place for a local-target op.
-fn apply_local(amps: &mut [C64], shard_len: usize, op: &Op, ctrl_lo: usize) {
-    let bit = 1usize << op.target;
-    match &op.kind {
-        Kind::Diag(d) => {
-            for (j, amp) in amps.iter_mut().enumerate() {
-                if j & ctrl_lo == ctrl_lo {
-                    *amp *= d[(j & bit != 0) as usize];
+    /// Upper bound on `‖exact column − kept column‖₂` from pruning: the
+    /// sum over ops of the `ℓ₂` norm each op dropped.
+    pub fn error_bound(&self) -> f64 {
+        self.error_bound
+    }
+
+    /// Live amplitudes after the last run.
+    pub fn support(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn apply(&mut self, op: &Op) -> Result<(), SimError> {
+        let (ctrl, bit) = (op.ctrl, 1u64 << op.target);
+        match &op.kind {
+            Kind::Diag(d) => {
+                for (index, amp) in &mut self.entries {
+                    if *index & ctrl == ctrl {
+                        *amp *= d[(*index & bit != 0) as usize];
+                    }
+                }
+            }
+            Kind::Anti(a) => {
+                // A permutation of the support: partners swap places.
+                for (index, amp) in &mut self.entries {
+                    if *index & ctrl == ctrl {
+                        *amp *= a[(*index & bit == 0) as usize];
+                        *index ^= bit;
+                    }
+                }
+            }
+            Kind::Dense(m) => self.apply_dense(ctrl, bit, m)?,
+        }
+        Ok(())
+    }
+
+    /// The one support-changing op: pairs each controlled entry with its
+    /// partner across the target bit, mixes the pair, and prunes.
+    fn apply_dense(&mut self, ctrl: u64, bit: u64, m: &[[C64; 2]; 2]) -> Result<(), SimError> {
+        if self.entries.len() > 1 {
+            // Partners sort next to each other, the target-clear one
+            // first: the target bit becomes the lowest key bit.
+            self.entries.sort_unstable_by_key(|&(index, _)| {
+                (index & !bit) << 1 | (index & bit != 0) as u64
+            });
+        }
+        let entries = &self.entries;
+        let out = &mut self.scratch;
+        out.clear();
+        let mut dropped = 0.0;
+        let mut k = 0;
+        while k < entries.len() {
+            let (index, amp) = entries[k];
+            k += 1;
+            if index & ctrl != ctrl {
+                out.push((index, amp));
+                continue;
+            }
+            let (x, y) = if index & bit != 0 {
+                (C64::ZERO, amp)
+            } else if k < entries.len() && entries[k].0 == index | bit {
+                k += 1;
+                (amp, entries[k - 1].1)
+            } else {
+                (amp, C64::ZERO)
+            };
+            let low = index & !bit;
+            for (i, a) in [
+                (low, m[0][0] * x + m[0][1] * y),
+                (low | bit, m[1][0] * x + m[1][1] * y),
+            ] {
+                let p = a.norm_sqr();
+                if p < PRUNE_NORM_SQR {
+                    dropped += p;
+                } else {
+                    out.push((i, a));
                 }
             }
         }
-        Kind::Anti(a) => {
-            for j in 0..shard_len {
-                if j & bit == 0 && j & ctrl_lo == ctrl_lo {
-                    let (x, y) = (amps[j], amps[j | bit]);
-                    amps[j] = a[0] * y;
-                    amps[j | bit] = a[1] * x;
-                }
-            }
+        std::mem::swap(&mut self.entries, &mut self.scratch);
+        if dropped > 0.0 {
+            self.error_bound += dropped.sqrt();
         }
-        Kind::Dense(m) => {
-            for j in 0..shard_len {
-                if j & bit == 0 && j & ctrl_lo == ctrl_lo {
-                    let (x, y) = (amps[j], amps[j | bit]);
-                    amps[j] = m[0][0] * x + m[0][1] * y;
-                    amps[j | bit] = m[1][0] * x + m[1][1] * y;
-                }
-            }
+        let support = self.entries.len();
+        if support > self.max_support {
+            COLUMN_BUDGET_TRIPS.incr();
+            return Err(SimError::SupportBudgetExceeded {
+                support,
+                max: self.max_support,
+            });
         }
+        Ok(())
     }
-}
-
-fn check_index(num_qubits: u32, index: u64) -> Result<(), SimError> {
-    if num_qubits < 64 && index >> num_qubits != 0 {
-        return Err(SimError::InvalidState(format!(
-            "basis index {index:#b} does not fit {num_qubits} qubits"
-        )));
-    }
-    Ok(())
-}
-
-fn spill_io(e: std::io::Error) -> SimError {
-    SimError::InvalidState(format!("column shard spill failed: {e}"))
-}
-
-/// One diagonal entry of a circuit: `⟨input|C|input⟩`, computed by
-/// streaming the column `C|input⟩` through a [`ShardedColumn`].
-///
-/// # Errors
-///
-/// Propagates every [`ShardedColumn`] error — in particular
-/// [`SimError::ShardBudgetExceeded`] when the circuit branches past the
-/// configured envelope.
-///
-/// # Example
-///
-/// ```
-/// use qcir::Circuit;
-/// use qsim::column::{basis_column_amplitude, ColumnConfig};
-///
-/// let mut c = Circuit::new(50);
-/// c.t(49);
-/// let amp = basis_column_amplitude(&c, 1u64 << 49, ColumnConfig::default())?;
-/// assert!((amp.arg() - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
-/// # Ok::<(), qsim::SimError>(())
-/// ```
-pub fn basis_column_amplitude(
-    circuit: &Circuit,
-    input: u64,
-    config: ColumnConfig,
-) -> Result<C64, SimError> {
-    let mut column = ShardedColumn::with_config(circuit.num_qubits(), input, config)?;
-    column.apply_circuit(circuit)?;
-    column.amplitude(input)
 }
 
 #[cfg(test)]
@@ -683,19 +394,9 @@ mod tests {
     use super::*;
     use crate::statevector::Statevector;
 
-    /// Tiny envelope that forces cross-shard pairing and LRU spilling
-    /// even on toy registers.
-    fn tight() -> ColumnConfig {
-        ColumnConfig {
-            shard_qubits: 3,
-            resident_shards: 2,
-            max_shards: 1 << 12,
-        }
-    }
-
     fn mixed_circuit(n: u32, seed: u64) -> Circuit {
         // Deterministic gate soup covering every lowering class,
-        // including high-target (cross-shard) and controlled forms.
+        // including controlled and multi-target forms.
         let mut c = Circuit::new(n);
         let mut s = seed;
         let mut next = || {
@@ -743,32 +444,42 @@ mod tests {
         c
     }
 
+    fn run(circuit: &Circuit, input: u64) -> SparseColumn {
+        let mut column = SparseColumn::new(MAX_SUPPORT_BUDGET);
+        column
+            .run(&ColumnProgram::new(circuit).unwrap(), input)
+            .unwrap();
+        column
+    }
+
+    fn assert_matches_statevector(circuit: &Circuit, input: u64) {
+        let n = circuit.num_qubits();
+        let mut sv = Statevector::basis(n, input as usize).unwrap();
+        sv.apply_circuit(circuit).unwrap();
+        let column = run(circuit, input);
+        for index in 0..1u64 << n {
+            let dense = sv.amplitudes()[index as usize];
+            let sparse = column.amplitude(index);
+            assert!(
+                dense.approx_eq(sparse, 1e-10),
+                "input={input} index={index}: dense {dense:?} vs sparse {sparse:?}"
+            );
+        }
+    }
+
     #[test]
     fn column_agrees_with_dense_statevector() {
         for n in [4u32, 6, 8] {
             for seed in 0..4u64 {
-                let circuit = mixed_circuit(n, seed ^ 0x9E37);
-                let input = seed % (1 << n);
-                let mut sv = Statevector::basis(n, input as usize).unwrap();
-                sv.apply_circuit(&circuit).unwrap();
-                let mut col = ShardedColumn::with_config(n, input, tight()).unwrap();
-                col.apply_circuit(&circuit).unwrap();
-                for index in 0..1u64 << n {
-                    let dense = sv.amplitudes()[index as usize];
-                    let sparse = col.amplitude(index).unwrap();
-                    assert!(
-                        dense.approx_eq(sparse, 1e-10),
-                        "n={n} seed={seed} index={index}: dense {dense:?} vs sparse {sparse:?}"
-                    );
-                }
+                assert_matches_statevector(&mixed_circuit(n, seed ^ 0x9E37), seed % (1 << n));
             }
         }
     }
 
     #[test]
-    fn spilling_actually_happens_and_stays_correct() {
-        // 8 qubits / 3-qubit shards / 2 resident ⇒ an H-ladder drives
-        // support across all 32 shards and through the spill path.
+    fn full_support_h_ladder_stays_correct() {
+        // H on every wire drives the support to all 2⁸ indices; the
+        // second ladder interferes it back down.
         let n = 8u32;
         let mut circuit = Circuit::new(n);
         for q in 0..n {
@@ -778,23 +489,38 @@ mod tests {
         for q in 0..n {
             circuit.h(q);
         }
-        let mut sv = Statevector::basis(n, 0).unwrap();
-        sv.apply_circuit(&circuit).unwrap();
-        let mut col = ShardedColumn::with_config(n, 0, tight()).unwrap();
-        col.apply_circuit(&circuit).unwrap();
-        assert!(col.spill_count() > 0, "tight config must exercise spills");
-        for index in 0..1u64 << n {
-            let dense = sv.amplitudes()[index as usize];
-            let sparse = col.amplitude(index).unwrap();
-            assert!(dense.approx_eq(sparse, 1e-10), "index {index}");
+        assert_matches_statevector(&circuit, 0);
+        assert_eq!(run(&circuit, 0).support(), 2, "only wire 7 keeps a branch");
+    }
+
+    #[test]
+    fn inner_product_matches_statevector() {
+        let (a, b) = (mixed_circuit(6, 3), mixed_circuit(6, 4));
+        for input in [0u64, 5, 63] {
+            let mut sa = Statevector::basis(6, input as usize).unwrap();
+            sa.apply_circuit(&a).unwrap();
+            let mut sb = Statevector::basis(6, input as usize).unwrap();
+            sb.apply_circuit(&b).unwrap();
+            let sparse = run(&a, input).inner(&run(&b, input));
+            assert!(sparse.approx_eq(sa.inner(&sb), 1e-10), "input {input}");
         }
     }
 
     #[test]
-    fn wide_permutation_stays_in_one_shard() {
-        // 50-qubit reversible logic: support never branches, so the
-        // column never allocates a second shard even as the single
-        // amplitude crosses shard boundaries.
+    fn cancelled_branches_are_pruned_into_the_error_bound() {
+        // H·H is the identity, but the two paths to |1⟩ cancel only up
+        // to rounding; the residue is pruned and charged to the bound.
+        let mut c = Circuit::new(3);
+        c.h(1).rz(0.3, 1).h(1).h(1).rz(-0.3, 1).h(1);
+        let column = run(&c, 0);
+        assert_eq!(column.support(), 1);
+        assert!(column.amplitude(0).approx_eq(C64::ONE, 1e-12));
+        assert!(column.error_bound() < 1e-12, "{}", column.error_bound());
+    }
+
+    #[test]
+    fn wide_permutation_keeps_unit_support() {
+        // 50-qubit reversible logic never branches the column.
         let mut c = Circuit::new(50);
         c.x(0)
             .cx(0, 45)
@@ -802,16 +528,11 @@ mod tests {
             .swap(30, 3)
             .mcx(&[0, 3, 45], 49);
         c.cswap(0, 45, 49);
-        let mut col = ShardedColumn::basis(50, 0).unwrap();
-        col.apply_circuit(&c).unwrap();
-        assert_eq!(col.live_shards(), 1);
-        // Crossing a shard boundary transiently materialises the
-        // partner shard before the vacated one is pruned — the peak is
-        // 2, never more, for permutation circuits.
-        assert!(col.peak_shards() <= 2, "peak {}", col.peak_shards());
+        let column = run(&c, 0);
+        assert_eq!(column.support(), 1);
         // Follow the bit with the independent classical evaluator.
         let expected = revlib_free_eval(&c);
-        assert!(col.amplitude(expected).unwrap().approx_eq(C64::ONE, 1e-12));
+        assert!(column.amplitude(expected).approx_eq(C64::ONE, 1e-12));
     }
 
     /// Local classical evaluation (qsim cannot depend on revlib).
@@ -858,10 +579,10 @@ mod tests {
     fn diagonal_gates_only_rotate_phase() {
         let mut c = Circuit::new(40);
         c.t(39).rz(0.25, 20).cp(0.5, 0, 39);
-        let mut col = ShardedColumn::basis(40, (1u64 << 39) | 1).unwrap();
-        col.apply_circuit(&c).unwrap();
-        assert_eq!(col.live_shards(), 1);
-        let amp = col.amplitude((1u64 << 39) | 1).unwrap();
+        let input = (1u64 << 39) | 1;
+        let column = run(&c, input);
+        assert_eq!(column.support(), 1);
+        let amp = column.amplitude(input);
         // t(39) ⇒ π/4, rz(0.25; 20) on a clear bit ⇒ −0.125,
         // cp(0.5; 0,39) ⇒ 0.5 (both control and target set).
         let expected = std::f64::consts::FRAC_PI_4 - 0.125 + 0.5;
@@ -870,27 +591,35 @@ mod tests {
     }
 
     #[test]
-    fn shard_budget_is_a_typed_error() {
+    fn support_budget_is_a_typed_error() {
         let mut c = Circuit::new(30);
         for q in 15..25 {
-            c.h(q); // 10 high-target branchings ⇒ 2^10 shards
+            c.h(q); // 10 branchings ⇒ 2^10 amplitudes
         }
-        let config = ColumnConfig {
-            shard_qubits: 15,
-            resident_shards: 4,
-            max_shards: 8,
-        };
-        let mut col = ShardedColumn::with_config(30, 0, config).unwrap();
-        let err = col.apply_circuit(&c).unwrap_err();
-        assert!(
-            matches!(err, SimError::ShardBudgetExceeded { max: 8, .. }),
-            "got {err:?}"
+        let mut column = SparseColumn::new(8);
+        let err = column.run(&ColumnProgram::new(&c).unwrap(), 0).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SupportBudgetExceeded {
+                support: 16,
+                max: 8
+            }
         );
     }
 
     #[test]
+    fn support_budget_scales_with_width() {
+        assert_eq!(support_budget(2), 16);
+        assert_eq!(support_budget(12), 256);
+        assert_eq!(support_budget(20), MAX_SUPPORT_BUDGET);
+        assert_eq!(support_budget(63), MAX_SUPPORT_BUDGET);
+    }
+
+    #[test]
     fn width_cap_is_enforced() {
-        let err = ShardedColumn::basis(MAX_COLUMN_QUBITS + 1, 0).unwrap_err();
+        let Err(err) = ColumnProgram::new(&Circuit::new(MAX_COLUMN_QUBITS + 1)) else {
+            panic!("the width cap must be enforced");
+        };
         assert_eq!(
             err,
             SimError::TooManyQubits {
@@ -898,44 +627,23 @@ mod tests {
                 max: MAX_COLUMN_QUBITS,
             }
         );
-        // And the cap itself is fine.
+        // And the cap itself is fine, even on the top wire.
         let mut c = Circuit::new(MAX_COLUMN_QUBITS);
-        c.x(62).cx(62, 0);
-        let amp = basis_column_amplitude(&c, 0, ColumnConfig::default()).unwrap();
-        assert!(amp.abs() < 1e-12);
+        c.x(62).cx(62, 0).h(62);
+        let column = run(&c, 0);
+        assert!(column.amplitude(0).abs() < 1e-12);
+        assert!((column.amplitude(1 | 1 << 62).abs() - 0.5f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn bad_basis_index_is_rejected() {
+        let program = ColumnProgram::new(&Circuit::new(4)).unwrap();
+        let mut column = SparseColumn::new(16);
         assert!(matches!(
-            ShardedColumn::basis(4, 0b10000),
+            column.run(&program, 0b10000),
             Err(SimError::InvalidState(_))
         ));
-        let mut col = ShardedColumn::basis(4, 0).unwrap();
-        assert!(matches!(
-            col.amplitude(1 << 10),
-            Err(SimError::InvalidState(_))
-        ));
-    }
-
-    #[test]
-    fn x_ladder_prunes_zero_shards() {
-        // X on a high qubit moves the support shard; the vacated shard
-        // must be pruned, not kept as a live zero block.
-        let mut c = Circuit::new(20);
-        c.x(19).x(18).x(19);
-        let mut col = ShardedColumn::with_config(
-            20,
-            0,
-            ColumnConfig {
-                shard_qubits: 4,
-                resident_shards: 8,
-                max_shards: 64,
-            },
-        )
-        .unwrap();
-        col.apply_circuit(&c).unwrap();
-        assert_eq!(col.live_shards(), 1);
-        assert!(col.amplitude(1 << 18).unwrap().approx_eq(C64::ONE, 1e-12));
+        column.run(&program, 0b1001).unwrap();
+        assert_eq!(column.amplitude(1 << 10), C64::ZERO);
     }
 }

@@ -21,13 +21,13 @@ pub enum SimError {
     },
     /// A state-construction argument was invalid.
     InvalidState(String),
-    /// An out-of-core column's live shard count exceeded its budget —
-    /// the circuit branched the basis column into more amplitude
-    /// support than the configured memory/disk envelope allows.
-    ShardBudgetExceeded {
-        /// Live shards the next allocation would have required.
-        shards: usize,
-        /// Configured shard budget.
+    /// A sparse column's live support exceeded its budget: the circuit
+    /// branched the basis column into more amplitudes than the caller
+    /// allows.
+    SupportBudgetExceeded {
+        /// Live amplitudes after the op that tripped the budget.
+        support: usize,
+        /// Configured support budget.
         max: usize,
     },
 }
@@ -46,9 +46,9 @@ impl fmt::Display for SimError {
                 "circuit needs {circuit} qubits but state has only {state}"
             ),
             SimError::InvalidState(message) => write!(f, "invalid state: {message}"),
-            SimError::ShardBudgetExceeded { shards, max } => write!(
+            SimError::SupportBudgetExceeded { support, max } => write!(
                 f,
-                "basis column branched into {shards} shards, over the budget of {max}"
+                "basis column branched into {support} amplitudes, over the budget of {max}"
             ),
         }
     }

@@ -14,9 +14,10 @@
 //!   engine internals and the determinism contract).
 //! * [`unitary`] — full-unitary extraction and equivalence checking used to
 //!   *prove* de-obfuscation correctness in tests.
-//! * [`mod@column`] — sparse, spillable single-column simulation
-//!   ([`ShardedColumn`]) for witness replay on registers far past the
-//!   dense cap: memory scales with amplitude support, not width.
+//! * [`mod@column`] — sparse single-column simulation
+//!   ([`SparseColumn`]) for the verifier's column checks and witness
+//!   replays: cost scales with amplitude support, not `2ⁿ`, with a
+//!   tracked pruning error bound and a hard support budget.
 //! * [`noise`] — stochastic Pauli + readout error model (the Monte-Carlo
 //!   equivalent of Qiskit's depolarizing/readout noise).
 //! * [`Device`] — backend models, including [`Device::fake_valencia`]
@@ -61,7 +62,7 @@ pub mod sampler;
 pub mod statevector;
 pub mod unitary;
 
-pub use column::{basis_column_amplitude, ColumnConfig, ShardedColumn, MAX_COLUMN_QUBITS};
+pub use column::{ColumnProgram, SparseColumn, MAX_COLUMN_QUBITS};
 pub use complex::C64;
 pub use density::DensityMatrix;
 pub use device::Device;

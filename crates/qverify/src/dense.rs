@@ -4,17 +4,158 @@
 //! through both circuits and the output overlap `⟨C₁·x|C₂·x⟩` is
 //! inspected. `C₁ ≃ C₂` up to global phase iff every column pair has
 //! unit overlap *and* all overlaps share one phase. Streaming one
-//! column at a time keeps memory at two `2ⁿ` statevectors (instead of
-//! two `2ⁿ×2ⁿ` matrices — ~512 MiB at the cap), exits early on the
-//! first diverging column, and still yields a concrete witness — a
-//! basis input with diverging outputs or a pair of basis inputs
-//! acquiring different phases.
+//! column at a time exits early on the first diverging column and still
+//! yields a concrete witness — a basis input with diverging outputs or
+//! a pair of basis inputs acquiring different phases.
+//!
+//! Each column runs through a sparse support map
+//! ([`qsim::SparseColumn`]): both circuits are lowered once, and a
+//! column costs `O(gates·support)` instead of a `2ⁿ` statevector sweep
+//! per gate. A classical reversible `C₁` skips simulation entirely:
+//! its column is the basis state its bit replay reaches. The columns'
+//! pruning error bounds are charged against `eps`. When the bound could
+//! flip a column's decision, or a column trips the support budget, the
+//! check falls back to two statevectors for the rest of the run and
+//! re-measures the reference phase exactly, so every verdict is one the
+//! statevector path would also reach.
 
 use crate::{Report, Tier, Verdict, Witness};
 use qcir::Circuit;
+use qsim::column::{support_budget, ColumnProgram, SparseColumn};
 use qsim::complex::C64;
 use qsim::unitary::MAX_UNITARY_QUBITS;
 use qsim::{SimError, Statevector};
+
+static STATEVECTOR_FALLBACKS: qobs::Counter =
+    qobs::Counter::new("qverify.dense.statevector_fallbacks");
+
+/// A column overlap `⟨C₁·x|C₂·x⟩` with an upper bound on its error.
+#[derive(Clone, Copy)]
+struct Overlap {
+    value: C64,
+    err: f64,
+}
+
+/// What one column says about the pair.
+enum Judgement {
+    Consistent,
+    Diverges(Witness),
+    /// The error bound straddles a threshold: re-measure exactly.
+    Unsure,
+}
+
+/// Judges column `col` against the reference column (the first one).
+fn judge(col: u64, overlap: Overlap, reference: Option<(u64, Overlap)>, eps: f64) -> Judgement {
+    let deviation = (overlap.value.abs() - 1.0).abs();
+    if deviation > eps + overlap.err {
+        return Judgement::Diverges(Witness::BasisColumn {
+            input: col,
+            overlap: overlap.value.abs(),
+        });
+    }
+    if deviation > eps - overlap.err {
+        return Judgement::Unsure;
+    }
+    let Some((first, phase)) = reference else {
+        return Judgement::Consistent;
+    };
+    let tolerance = eps.max(1e-12) * 10.0;
+    let diff = overlap.value - phase.value;
+    let distance = diff.re.abs().max(diff.im.abs());
+    let err = overlap.err + phase.err;
+    if distance > tolerance + err {
+        Judgement::Diverges(Witness::RelativePhase {
+            input_a: first,
+            input_b: col,
+        })
+    } else if distance > tolerance - err {
+        Judgement::Unsure
+    } else {
+        Judgement::Consistent
+    }
+}
+
+/// The two sides of a check, lowered once.
+struct Columns<'a> {
+    a: &'a Circuit,
+    b: &'a Circuit,
+    /// `None` when `a` is classical reversible: its column is a bit
+    /// replay.
+    program_a: Option<ColumnProgram>,
+    program_b: ColumnProgram,
+    column_a: SparseColumn,
+    column_b: SparseColumn,
+}
+
+impl<'a> Columns<'a> {
+    fn new(a: &'a Circuit, b: &'a Circuit) -> Result<Self, SimError> {
+        let budget = support_budget(a.num_qubits());
+        let classical_a = a.iter().all(|i| i.gate().is_classical());
+        Ok(Columns {
+            a,
+            b,
+            program_a: if classical_a {
+                None
+            } else {
+                Some(ColumnProgram::new(a)?)
+            },
+            program_b: ColumnProgram::new(b)?,
+            column_a: SparseColumn::new(budget),
+            column_b: SparseColumn::new(budget),
+        })
+    }
+
+    /// The sparse overlap of column `col`, or `None` when a column
+    /// trips the support budget.
+    fn sparse(&mut self, col: u64) -> Result<Option<Overlap>, SimError> {
+        if let Err(e) = self.column_b.run(&self.program_b, col) {
+            return budget_trip(e);
+        }
+        let eb = self.column_b.error_bound();
+        match &self.program_a {
+            None => {
+                let image = revlib::classical_eval(self.a, col as usize)
+                    .map_err(|e| SimError::InvalidState(e.to_string()))?;
+                Ok(Some(Overlap {
+                    value: self.column_b.amplitude(image as u64),
+                    err: eb,
+                }))
+            }
+            Some(program_a) => {
+                if let Err(e) = self.column_a.run(program_a, col) {
+                    return budget_trip(e);
+                }
+                let ea = self.column_a.error_bound();
+                // |⟨a+δa|b+δb⟩ − ⟨a|b⟩| ≤ ‖δa‖·‖b‖ + ‖a‖·‖δb‖ + ‖δa‖·‖δb‖
+                // with both kept columns of norm ≤ 1.
+                Ok(Some(Overlap {
+                    value: self.column_a.inner(&self.column_b),
+                    err: ea + eb + ea * eb,
+                }))
+            }
+        }
+    }
+
+    /// The exact overlap of column `col` through two statevectors.
+    fn statevector(&self, col: u64) -> Result<Overlap, SimError> {
+        let n = self.a.num_qubits();
+        let mut sa = Statevector::basis(n, col as usize)?;
+        sa.apply_circuit(self.a)?;
+        let mut sb = Statevector::basis(n, col as usize)?;
+        sb.apply_circuit(self.b)?;
+        Ok(Overlap {
+            value: sa.inner(&sb),
+            err: 0.0,
+        })
+    }
+}
+
+fn budget_trip(e: SimError) -> Result<Option<Overlap>, SimError> {
+    match e {
+        SimError::SupportBudgetExceeded { .. } => Ok(None),
+        other => Err(other),
+    }
+}
 
 /// Dense equivalence check with witness extraction and early exit.
 pub(crate) fn check(a: &Circuit, b: &Circuit, eps: f64) -> Result<Report, SimError> {
@@ -25,35 +166,35 @@ pub(crate) fn check(a: &Circuit, b: &Circuit, eps: f64) -> Result<Report, SimErr
             max: MAX_UNITARY_QUBITS,
         });
     }
-    let dim = 1usize << n;
-    let mut reference: Option<(usize, C64)> = None;
-    for col in 0..dim {
-        let mut sa = Statevector::basis(n, col)?;
-        sa.apply_circuit(a)?;
-        let mut sb = Statevector::basis(n, col)?;
-        sb.apply_circuit(b)?;
-        let overlap = sa.inner(&sb);
-        if (overlap.abs() - 1.0).abs() > eps {
-            return Ok(report(Verdict::Inequivalent {
-                witness: Witness::BasisColumn {
-                    input: col as u64,
-                    overlap: overlap.abs(),
-                },
-            }));
-        }
-        match reference {
-            None => reference = Some((col, overlap)),
-            Some((first, phase)) => {
-                if !overlap.approx_eq(phase, eps.max(1e-12) * 10.0) {
-                    return Ok(report(Verdict::Inequivalent {
-                        witness: Witness::RelativePhase {
-                            input_a: first as u64,
-                            input_b: col as u64,
-                        },
-                    }));
-                }
+    let mut columns = Columns::new(a, b)?;
+    let mut sparse = true;
+    let mut reference: Option<(u64, Overlap)> = None;
+    for col in 0..1u64 << n {
+        let measured = if sparse { columns.sparse(col)? } else { None };
+        let mut overlap = match measured {
+            Some(overlap) => overlap,
+            None => columns.statevector(col)?,
+        };
+        let mut judgement = judge(col, overlap, reference, eps);
+        if sparse && (measured.is_none() || matches!(judgement, Judgement::Unsure)) {
+            // Sticky: the reference phase, this column and every later
+            // one are measured exactly from here on.
+            sparse = false;
+            STATEVECTOR_FALLBACKS.incr();
+            if let Some((first, _)) = reference {
+                reference = Some((first, columns.statevector(first)?));
             }
+            if measured.is_some() {
+                overlap = columns.statevector(col)?;
+            }
+            judgement = judge(col, overlap, reference, eps);
         }
+        match judgement {
+            Judgement::Consistent => {}
+            Judgement::Diverges(witness) => return Ok(report(Verdict::Inequivalent { witness })),
+            Judgement::Unsure => unreachable!("exact overlaps carry no error bound"),
+        }
+        reference.get_or_insert((col, overlap));
     }
     Ok(report(Verdict::Equivalent))
 }
@@ -126,6 +267,47 @@ mod tests {
             }
             other => panic!("expected basis-column witness, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn classical_original_uses_bit_replay_and_agrees() {
+        let mut a = Circuit::new(3);
+        a.x(0).ccx(0, 1, 2).swap(0, 2);
+        let mut b = a.clone();
+        b.h(1).h(1);
+        assert!(Columns::new(&a, &b).unwrap().program_a.is_none());
+        assert!(check(&a, &b, EPS).unwrap().verdict.is_equivalent());
+        b.t(2);
+        assert!(matches!(
+            check(&a, &b, EPS).unwrap().verdict,
+            Verdict::Inequivalent {
+                witness: Witness::RelativePhase { .. }
+            }
+        ));
+    }
+
+    #[test]
+    fn bound_straddling_column_falls_back_to_statevectors() {
+        // ry(1e-13) leaves 5e-14 of amplitude off each H branch. It is
+        // pruned (|a|² < 1e-26), so the sparse overlap carries an error
+        // bound of 5e-14 — larger than this check's eps, so column 0 is
+        // undecidable from the sparse map. The statevector path decides
+        // instead: every overlap is cos(5e-14), which rounds to exactly
+        // 1, so the exact column rule says equivalent.
+        let eps = 1e-14;
+        let mut a = Circuit::new(3);
+        a.h(1).ry(1e-13, 0).cx(1, 2);
+        let mut b = Circuit::new(3);
+        b.h(1).cx(1, 2);
+        let overlap = Columns::new(&a, &b).unwrap().sparse(0).unwrap().unwrap();
+        assert!(overlap.err > eps, "bound {}", overlap.err);
+        assert!(matches!(judge(0, overlap, None, eps), Judgement::Unsure));
+        assert!(check(&a, &b, eps).unwrap().verdict.is_equivalent());
+        // At the default eps the same bound is negligible.
+        assert!(matches!(
+            judge(0, overlap, None, EPS),
+            Judgement::Consistent
+        ));
     }
 
     #[test]

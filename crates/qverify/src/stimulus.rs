@@ -14,10 +14,10 @@
 //! [`Verdict::Equivalent`] with confidence `1 − 2^{−trials}` recorded in
 //! the [`Report`].
 
-use crate::{Report, Tier, Verdict, Witness, MAX_COLUMN_BRANCHING, MAX_STIMULUS_QUBITS};
-use qcir::{Circuit, Gate};
-use qsim::column::{basis_column_amplitude, ColumnConfig};
-use qsim::{SimError, Statevector, C64, MAX_COLUMN_QUBITS};
+use crate::{Report, Tier, Verdict, Witness, MAX_STIMULUS_QUBITS};
+use qcir::Circuit;
+use qsim::column::{support_budget, ColumnProgram, SparseColumn};
+use qsim::{SimError, Statevector, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{PI, TAU};
@@ -114,77 +114,69 @@ pub(crate) fn check(
     })
 }
 
-/// `true` when `gate` can *branch* a basis column — a 2×2 action with
-/// all four entries non-zero for generic angles, the only class that
-/// can grow the column's amplitude support. Conservative: an `Rx(π)`
-/// is really antidiagonal, but still counts.
-fn is_branching(gate: &Gate) -> bool {
-    matches!(
-        gate,
-        Gate::H | Gate::CH | Gate::Sx | Gate::Sxdg | Gate::Rx(_) | Gate::Ry(_) | Gate::U(..)
-    )
-}
-
-/// Shard envelope for witness basis replay: small 4 KiB shards (2⁸
-/// amplitudes) so support is tracked at fine grain, and a budget the
-/// branching screen can never overrun — with at most
-/// [`MAX_COLUMN_BRANCHING`] branching gates the column's support is
-/// ≤ 2^[`MAX_COLUMN_BRANCHING`] amplitudes, hence at most 1024 shards,
-/// comfortably under the 2048 budget. The budget is defense in depth,
-/// not the expected abort path.
-fn witness_column_config() -> ColumnConfig {
-    ColumnConfig {
-        shard_qubits: 8,
-        resident_shards: 256,
-        max_shards: 2048,
-    }
-}
-
-/// `true` when the sharded-column replay is guaranteed cheap for this
-/// miter: within the `u64` addressing cap and with a bounded number of
-/// branching gates (support ≤ 2^[`MAX_COLUMN_BRANCHING`] amplitudes).
-pub(crate) fn column_replay_feasible(miter: &Circuit) -> bool {
-    miter.num_qubits() <= MAX_COLUMN_QUBITS
-        && miter.iter().filter(|i| is_branching(i.gate())).count() as u32 <= MAX_COLUMN_BRANCHING
-}
-
-/// One diagonal entry of the miter: the complex amplitude
-/// `⟨x|C₂†C₁|x⟩`. A magnitude strictly below 1 means the input does not
-/// return to its own ray — exact evidence of inequivalence; a *unit*
-/// magnitude pins the input as an eigenvector whose exact phase can be
-/// compared across inputs (two different phases certify a diagonal
-/// residue).
+/// Diagonal entries `⟨x|M|x⟩` of one miter `M = C₂†C₁`. A magnitude
+/// strictly below 1 means the input does not return to its own ray —
+/// exact evidence of inequivalence; a *unit* magnitude pins the input
+/// as an eigenvector whose exact phase can be compared across inputs
+/// (two different phases certify a diagonal residue).
 ///
 /// This is the certification half of the ZX tier's witness extraction
 /// (`zx::witness`): the graph reduction only *proposes* basis inputs,
 /// and this replay — which never looks at the ZX graph — is what turns
 /// a proposal into a [`Witness::BasisColumn`] or
-/// [`Witness::RelativePhase`]. Dispatch: a support-bounded miter
-/// (screened by [`column_replay_feasible`]) streams through the sharded
-/// out-of-core column at any width up to [`MAX_COLUMN_QUBITS`] — memory
-/// scales with amplitude support, not `2ⁿ`; a branchy miter within the
-/// statevector cap falls back to one dense basis replay.
-///
-/// # Errors
-///
-/// [`SimError::ShardBudgetExceeded`] when the miter is too branchy for
-/// the column and too wide for a statevector — the caller treats any
-/// error as "replay infeasible" and falls through.
-pub(crate) fn miter_basis_amplitude(miter: &Circuit, input: u64) -> Result<C64, SimError> {
-    if column_replay_feasible(miter) {
-        return basis_column_amplitude(miter, input, witness_column_config());
+/// [`Witness::RelativePhase`]. The miter is lowered once; each input
+/// runs through a sparse column at any width up to
+/// [`qsim::MAX_COLUMN_QUBITS`], so cost scales with amplitude support,
+/// not `2ⁿ`. Once a column trips the support budget, this and every
+/// later input of the miter replay through a dense statevector within
+/// [`MAX_STIMULUS_QUBITS`].
+pub(crate) struct MiterReplay<'a> {
+    miter: &'a Circuit,
+    program: ColumnProgram,
+    column: SparseColumn,
+    dense: bool,
+}
+
+impl<'a> MiterReplay<'a> {
+    /// Lowers `miter` for replay.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TooManyQubits`] past [`qsim::MAX_COLUMN_QUBITS`].
+    pub(crate) fn new(miter: &'a Circuit) -> Result<Self, SimError> {
+        Ok(MiterReplay {
+            miter,
+            program: ColumnProgram::new(miter)?,
+            column: SparseColumn::new(support_budget(miter.num_qubits())),
+            dense: false,
+        })
     }
-    let n = miter.num_qubits();
-    if n <= MAX_STIMULUS_QUBITS {
+
+    /// `⟨input|M|input⟩` with an upper bound on its error: the sparse
+    /// column's pruned norm, or `0` for a statevector replay.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SupportBudgetExceeded`] when the miter is too branchy
+    /// for the column and too wide for a statevector — the caller
+    /// treats any error as "replay infeasible" and falls through.
+    pub(crate) fn amplitude(&mut self, input: u64) -> Result<(C64, f64), SimError> {
+        let n = self.miter.num_qubits();
+        if !self.dense {
+            match self.column.run(&self.program, input) {
+                Ok(()) => {
+                    return Ok((self.column.amplitude(input), self.column.error_bound()));
+                }
+                Err(SimError::SupportBudgetExceeded { .. }) if n <= MAX_STIMULUS_QUBITS => {
+                    self.dense = true;
+                }
+                Err(e) => return Err(e),
+            }
+        }
         let mut state = Statevector::basis(n, input as usize)?;
-        state.apply_circuit(miter)?;
-        return Ok(state.amplitudes()[input as usize]);
+        state.apply_circuit(self.miter)?;
+        Ok((state.amplitudes()[input as usize], 0.0))
     }
-    let branching = miter.iter().filter(|i| is_branching(i.gate())).count();
-    Err(SimError::ShardBudgetExceeded {
-        shards: 1usize << (branching.min(32) as u32),
-        max: witness_column_config().max_shards,
-    })
 }
 
 /// Worker count: requested (or available parallelism), capped by the
@@ -323,9 +315,11 @@ mod tests {
     fn miter_amplitude_column_path_matches_dense_replay() {
         let mut m = Circuit::new(6);
         m.h(0).t(1).cx(1, 2).swap(2, 5).tdg(3);
-        assert!(column_replay_feasible(&m));
+        let mut replay = MiterReplay::new(&m).unwrap();
         for input in [0u64, 0b100110, 0b111111] {
-            let sparse = miter_basis_amplitude(&m, input).unwrap();
+            let (sparse, err) = replay.amplitude(input).unwrap();
+            assert!(!replay.dense, "a 2-amplitude column fits the budget");
+            assert_eq!(err, 0.0);
             let mut sv = Statevector::basis(6, input as usize).unwrap();
             sv.apply_circuit(&m).unwrap();
             assert!(
@@ -336,18 +330,39 @@ mod tests {
     }
 
     #[test]
+    fn budget_trip_falls_back_to_a_sticky_statevector_replay() {
+        // H on all 12 wires passes the 2⁸ budget; the replay switches
+        // to the statevector for this and every later input.
+        let mut m = Circuit::new(12);
+        for q in 0..12 {
+            m.h(q);
+        }
+        m.t(3);
+        let mut replay = MiterReplay::new(&m).unwrap();
+        let (amplitude, err) = replay.amplitude(0).unwrap();
+        assert!(replay.dense);
+        assert_eq!(err, 0.0);
+        assert!(
+            (amplitude.abs() - 1.0 / 64.0).abs() < 1e-12,
+            "{amplitude:?}"
+        );
+        replay.amplitude(1).unwrap();
+        assert!(replay.dense);
+    }
+
+    #[test]
     fn branchy_wide_miter_is_replay_infeasible() {
-        // Too many branching gates for the column AND too wide for a
+        // Too branchy for the column budget AND too wide for a
         // statevector: the replay must refuse with a typed error, never
         // attempt an exponential stream.
         let mut m = Circuit::new(MAX_STIMULUS_QUBITS + 2);
-        for q in 0..=MAX_COLUMN_BRANCHING {
+        for q in 0..=16 {
             m.h(q);
         }
-        assert!(!column_replay_feasible(&m));
+        let mut replay = MiterReplay::new(&m).unwrap();
         assert!(matches!(
-            miter_basis_amplitude(&m, 0),
-            Err(SimError::ShardBudgetExceeded { .. })
+            replay.amplitude(0),
+            Err(SimError::SupportBudgetExceeded { .. })
         ));
     }
 

@@ -24,7 +24,7 @@
 //!   rule set is deliberately incomplete — but it *proposes* candidate
 //!   basis inputs, and a candidate confirmed by an independent replay
 //!   ([`witness`]: limb-backed classical bit evaluation for reversible
-//!   pairs at any width, or sharded basis-column replays of the miter
+//!   pairs at any width, or sparse basis-column replays of the miter
 //!   up to [`qsim::MAX_COLUMN_QUBITS`] wires — magnitude deficits
 //!   certify basis-column witnesses, and diverging unit phases certify
 //!   relative-phase witnesses) certifies **inequivalence** with a

@@ -21,12 +21,12 @@
 //!      **any** register width, `O(gates)` per input
 //!      ([`Witness::BasisInput`], outputs compared exactly);
 //!    * otherwise → the miter's diagonal amplitude `⟨x|C₂†C₁|x⟩` from
-//!      [`crate::stimulus::miter_basis_amplitude`] (sharded out-of-core
-//!      column for support-bounded miters up to
-//!      [`qsim::MAX_COLUMN_QUBITS`] wires, dense basis replay for
-//!      branchy miters within the statevector cap). A magnitude deficit
-//!      certifies [`Witness::BasisColumn`]; two unit-magnitude
-//!      amplitudes with *different phases* certify
+//!      [`crate::stimulus::MiterReplay`] (a sparse column up to
+//!      [`qsim::MAX_COLUMN_QUBITS`] wires, with its pruning error bound
+//!      charged against the tolerance; a dense basis replay within the
+//!      statevector cap once the column trips its support budget). A
+//!      magnitude deficit certifies [`Witness::BasisColumn`]; two
+//!      unit-magnitude amplitudes with *different phases* certify
 //!      [`Witness::RelativePhase`] — this is what catches purely
 //!      diagonal residues (`T` vs `T†`, a leftover `CZ`) that no single
 //!      basis input can see.
@@ -48,9 +48,9 @@ use revlib::classical_eval_bits;
 
 /// Most miter basis replays attempted per stalled diagram: enough for
 /// the all-zeros probe, the all-active probe and a couple of
-/// single-bit probes. (Each replay streams the support-bounded column
-/// or — for branchy miters within the statevector cap — one full `2ⁿ`
-/// simulation, so the budget is tight.)
+/// single-bit probes. (Each replay runs one sparse column or — once a
+/// column trips its support budget within the statevector cap — one
+/// full `2ⁿ` simulation, so the budget is tight.)
 const MAX_BASIS_REPLAYS: usize = 4;
 
 /// Seeded pseudo-random probes added on the classical path, where one
@@ -149,35 +149,45 @@ fn extract_classical(
 /// eigenvectors and their exact phases are compared — a disagreement is
 /// a [`Witness::RelativePhase`], the shape diagonal residues (`T` vs
 /// `T†`) produce. Phase tolerance mirrors the dense tier
-/// (`eps.max(1e-12) * 10`). Any replay error (miter too branchy for
-/// the column budget, too wide for a statevector) aborts: soundness
-/// over completeness.
+/// (`eps.max(1e-12) * 10`). Each replay's error bound is charged
+/// against both tests, so a witness never rests on pruned mass; an
+/// input whose bound straddles the magnitude threshold certifies
+/// nothing. Any replay error (miter too branchy for the column budget,
+/// too wide for a statevector) aborts: soundness over completeness.
 fn extract_quantum(miter: &Circuit, active: &[u32], eps: f64) -> Option<Witness> {
     let candidates = structured_candidates(active, MAX_BASIS_REPLAYS);
     WITNESS_CANDIDATES.add(candidates.len() as u64);
+    let mut replay = stimulus::MiterReplay::new(miter).ok()?;
     let phase_tolerance = eps.max(1e-12) * 10.0;
-    let mut reference: Option<(u64, C64)> = None;
+    // (input, unit phase, bound on that phase's error)
+    let mut reference: Option<(u64, C64, f64)> = None;
     for x in candidates {
         WITNESS_BASIS_REPLAYS.incr();
-        let Ok(amplitude) = stimulus::miter_basis_amplitude(miter, x) else {
+        let Ok((amplitude, err)) = replay.amplitude(x) else {
             // Replay infeasible for this miter: no candidate can be
             // certified, so the whole quantum path falls through.
             break;
         };
         let overlap = amplitude.abs();
-        if overlap < 1.0 - eps {
+        if overlap + err < 1.0 - eps {
             WITNESS_CONFIRMED.incr();
             return Some(Witness::BasisColumn { input: x, overlap });
         }
+        if overlap - err < 1.0 - eps {
+            continue;
+        }
         // Unit magnitude: `x` is an eigenvector of the miter and its
         // phase is exact evidence. Compare against the first unit
-        // candidate seen.
+        // candidate seen; normalising moves the phase by at most
+        // `2·err/overlap`.
         let phase = amplitude.scale(overlap.recip());
+        let phase_err = 2.0 * err / overlap;
         match reference {
-            None => reference = Some((x, phase)),
-            Some((first, reference_phase)) => {
+            None => reference = Some((x, phase, phase_err)),
+            Some((first, reference_phase, reference_err)) => {
                 WITNESS_PHASE_REPLAYS.incr();
-                if !phase.approx_eq(reference_phase, phase_tolerance) {
+                let tolerance = phase_tolerance + phase_err + reference_err;
+                if !phase.approx_eq(reference_phase, tolerance) {
                     WITNESS_CONFIRMED.incr();
                     return Some(Witness::RelativePhase {
                         input_a: first,

@@ -444,15 +444,19 @@ fn crash_loop_quarantines_after_strikes_then_requeues_clean() {
 #[test]
 fn stage_timeout_quarantines_as_timeout_kind() {
     let sb = sandbox("timeout");
-    // A 1 ms stage budget: some pipeline stage of a 12-qubit classical
-    // circuit (exhaustive verification over 4096 basis states) is
-    // guaranteed to blow it. One strike → immediate quarantine.
+    // A 1 ms stage budget: the verify stage of a 12-qubit classical
+    // circuit with four CX/CCX ladder rounds (≈ 40 ms of ZX reduction
+    // on a 2-core host; one round took ≈ 1.4 ms, too close to the
+    // budget) is guaranteed to blow it. One strike → immediate
+    // quarantine.
     let mut c = Circuit::with_name(12, "wide");
-    for i in 0..11 {
-        c.cx(i, i + 1);
-    }
-    for i in 0..10 {
-        c.ccx(i, i + 1, i + 2);
+    for _ in 0..4 {
+        for i in 0..11 {
+            c.cx(i, i + 1);
+        }
+        for i in 0..10 {
+            c.ccx(i, i + 1, i + 2);
+        }
     }
     let mut child = spawn_serve(&sb, &["--stage-timeout-ms", "1", "--strikes", "1"], &[]);
     drop_circuit(&sb.watch, "wide.qasm", &c);

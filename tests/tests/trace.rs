@@ -64,13 +64,19 @@ fn full_pipeline_trace_is_schema_valid_and_parseable() {
     assert_eq!(phase.tier, qverify::Tier::Zx);
     assert!(phase.verdict.is_inequivalent());
 
-    // A deliberately inequivalent dense-tier check so the statevector
-    // kernels run inside this same trace: the 8-control mcx refuses ZX
-    // translation, so the miter never becomes a diagram and the dense
-    // tier decides.
+    // A deliberately inequivalent dense-tier check so the column engine
+    // and the statevector kernels run inside this same trace: the
+    // 8-control mcx refuses ZX translation, so the miter never becomes
+    // a diagram and the dense tier decides. Six leading Hadamards give
+    // each column 64 live amplitudes, past the 9-qubit support budget,
+    // so the sparse column trips and the statevector fallback decides.
     let mut wide = Circuit::new(9);
-    wide.mcx(&[0, 1, 2, 3, 4, 5, 6, 7], 8).t(8);
     let mut wide_bad = Circuit::new(9);
+    for q in 0..6 {
+        wide.h(q);
+        wide_bad.h(q);
+    }
+    wide.mcx(&[0, 1, 2, 3, 4, 5, 6, 7], 8).t(8);
     wide_bad.mcx(&[0, 1, 2, 3, 4, 5, 6, 7], 8).tdg(8);
     let dense = qverify::Verifier::new().check_report(&wide, &wide_bad);
     assert_eq!(dense.tier, qverify::Tier::Dense);
@@ -108,6 +114,7 @@ fn full_pipeline_trace_is_schema_valid_and_parseable() {
         "\"tier\":\"dense\"",
         "\"outcome\":\"decided\"",
         "qsim.kernel.",
+        "qsim.column.budget_trips",
         "qverify.tier.dense.entered",
         "qverify.tier.dense.elapsed_us",
         "qverify.zx.witness.basis_replays",
