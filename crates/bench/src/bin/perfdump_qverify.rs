@@ -8,10 +8,13 @@
 //! and 30 qubits — the latter past the statevector cap) — plus the
 //! restored pairs of `tetrislock batch --suite table1` (default job
 //! config) for rd53/rd73/rd84, timed through the forced dense tier and
-//! through the full tier cascade. It writes `BENCH_qverify.json` with
-//! the median wall-clock per case and a provenance block (commit,
-//! `nproc`, resolved qsim workers), so the verifier's cost trajectory
-//! is recorded on every run instead of claimed once.
+//! through the full tier cascade, and stripped-key refutations of the
+//! 18- and 20-qubit Clifford+T circuits (`check_report`: a ZX stall,
+//! then witness replay on a sparse column or a statevector). It writes
+//! `BENCH_qverify.json` with the median wall-clock per case and a
+//! provenance block (commit, `nproc`, resolved qsim workers), so the
+//! verifier's cost trajectory is recorded on every run instead of
+//! claimed once.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfdump_qverify            # full suite
@@ -19,10 +22,11 @@
 //! cargo run --release -p bench --bin perfdump_qverify -- --out path.json
 //! ```
 //!
-//! The smoke suite (20-qubit cases and rd53) finishes in seconds and is
-//! wired into CI so the emitter can never silently rot. All timing
-//! goes through [`qobs::time_median_ms`], so the numbers landing in
-//! `BENCH_qverify.json` are the same qobs samples a live trace sees.
+//! The smoke suite (20-qubit cases, rd53 and a 14-qubit key) finishes
+//! in seconds and is wired into CI so the emitter can never silently
+//! rot. All timing goes through [`qobs::time_median_ms`], so the
+//! numbers landing in `BENCH_qverify.json` are the same qobs samples a
+//! live trace sees.
 
 use qcir::random::{random_reversible, RandomCircuitConfig};
 use qcir::Circuit;
@@ -222,6 +226,28 @@ fn main() {
         });
     }
 
+    // wrong key: a Clifford+T circuit against its obfuscation with the
+    // key stripped, the refutation a wrong-key check pays for.
+    let key_widths: &[u32] = if smoke { &[14] } else { &[18, 20] };
+    for &n in key_widths {
+        let orig = bench::clifford_t_circuit(n, 10 * n as usize);
+        let masked = stripped_key(&orig);
+        let name = format!("key_clifford_t_{n}q");
+        eprintln!("timing {name}…");
+        let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, reps, || {
+            let report = job_verifier.check_report(&orig, &masked);
+            assert!(report.verdict.is_inequivalent(), "{report}");
+        });
+        cases.push(CaseResult {
+            name,
+            qubits: n,
+            gates: orig.gate_count() + masked.gate_count(),
+            reps,
+            median_ms: ms,
+            outcome: "inequivalent",
+        });
+    }
+
     let json = render_json(&cases, smoke);
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("{json}");
@@ -245,6 +271,22 @@ fn restored_pair(id: &str, circuit: &Circuit, config: &JobConfig) -> (Circuit, C
         out
     };
     (pad(circuit), pad(&restored))
+}
+
+/// The masked circuit `R·C` of the first seeded obfuscation of `c`
+/// whose key `R` is not the identity. Keys are affine (X/CX/SWAP), so
+/// the zero input and the unit inputs decide that.
+fn stripped_key(c: &Circuit) -> Circuit {
+    (0..64)
+        .map(|seed| Obfuscator::new().with_seed(seed).obfuscate(c))
+        .find(|obf| {
+            let r = obf.r_circuit();
+            std::iter::once(0)
+                .chain((0..c.num_qubits()).map(|q| 1usize << q))
+                .any(|x| revlib::classical_eval(&r, x).expect("affine key") != x)
+        })
+        .expect("some seed draws a non-identity key")
+        .masked_circuit()
 }
 
 /// `git` output for `args`, trimmed; `None` without git or a repository.

@@ -11,11 +11,9 @@
 //! Each column runs through a sparse support map
 //! ([`qsim::SparseColumn`]): both circuits are lowered once, and a
 //! column costs `O(gates·support)` instead of a `2ⁿ` statevector sweep
-//! per gate. A classical reversible `C₁` skips simulation entirely:
-//! its column is the basis state its bit replay reaches. The columns'
-//! pruning error bounds are charged against `eps`. When the bound could
-//! flip a column's decision, or a column trips the support budget, the
-//! check falls back to two statevectors for the rest of the run and
+//! per gate. The columns' pruning error bounds are charged against
+//! `eps`. When the bound could flip a column's decision, or a column
+//! trips the support budget, the check falls back to two statevectors for the rest of the run and
 //! re-measures the reference phase exactly, so every verdict is one the
 //! statevector path would also reach.
 
@@ -79,9 +77,7 @@ fn judge(col: u64, overlap: Overlap, reference: Option<(u64, Overlap)>, eps: f64
 struct Columns<'a> {
     a: &'a Circuit,
     b: &'a Circuit,
-    /// `None` when `a` is classical reversible: its column is a bit
-    /// replay.
-    program_a: Option<ColumnProgram>,
+    program_a: ColumnProgram,
     program_b: ColumnProgram,
     column_a: SparseColumn,
     column_b: SparseColumn,
@@ -90,15 +86,10 @@ struct Columns<'a> {
 impl<'a> Columns<'a> {
     fn new(a: &'a Circuit, b: &'a Circuit) -> Result<Self, SimError> {
         let budget = support_budget(a.num_qubits());
-        let classical_a = a.iter().all(|i| i.gate().is_classical());
         Ok(Columns {
             a,
             b,
-            program_a: if classical_a {
-                None
-            } else {
-                Some(ColumnProgram::new(a)?)
-            },
+            program_a: ColumnProgram::new(a)?,
             program_b: ColumnProgram::new(b)?,
             column_a: SparseColumn::new(budget),
             column_b: SparseColumn::new(budget),
@@ -108,32 +99,23 @@ impl<'a> Columns<'a> {
     /// The sparse overlap of column `col`, or `None` when a column
     /// trips the support budget.
     fn sparse(&mut self, col: u64) -> Result<Option<Overlap>, SimError> {
-        if let Err(e) = self.column_b.run(&self.program_b, col) {
-            return budget_trip(e);
-        }
-        let eb = self.column_b.error_bound();
-        match &self.program_a {
-            None => {
-                let image = revlib::classical_eval(self.a, col as usize)
-                    .map_err(|e| SimError::InvalidState(e.to_string()))?;
-                Ok(Some(Overlap {
-                    value: self.column_b.amplitude(image as u64),
-                    err: eb,
-                }))
-            }
-            Some(program_a) => {
-                if let Err(e) = self.column_a.run(program_a, col) {
-                    return budget_trip(e);
-                }
-                let ea = self.column_a.error_bound();
-                // |⟨a+δa|b+δb⟩ − ⟨a|b⟩| ≤ ‖δa‖·‖b‖ + ‖a‖·‖δb‖ + ‖δa‖·‖δb‖
-                // with both kept columns of norm ≤ 1.
-                Ok(Some(Overlap {
-                    value: self.column_a.inner(&self.column_b),
-                    err: ea + eb + ea * eb,
-                }))
+        for (program, column) in [
+            (&self.program_a, &mut self.column_a),
+            (&self.program_b, &mut self.column_b),
+        ] {
+            match column.run(program, col) {
+                Ok(()) => {}
+                Err(SimError::SupportBudgetExceeded { .. }) => return Ok(None),
+                Err(other) => return Err(other),
             }
         }
+        let (ea, eb) = (self.column_a.error_bound(), self.column_b.error_bound());
+        // |⟨a+δa|b+δb⟩ − ⟨a|b⟩| ≤ ‖δa‖·‖b‖ + ‖a‖·‖δb‖ + ‖δa‖·‖δb‖
+        // with both kept columns of norm ≤ 1.
+        Ok(Some(Overlap {
+            value: self.column_a.inner(&self.column_b),
+            err: ea + eb + ea * eb,
+        }))
     }
 
     /// The exact overlap of column `col` through two statevectors.
@@ -147,13 +129,6 @@ impl<'a> Columns<'a> {
             value: sa.inner(&sb),
             err: 0.0,
         })
-    }
-}
-
-fn budget_trip(e: SimError) -> Result<Option<Overlap>, SimError> {
-    match e {
-        SimError::SupportBudgetExceeded { .. } => Ok(None),
-        other => Err(other),
     }
 }
 
@@ -270,12 +245,17 @@ mod tests {
     }
 
     #[test]
-    fn classical_original_uses_bit_replay_and_agrees() {
+    fn classical_original_keeps_unit_support_and_agrees() {
         let mut a = Circuit::new(3);
         a.x(0).ccx(0, 1, 2).swap(0, 2);
         let mut b = a.clone();
         b.h(1).h(1);
-        assert!(Columns::new(&a, &b).unwrap().program_a.is_none());
+        let mut columns = Columns::new(&a, &b).unwrap();
+        for col in 0..8 {
+            let overlap = columns.sparse(col).unwrap().unwrap();
+            assert_eq!(columns.column_a.support(), 1);
+            assert!(overlap.value.approx_eq(C64::ONE, 1e-12), "column {col}");
+        }
         assert!(check(&a, &b, EPS).unwrap().verdict.is_equivalent());
         b.t(2);
         assert!(matches!(

@@ -46,8 +46,8 @@
 //!
 //! The **dense** tier walks all `2ⁿ` basis columns, but each column is
 //! a sparse support map ([`qsim::SparseColumn`]) over circuits lowered
-//! once per check, and a classical reversible original contributes its
-//! column by bit replay. Pruned amplitudes are tracked as an error
+//! once per check (a classical reversible column keeps one amplitude,
+//! so it costs `O(gates)`). Pruned amplitudes are tracked as an error
 //! bound `b` per column (the sum of both sides' pruned norms): a column
 //! counts as diverging only if its overlap misses 1 by more than
 //! `eps + b`, and as matching only if it is within `eps − b`. A column

@@ -2,13 +2,13 @@
 //! exact unitary matrix columns.
 //!
 //! `Verifier::check_dense` runs every basis column through a sparse
-//! support map (and a classical original through bit replay), charging
-//! the pruned norm against `eps`. This suite re-derives each verdict
-//! from `qsim::unitary::circuit_unitary` columns with the same decision
-//! rule — a column whose overlap misses 1 by more than `eps` diverges;
-//! a column whose overlap differs from column 0's by more than the phase
-//! tolerance is a relative phase — and requires the same verdict kind,
-//! the same first diverging column and the same relative-phase pair.
+//! support map, charging the pruned norm against `eps`. This suite
+//! re-derives each verdict from `qsim::unitary::circuit_unitary`
+//! columns with the same decision rule — a column whose overlap misses
+//! 1 by more than `eps` diverges; a column whose overlap differs from
+//! column 0's by more than the phase tolerance is a relative phase —
+//! and requires the same verdict kind, the same first diverging column
+//! and the same relative-phase pair.
 //!
 //! Cases: the restored pairs of the 8 Table I circuits under the default
 //! job config, their stripped-key variants (the masked circuit `R·C`,
