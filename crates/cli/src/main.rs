@@ -305,12 +305,7 @@ fn protect(args: &[String]) -> Result<(), String> {
     if segments < 2 {
         return Err("--segments must be at least 2".into());
     }
-    let policy = match option(&options, "policy").unwrap_or("xcx") {
-        "xcx" => GatePolicy::XCx,
-        "h" | "hadamard" => GatePolicy::Hadamard,
-        "mixed" => GatePolicy::Mixed,
-        other => return Err(format!("unknown policy `{other}`")),
-    };
+    let policy = policy_opt(&options)?;
 
     let circuit = io::read_circuit(input)?;
     let obf = Obfuscator::new()
@@ -575,30 +570,15 @@ fn check_equivalence(a: &Circuit, b: &Circuit) -> Result<bool, String> {
 
 fn compile(args: &[String]) -> Result<(), String> {
     use qcompile::Transpiler;
-    use qsim::Device;
     let (paths, options) = parse(args)?;
     let input = paths.first().ok_or("compile expects a circuit file")?;
     let out = PathBuf::from(required(&options, "out")?);
     let circuit = io::read_circuit(input)?;
 
-    let device = match option(&options, "device").unwrap_or("valencia") {
-        "valencia" => {
-            if circuit.num_qubits() <= 5 {
-                Device::fake_valencia()
-            } else {
-                Device::fake_valencia_extended(circuit.num_qubits())
-            }
-        }
-        "ideal" => Device::ideal(circuit.num_qubits().max(2)),
-        spec => {
-            if let Some(n) = spec.strip_prefix("linear:") {
-                let n: u32 = n.parse().map_err(|_| "bad linear device size")?;
-                Device::linear(n, qsim::noise::NoiseModel::ideal())
-            } else {
-                return Err(format!("unknown device `{spec}`"));
-            }
-        }
-    };
+    let device = tetrislock::job::device_for(
+        option(&options, "device").unwrap_or("valencia"),
+        circuit.num_qubits(),
+    )?;
     let result = Transpiler::new(device)
         .transpile(&circuit)
         .map_err(|e| e.to_string())?;
@@ -657,8 +637,10 @@ Options:
   --workers N      worker threads (default 1; output is identical for
                    any N)
   --resume         resume from existing checkpoints instead of starting
-                   fresh; completed jobs are skipped, a checkpoint
-                   written under a different configuration is refused
+                   fresh; completed jobs are skipped (a missing output
+                   is re-emitted), a changed input starts fresh, and a
+                   checkpoint written under a different configuration
+                   is refused
   --suite S        add a built-in benchmark suite: `table1` (the paper's
                    Table I circuits) or `all`
   --seed N         insertion RNG seed        (default {seed})
@@ -686,7 +668,6 @@ process (as if SIGKILLed) after the N-th checkpoint write.
 
 fn batch_cmd(args: &[String]) -> Result<(), String> {
     use tetrislock::batch::{run_batch, BatchConfig};
-    use tetrislock::job::JobConfig;
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", batch_help());
         return Ok(());
@@ -704,23 +685,7 @@ fn batch_cmd(args: &[String]) -> Result<(), String> {
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --workers")?;
-    let defaults = JobConfig::default();
-    let job = JobConfig {
-        seed: parse_opt(&options, "seed", defaults.seed)?,
-        split_seed: parse_opt(&options, "split-seed", defaults.split_seed)?,
-        gate_limit: parse_opt(&options, "limit", defaults.gate_limit)?,
-        policy: match option(&options, "policy").unwrap_or("xcx") {
-            "xcx" => GatePolicy::XCx,
-            "h" | "hadamard" => GatePolicy::Hadamard,
-            "mixed" => GatePolicy::Mixed,
-            other => return Err(format!("unknown policy `{other}`")),
-        },
-        device: option(&options, "device")
-            .unwrap_or(&defaults.device)
-            .to_string(),
-        trials: parse_opt(&options, "trials", defaults.trials)?,
-        verify_seed: defaults.verify_seed,
-    };
+    let job = job_config(&options)?;
 
     let mut inputs: Vec<(String, Circuit)> = Vec::new();
     for path in &paths {
@@ -818,8 +783,8 @@ Intake contract:
 Self-healing: a failed, panicked, or timed-out stage costs a strike
 and is retried after a deterministic seeded backoff (base
 {base_delay} ms doubling to a {max_delay} ms ceiling, jitter derived
-from the job id — never the clock). After {strikes} consecutive
-strikes the crash-loop breaker opens and the job is quarantined to
+from the job id — never the clock). Once a job has {strikes} strikes
+in total (failed attempts, not consecutive ones), it is quarantined to
 <watch>/{failed}/ with a typed failure report (<id>.failure; kinds:
 poisoned, crash_loop, timeout, config_mismatch) instead of wedging
 the queue. Unparseable inputs quarantine as `poisoned` at intake.
@@ -862,7 +827,6 @@ Exit status: 0 after a clean drain.
 }
 
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    use tetrislock::job::JobConfig;
     use tetrislock::retry::RetryPolicy;
     use tetrislock::serve::{run_serve, ServeConfig, SHUTDOWN_SENTINEL};
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -882,7 +846,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| out_dir.join("jobs"));
     let retry_defaults = RetryPolicy::default();
-    let defaults = JobConfig::default();
     let serve_defaults = ServeConfig::default();
     let config = ServeConfig {
         watch_dir,
@@ -901,22 +864,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             base_delay_ms: parse_opt(&options, "base-delay-ms", retry_defaults.base_delay_ms)?,
             max_delay_ms: parse_opt(&options, "max-delay-ms", retry_defaults.max_delay_ms)?,
         },
-        job: JobConfig {
-            seed: parse_opt(&options, "seed", defaults.seed)?,
-            split_seed: parse_opt(&options, "split-seed", defaults.split_seed)?,
-            gate_limit: parse_opt(&options, "limit", defaults.gate_limit)?,
-            policy: match option(&options, "policy").unwrap_or("xcx") {
-                "xcx" => GatePolicy::XCx,
-                "h" | "hadamard" => GatePolicy::Hadamard,
-                "mixed" => GatePolicy::Mixed,
-                other => return Err(format!("unknown policy `{other}`")),
-            },
-            device: option(&options, "device")
-                .unwrap_or(&defaults.device)
-                .to_string(),
-            trials: parse_opt(&options, "trials", defaults.trials)?,
-            verify_seed: defaults.verify_seed,
-        },
+        job: job_config(&options)?,
     };
 
     // Best-effort stdin drain trigger: a `shutdown`/`drain` line — or
@@ -974,6 +922,33 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         summary.status_path.display()
     );
     Ok(())
+}
+
+/// `--policy`, defaulting to xcx.
+fn policy_opt(options: &[(String, String)]) -> Result<GatePolicy, String> {
+    match option(options, "policy").unwrap_or("xcx") {
+        "xcx" => Ok(GatePolicy::XCx),
+        "h" | "hadamard" => Ok(GatePolicy::Hadamard),
+        "mixed" => Ok(GatePolicy::Mixed),
+        other => Err(format!("unknown policy `{other}`")),
+    }
+}
+
+/// The pipeline flags `batch` and `serve` share, over the
+/// [`JobConfig`](tetrislock::job::JobConfig) defaults.
+fn job_config(options: &[(String, String)]) -> Result<tetrislock::job::JobConfig, String> {
+    let defaults = tetrislock::job::JobConfig::default();
+    Ok(tetrislock::job::JobConfig {
+        seed: parse_opt(options, "seed", defaults.seed)?,
+        split_seed: parse_opt(options, "split-seed", defaults.split_seed)?,
+        gate_limit: parse_opt(options, "limit", defaults.gate_limit)?,
+        policy: policy_opt(options)?,
+        device: option(options, "device")
+            .unwrap_or(&defaults.device)
+            .to_string(),
+        trials: parse_opt(options, "trials", defaults.trials)?,
+        verify_seed: defaults.verify_seed,
+    })
 }
 
 /// Parses an optional `--flag value` with a typed default.

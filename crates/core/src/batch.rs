@@ -1,14 +1,15 @@
 //! The batch protection service: N-worker execution of many
 //! checkpointed jobs.
 //!
-//! [`run_batch`] drives a set of [`JobState`] pipelines (one per input
-//! circuit) over a fixed-size worker pool. Each job checkpoints after
-//! every stage transition through [`crate::job::save_checkpoint`], so a
-//! crash — including the deliberate aborts injected via
+//! [`run_batch`] runs one `job::Driver` per input circuit over
+//! a fixed-size worker pool, inline on the worker threads. Each job
+//! checkpoints after every stage transition through
+//! [`crate::job::save_checkpoint`], so a crash — including the
+//! deliberate aborts injected via
 //! [`crate::job::KILL_AFTER_CHECKPOINTS_ENV`] — loses at most one
 //! stage of one job per worker. Re-running with `resume: true` picks
 //! every job up from its last good checkpoint (or its `.prev`
-//! fallback) and finishes it.
+//! fallback) and finishes it; a job whose input changed starts fresh.
 //!
 //! **Determinism contract**: per-job outputs and the manifest are
 //! byte-identical regardless of worker count, scheduling order, or how
@@ -16,15 +17,13 @@
 //! data; all randomness is seeded from the per-job config; results are
 //! sorted by job id before the manifest is written.
 
-use crate::job::{
-    checkpoint_path, load_checkpoint, save_checkpoint, JobConfig, JobError, JobStage, JobState,
-    JobVerdict,
-};
+use crate::job::{Driver, JobConfig, JobEnd, JobError, JobStage, JobVerdict};
+use crate::retry::RetryPolicy;
 use qcir::{persist, Circuit};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 
 static JOBS_COMPLETED: qobs::Counter = qobs::Counter::new("batch.jobs_completed");
@@ -37,8 +36,7 @@ static TMPS_SWEPT: qobs::Counter = qobs::Counter::new("batch.tmps_swept");
 pub const MANIFEST_FILE: &str = "manifest.txt";
 
 /// Fixed first lines of every manifest.
-pub(crate) const MANIFEST_HEADER: &str =
-    "# tetrislock batch manifest\n# id\tstatus\ttier\toutput\n";
+const MANIFEST_HEADER: &str = "# tetrislock batch manifest\n# id\tstatus\ttier\toutput\n";
 
 /// Minimum age (against mtime) before the startup sweep deletes an
 /// orphan `.tmp` staging file. Young tmps may belong to a concurrent
@@ -81,8 +79,7 @@ impl Default for BatchConfig {
 pub enum JobFailure {
     /// A stage, checkpoint, or configuration error, rendered to text.
     Error(String),
-    /// The worker thread panicked while driving the job; the payload is
-    /// the panic message.
+    /// A stage panicked; the payload is the panic message.
     Panicked(String),
 }
 
@@ -110,7 +107,7 @@ pub struct JobOutcome {
     /// The job's id.
     pub id: String,
     /// Stage transitions performed over the job's whole lifetime
-    /// (across resumes).
+    /// (across resumes); 0 for a failed job.
     pub steps_done: u64,
     /// `true` if the job was restored from a checkpoint this run.
     pub resumed: bool,
@@ -189,16 +186,7 @@ pub fn run_batch(
             scope.spawn(|| loop {
                 let next = queue.lock().expect("queue poisoned").pop_front();
                 let Some((id, circuit)) = next else { break };
-                // A panicking stage must not take the manifest row with
-                // it: catch the unwind and record a typed terminal
-                // state so resume semantics stay total.
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&id, circuit, config)))
-                    .unwrap_or_else(|payload| JobOutcome {
-                        id: id.clone(),
-                        steps_done: 0,
-                        resumed: false,
-                        result: Err(JobFailure::Panicked(panic_message(payload.as_ref()))),
-                    });
+                let outcome = run_job(&id, circuit, config);
                 outcomes.lock().expect("outcomes poisoned").push(outcome);
             });
         }
@@ -206,14 +194,24 @@ pub fn run_batch(
 
     let mut outcomes = outcomes.into_inner().expect("outcomes poisoned");
     outcomes.sort_by(|a, b| a.id.cmp(&b.id));
+    let mut manifest = Manifest::default();
     for o in &outcomes {
         match &o.result {
-            Ok(_) => JOBS_COMPLETED.incr(),
-            Err(JobFailure::Panicked(_)) => {
-                JOBS_FAILED.incr();
-                JOBS_PANICKED.incr();
+            Ok(verdict) => {
+                JOBS_COMPLETED.incr();
+                manifest.set_verdict(&o.id, verdict);
             }
-            Err(JobFailure::Error(_)) => JOBS_FAILED.incr(),
+            Err(failure) => {
+                JOBS_FAILED.incr();
+                let status = match failure {
+                    JobFailure::Panicked(_) => {
+                        JOBS_PANICKED.incr();
+                        "PANICKED"
+                    }
+                    JobFailure::Error(_) => "FAILED",
+                };
+                manifest.set(&o.id, status, "-", failure.message());
+            }
         }
     }
     let _span = span.attr(
@@ -222,7 +220,8 @@ pub fn run_batch(
     );
 
     let manifest_path = config.out_dir.join(MANIFEST_FILE);
-    write_manifest(&manifest_path, &outcomes)
+    manifest
+        .write(&manifest_path)
         .map_err(|e| batch_err(format!("cannot write manifest: {e}")))?;
     Ok(BatchReport {
         outcomes,
@@ -230,79 +229,49 @@ pub fn run_batch(
     })
 }
 
-/// Runs one job to completion (or failure), checkpointing after every
-/// stage.
+/// Drives one job inline on the worker thread: no stage deadline, and
+/// one strike fails the job without a backoff sleep.
 fn run_job(id: &str, circuit: Circuit, config: &BatchConfig) -> JobOutcome {
     let _span = qobs::span("batch.job").attr("job", String::from(id));
-    let (mut state, resumed) = match acquire_state(id, circuit, config) {
-        Ok(pair) => pair,
-        Err(err) => {
-            return JobOutcome {
-                id: id.to_string(),
-                steps_done: 0,
-                resumed: false,
-                result: Err(JobFailure::Error(err.to_string())),
-            }
-        }
+    let driver = Driver {
+        jobs_dir: &config.jobs_dir,
+        out_dir: &config.out_dir,
+        resume: config.resume,
+        retry: &RetryPolicy {
+            max_strikes: 1,
+            ..RetryPolicy::default()
+        },
+        stage_timeout: None,
+        cancel: &AtomicBool::new(false),
+        on_strike: &|_, _| {},
     };
-    if resumed {
-        // A Done checkpoint whose output vanished must re-emit; with the
-        // output present there is nothing left to do.
-        if state.is_done() && !state.output_path(&config.out_dir).exists() {
-            state.stage = JobStage::Emit;
+    let (steps_done, resumed, result) = match driver.drive(id, circuit, &config.job) {
+        JobEnd::Done {
+            verdict,
+            steps_done,
+            resumed,
+            skipped,
+        } => {
+            if skipped {
+                JOBS_SKIPPED.incr();
+            }
+            (steps_done, resumed, Ok(verdict))
         }
-        if state.is_done() {
-            JOBS_SKIPPED.incr();
-            return JobOutcome {
-                id: id.to_string(),
-                steps_done: state.steps_done,
-                resumed,
-                result: state
-                    .verdict
-                    .clone()
-                    .ok_or_else(|| JobFailure::Error("done without verdict".to_string())),
+        JobEnd::Failed { report, panicked } => {
+            let failure = if panicked {
+                JobFailure::Panicked(report.message)
+            } else {
+                JobFailure::Error(report.message)
             };
+            (0, false, Err(failure))
         }
-    }
-    loop {
-        if let Err(err) = state.advance(&config.out_dir) {
-            return JobOutcome {
-                id: id.to_string(),
-                steps_done: state.steps_done,
-                resumed,
-                result: Err(JobFailure::Error(err.to_string())),
-            };
-        }
-        if let Err(err) = save_checkpoint(&config.jobs_dir, &state) {
-            return JobOutcome {
-                id: id.to_string(),
-                steps_done: state.steps_done,
-                resumed,
-                result: Err(JobFailure::Error(err.to_string())),
-            };
-        }
-        if state.is_done() {
-            return JobOutcome {
-                id: id.to_string(),
-                steps_done: state.steps_done,
-                resumed,
-                result: state
-                    .verdict
-                    .clone()
-                    .ok_or_else(|| JobFailure::Error("done without verdict".to_string())),
-            };
-        }
-    }
-}
-
-/// Renders a panic payload (normally a `&str` or `String`) to text.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        JobEnd::Cancelled => unreachable!("batch never sets the cancel flag"),
+    };
+    JobOutcome {
+        id: id.to_string(),
+        steps_done,
+        resumed,
+        result,
     }
 }
 
@@ -324,85 +293,69 @@ pub(crate) fn sweep_tmp_debris(dirs: &[&Path]) {
     }
 }
 
-/// Loads or creates the job's state. On `resume`, a loadable checkpoint
-/// (current or `.prev`) wins; otherwise the job starts fresh. Without
-/// `resume`, any stale checkpoint is ignored and will be rotated away
-/// by the first save.
-fn acquire_state(
-    id: &str,
-    circuit: Circuit,
-    config: &BatchConfig,
-) -> Result<(JobState, bool), JobError> {
-    if config.resume {
-        if let Some(state) = load_checkpoint(&config.jobs_dir, id)? {
-            if state.config != config.job {
-                return Err(JobError::Stage {
-                    id: id.to_string(),
-                    stage: state.stage,
-                    message: format!(
-                        "checkpoint {} was written with a different job configuration; \
-                         re-run without --resume to start over",
-                        checkpoint_path(&config.jobs_dir, id).display()
-                    ),
-                });
+/// The manifest both front ends write: one tab-separated
+/// `id, status, tier, output` row per job, sorted by id, under a fixed
+/// header.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Manifest {
+    rows: BTreeMap<String, [String; 3]>,
+}
+
+impl Manifest {
+    /// Parses an existing manifest (serve restarts must not forget
+    /// earlier terminal states); empty if the file is missing.
+    pub(crate) fn load(path: &Path) -> Self {
+        let mut manifest = Manifest::default();
+        let Ok(text) = std::fs::read_to_string(path) else {
+            return manifest;
+        };
+        for line in text
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        {
+            let mut parts = line.splitn(4, '\t');
+            if let (Some(id), Some(status), Some(tier), Some(output)) =
+                (parts.next(), parts.next(), parts.next(), parts.next())
+            {
+                manifest.set(id, status, tier, output);
             }
-            return Ok((state, true));
         }
+        manifest
     }
-    let state = JobState::new(id, circuit, config.job.clone());
-    // Checkpoint the fresh state immediately: the fault-injection suite
-    // can then kill the process during the very first stage and still
-    // find a checkpoint to resume from.
-    save_checkpoint(&config.jobs_dir, &state)?;
-    Ok((state, false))
-}
 
-/// The manifest columns (status, tier, output) for one outcome. Shared
-/// with the serve daemon so both writers produce byte-identical rows.
-pub(crate) fn manifest_row(o: &JobOutcome) -> (String, String, String) {
-    let (status, tier) = match &o.result {
-        Ok(v) if v.equivalent => ("equivalent", v.tier.as_str()),
-        Ok(v) => ("NOT-EQUIVALENT", v.tier.as_str()),
-        Err(JobFailure::Panicked(_)) => ("PANICKED", "-"),
-        Err(JobFailure::Error(_)) => ("FAILED", "-"),
-    };
-    let output = match &o.result {
-        Ok(_) => format!("{}.restored.qasm", o.id),
-        Err(failure) => failure.message().replace(['\t', '\n'], " "),
-    };
-    (status.to_string(), tier.to_string(), output)
-}
-
-/// Renders header + rows (already sorted by id) as manifest text.
-pub(crate) fn render_manifest<'a>(
-    rows: impl Iterator<Item = (&'a str, &'a str, &'a str, &'a str)>,
-) -> String {
-    let mut text = String::from(MANIFEST_HEADER);
-    for (id, status, tier, output) in rows {
-        text.push_str(&format!("{id}\t{status}\t{tier}\t{output}\n"));
+    /// Replaces (or inserts) job `id`'s row; tabs and newlines in
+    /// `output` become spaces so the row stays one line.
+    pub(crate) fn set(&mut self, id: &str, status: &str, tier: &str, output: &str) {
+        self.rows.insert(
+            id.to_string(),
+            [
+                status.to_string(),
+                tier.to_string(),
+                output.replace(['\t', '\n'], " "),
+            ],
+        );
     }
-    text
-}
 
-/// Atomically (tmp + rename) replaces the manifest file with `text`.
-pub(crate) fn write_manifest_text(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = persist::tmp_path(path);
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
+    /// The row of a job that ran to a verdict.
+    pub(crate) fn set_verdict(&mut self, id: &str, verdict: &JobVerdict) {
+        let status = if verdict.equivalent {
+            "equivalent"
+        } else {
+            "NOT-EQUIVALENT"
+        };
+        self.set(id, status, &verdict.tier, &format!("{id}.restored.qasm"));
+    }
 
-/// Writes the deterministic batch manifest: one tab-separated line per
-/// job, sorted by id, plus a fixed header. Atomic (tmp + rename).
-fn write_manifest(path: &Path, outcomes: &[JobOutcome]) -> std::io::Result<()> {
-    let rows: Vec<(&str, (String, String, String))> = outcomes
-        .iter()
-        .map(|o| (o.id.as_str(), manifest_row(o)))
-        .collect();
-    let text = render_manifest(
-        rows.iter()
-            .map(|(id, (s, t, o))| (*id, s.as_str(), t.as_str(), o.as_str())),
-    );
-    write_manifest_text(path, &text)
+    /// Atomically (tmp + rename) replaces the manifest file.
+    pub(crate) fn write(&self, path: &Path) -> std::io::Result<()> {
+        let mut text = String::from(MANIFEST_HEADER);
+        for (id, [status, tier, output]) in &self.rows {
+            text.push_str(&format!("{id}\t{status}\t{tier}\t{output}\n"));
+        }
+        let tmp = persist::tmp_path(path);
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, path)
+    }
 }
 
 #[cfg(test)]
@@ -508,6 +461,32 @@ mod tests {
             manifest.contains("panicky_zeta\tPANICKED\t-\t"),
             "{manifest}"
         );
+    }
+
+    #[test]
+    fn resume_restarts_a_job_whose_input_changed() {
+        let mut cfg = config("changed", 1);
+        run_batch(inputs(), &cfg).unwrap();
+        // Same id, different circuit: the old checkpoint must not win.
+        let mut changed = Circuit::with_name(3, "gamma");
+        changed.x(1).cx(1, 2).ccx(0, 1, 2).x(0).cx(2, 0);
+        cfg.resume = true;
+        let report = run_batch(vec![("gamma".to_string(), changed.clone())], &cfg).unwrap();
+        assert!(report.all_equivalent(), "{:?}", report.outcomes);
+        let text = std::fs::read_to_string(cfg.out_dir.join("gamma.restored.qasm")).unwrap();
+        let restored = qcir::qasm::from_qasm(&text).unwrap();
+        let n = restored.num_qubits().max(changed.num_qubits());
+        let pad = |c: &Circuit| {
+            let mut out = Circuit::new(n);
+            out.compose(c).unwrap();
+            out
+        };
+        assert_eq!(
+            qverify::Verifier::new().check(&pad(&changed), &pad(&restored)),
+            qverify::Verdict::Equivalent,
+            "the restored output must be the new circuit's"
+        );
+        assert!(!report.outcomes[0].resumed, "a changed input starts fresh");
     }
 
     #[test]

@@ -16,22 +16,30 @@
 //! written (disk corruption, manual truncation) only costs one stage of
 //! recomputation.
 //!
-//! The batch runner ([`crate::batch`]) drives many jobs over a worker
-//! pool; this module is the single-job core and is deliberately
-//! synchronous and allocation-light so its behavior is easy to replay.
+//! `Driver::drive` owns one job's whole life: it acquires the state
+//! (resumed checkpoint or fresh), loops `advance` → checkpoint until
+//! `Done`, counts every failure as a strike with backoff, checks a
+//! cancel flag between stages, and returns a typed `JobEnd`. The
+//! batch runner ([`crate::batch`]) and the serve daemon
+//! ([`crate::serve`]) are thin front ends over it: each only schedules
+//! jobs and maps the end to its own manifest rows and counters.
 
-use crate::insertion::{insert_random_pairs, Insertion, InsertionConfig};
+use crate::insertion::{Insertion, InsertionConfig};
 use crate::interlock::SplitPair;
-use crate::obfuscate::Obfuscation;
+use crate::obfuscate::{Obfuscation, Obfuscator};
 use crate::policy::GatePolicy;
 use crate::recombine::recombine_compiled;
+use crate::retry::RetryPolicy;
 use qcir::persist::{self, PersistError};
 use qcir::{Circuit, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 static CHECKPOINTS_WRITTEN: qobs::Counter = qobs::Counter::new("job.checkpoints_written");
 static JOBS_RESUMED: qobs::Counter = qobs::Counter::new("job.resumed");
@@ -46,11 +54,12 @@ static CHECKPOINT_FALLBACKS: qobs::Counter = qobs::Counter::new("job.checkpoint_
 pub const KILL_AFTER_CHECKPOINTS_ENV: &str = "TLK_BATCH_KILL_AFTER_CHECKPOINTS";
 
 /// Environment variable for deterministic *panic* injection: when set
-/// to a job id, every [`JobState::advance`] call for that job panics
-/// before doing any work. Unlike [`KILL_AFTER_CHECKPOINTS_ENV`] the
-/// process survives — this exercises the catch-unwind paths (the batch
-/// `PANICKED` manifest state, the serve crash-loop quarantine) rather
-/// than whole-process crash recovery.
+/// to a job id, every stage attempt the job driver makes for that job
+/// panics before doing any work (the driver reads it once per job).
+/// Unlike [`KILL_AFTER_CHECKPOINTS_ENV`] the process survives — this
+/// exercises the catch-unwind paths (the batch `PANICKED` manifest
+/// state, the serve crash-loop quarantine) rather than whole-process
+/// crash recovery.
 pub const PANIC_JOB_ENV: &str = "TLK_BATCH_PANIC_JOB";
 
 /// Process-wide count of successful checkpoint writes (drives the
@@ -272,24 +281,17 @@ impl JobState {
             .attr("job", self.id.as_str())
             .attr("stage", self.stage.name())
             .attr("step", self.steps_done);
-        if std::env::var(PANIC_JOB_ENV).as_deref() == Ok(self.id.as_str()) {
-            panic!(
-                "injected panic for job {} ({} test hook)",
-                self.id, PANIC_JOB_ENV
-            );
-        }
         match self.stage {
             JobStage::Obfuscate => {
-                let insertion = insert_random_pairs(
-                    &self.original,
-                    &InsertionConfig {
+                let obf = Obfuscator::new()
+                    .with_config(InsertionConfig {
                         seed: self.config.seed,
                         gate_limit: self.config.gate_limit,
                         policy: self.config.policy,
                         ..Default::default()
-                    },
-                );
-                self.insertion = Some(insertion);
+                    })
+                    .obfuscate(&self.original);
+                self.insertion = Some(obf.insertion().clone());
                 self.stage = JobStage::Split;
             }
             JobStage::Split => {
@@ -582,6 +584,308 @@ fn fault_injection_tick() {
     }
 }
 
+/// Failure taxonomy recorded in a [`FailureReport`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FailureKind {
+    /// The input file did not parse; quarantined at intake.
+    Poisoned,
+    /// The strike budget was spent on repeated stage failures/panics.
+    CrashLoop,
+    /// The strike budget was spent and the final strike was a
+    /// wall-clock stage timeout.
+    Timeout,
+    /// An existing checkpoint was written under a different job
+    /// configuration; refusing to silently recompute.
+    ConfigMismatch,
+}
+
+impl FailureKind {
+    /// Stable lowercase name (used in reports and diagnostics).
+    pub fn name(self) -> &'static str {
+        match self {
+            FailureKind::Poisoned => "poisoned",
+            FailureKind::CrashLoop => "crash_loop",
+            FailureKind::Timeout => "timeout",
+            FailureKind::ConfigMismatch => "config_mismatch",
+        }
+    }
+}
+
+impl fmt::Display for FailureKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// One failed stage attempt (a strike) inside a [`FailureReport`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AttemptRecord {
+    /// The stage that failed.
+    pub stage: String,
+    /// What went wrong (error text, panic message, or "timed out").
+    pub message: String,
+    /// Backoff slept after this attempt, in milliseconds.
+    pub backoff_ms: u64,
+}
+
+/// Why a job failed: the typed record serve serializes (via
+/// [`qcir::persist`]) to `failed/<id>.failure` when it quarantines.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FailureReport {
+    /// The failed job.
+    pub id: String,
+    /// Why it failed.
+    pub kind: FailureKind,
+    /// The final (deciding) failure message.
+    pub message: String,
+    /// Every failed attempt, in order.
+    pub attempts: Vec<AttemptRecord>,
+}
+
+/// How [`Driver::drive`] ended a job.
+#[derive(Debug)]
+pub(crate) enum JobEnd {
+    /// The job verified and its output is in place.
+    Done {
+        /// The verification verdict.
+        verdict: JobVerdict,
+        /// Stage transitions over the job's whole lifetime (across
+        /// resumes).
+        steps_done: u64,
+        /// `true` if the job started from a checkpoint.
+        resumed: bool,
+        /// `true` if that checkpoint was already `Done` with its output
+        /// in place, so no stage ran.
+        skipped: bool,
+    },
+    /// The strike budget is spent, or the checkpoint's configuration
+    /// differs from the job's.
+    Failed {
+        /// Kind, deciding message and every strike.
+        report: FailureReport,
+        /// `true` if the deciding strike was a panic.
+        panicked: bool,
+    },
+    /// The cancel flag was set between stages.
+    Cancelled,
+}
+
+/// How one job is driven: where it lives, whether it resumes, and how
+/// its failures are retried.
+pub(crate) struct Driver<'a> {
+    /// Checkpoint directory.
+    pub jobs_dir: &'a Path,
+    /// Directory the restored circuit is emitted into.
+    pub out_dir: &'a Path,
+    /// Start from a usable checkpoint instead of fresh.
+    pub resume: bool,
+    /// Strike budget and the backoff between strikes.
+    pub retry: &'a RetryPolicy,
+    /// Wall-clock budget per stage. `None` runs each stage inline on
+    /// the calling thread; `Some` runs it on a detached attempt thread
+    /// that is abandoned once the budget passes.
+    pub stage_timeout: Option<Duration>,
+    /// Checked between stages; once set, the job ends
+    /// [`JobEnd::Cancelled`].
+    pub cancel: &'a AtomicBool,
+    /// Called after each strike is recorded, before its backoff sleep,
+    /// with the strike count so far.
+    pub on_strike: &'a dyn Fn(&AttemptRecord, u32),
+}
+
+/// One failed stage attempt, before it becomes an [`AttemptRecord`].
+enum Strike {
+    Error(String),
+    Panic(String),
+    Timeout(Duration),
+}
+
+impl Driver<'_> {
+    /// Runs job `id` on `circuit` to its end.
+    ///
+    /// With `resume`, a loadable checkpoint (current or `.prev`) written
+    /// for the same circuit continues where it stopped; one written
+    /// under a different [`JobConfig`] ends the job
+    /// [`FailureKind::ConfigMismatch`]. Otherwise the job starts fresh
+    /// and checkpoints its fresh state before the first stage. A `Done`
+    /// checkpoint whose output is missing goes back to `Emit`.
+    ///
+    /// Every stage error, panic, failed checkpoint write or timeout is a
+    /// strike: it backs off by [`RetryPolicy::delay_ms`] and reloads the
+    /// last checkpoint, and the job fails once the strikes reach
+    /// `max_strikes`.
+    pub(crate) fn drive(&self, id: &str, circuit: Circuit, config: &JobConfig) -> JobEnd {
+        let inject_panic = std::env::var(PANIC_JOB_ENV).as_deref() == Ok(id);
+        let loaded = if self.resume {
+            self.usable_checkpoint(id, &circuit, config)
+        } else {
+            Ok(None)
+        };
+        let loaded = match loaded {
+            Ok(loaded) => loaded,
+            Err(report) => {
+                return JobEnd::Failed {
+                    report,
+                    panicked: false,
+                }
+            }
+        };
+        let resumed = loaded.is_some();
+        let skipped = loaded.as_ref().is_some_and(JobState::is_done);
+        // `saved` is false while the state is not on disk: a fresh
+        // state's first "attempt" is its checkpoint write, so a kill
+        // during the first stage resumes.
+        let start = |loaded: Option<JobState>| match loaded {
+            Some(state) => (state, true),
+            None => (JobState::new(id, circuit.clone(), config.clone()), false),
+        };
+        let (mut state, mut saved) = start(loaded);
+        let jitter_seed = persist::fnv1a64(id.as_bytes()) ^ config.seed;
+        let mut attempts: Vec<AttemptRecord> = Vec::new();
+        loop {
+            if self.cancel.load(Ordering::SeqCst) {
+                return JobEnd::Cancelled;
+            }
+            if let (true, Some(verdict)) = (saved && state.is_done(), &state.verdict) {
+                return JobEnd::Done {
+                    verdict: verdict.clone(),
+                    steps_done: state.steps_done,
+                    resumed,
+                    skipped,
+                };
+            }
+            let stage = state.stage;
+            let attempt = if saved {
+                self.attempt(&mut state, inject_panic)
+            } else {
+                Ok(())
+            };
+            let save = |state: &JobState| {
+                save_checkpoint(self.jobs_dir, state).map_err(|e| Strike::Error(e.to_string()))
+            };
+            let (message, kind, panicked) = match attempt.and_then(|()| save(&state)) {
+                Ok(()) => {
+                    saved = true;
+                    continue;
+                }
+                Err(Strike::Error(m)) => (m, FailureKind::CrashLoop, false),
+                Err(Strike::Panic(m)) => (m, FailureKind::CrashLoop, true),
+                Err(Strike::Timeout(budget)) => (
+                    format!("stage exceeded {} ms wall clock", budget.as_millis()),
+                    FailureKind::Timeout,
+                    false,
+                ),
+            };
+            let last = attempts.len() + 1 >= self.retry.max_strikes.max(1) as usize;
+            let backoff_ms = if last {
+                0
+            } else {
+                self.retry.delay_ms(jitter_seed, attempts.len() as u32)
+            };
+            attempts.push(AttemptRecord {
+                stage: stage.name().to_string(),
+                message: message.clone(),
+                backoff_ms,
+            });
+            (self.on_strike)(&attempts[attempts.len() - 1], attempts.len() as u32);
+            if last {
+                let report = FailureReport {
+                    id: id.to_string(),
+                    kind,
+                    message,
+                    attempts,
+                };
+                return JobEnd::Failed { report, panicked };
+            }
+            std::thread::sleep(Duration::from_millis(backoff_ms));
+            (state, saved) = start(self.usable_checkpoint(id, &circuit, config).unwrap_or(None));
+        }
+    }
+
+    /// The job's checkpoint if it can continue this input: loadable and
+    /// written for the same circuit. A `Done` checkpoint whose output is
+    /// missing goes back to `Emit`; one without a verdict is unusable. A
+    /// checkpoint under a different configuration is an error.
+    fn usable_checkpoint(
+        &self,
+        id: &str,
+        circuit: &Circuit,
+        config: &JobConfig,
+    ) -> Result<Option<JobState>, FailureReport> {
+        let Ok(Some(mut state)) = load_checkpoint(self.jobs_dir, id) else {
+            return Ok(None);
+        };
+        if state.config != *config {
+            return Err(FailureReport {
+                id: id.to_string(),
+                kind: FailureKind::ConfigMismatch,
+                message: format!(
+                    "checkpoint {} was written under a different job configuration",
+                    checkpoint_path(self.jobs_dir, id).display()
+                ),
+                attempts: Vec::new(),
+            });
+        }
+        if state.original != *circuit || (state.is_done() && state.verdict.is_none()) {
+            return Ok(None);
+        }
+        if state.is_done() && !state.output_path(self.out_dir).exists() {
+            state.stage = JobStage::Emit;
+        }
+        Ok(Some(state))
+    }
+
+    /// Runs one stage transition, inline or on a detached thread under
+    /// the wall-clock budget. On timeout the thread is abandoned: its
+    /// eventual result is discarded (the channel send fails) and any
+    /// late output write is an atomic rename of identical bytes.
+    fn attempt(&self, state: &mut JobState, inject_panic: bool) -> Result<(), Strike> {
+        let Some(budget) = self.stage_timeout else {
+            return advance_caught(state, self.out_dir, inject_panic);
+        };
+        let (tx, rx) = mpsc::channel();
+        let mut moved = state.clone();
+        let out_dir = self.out_dir.to_path_buf();
+        std::thread::spawn(move || {
+            let result = advance_caught(&mut moved, &out_dir, inject_panic).map(|()| moved);
+            let _ = tx.send(result);
+        });
+        match rx.recv_timeout(budget) {
+            Ok(result) => result.map(|next| *state = next),
+            Err(RecvTimeoutError::Timeout) => Err(Strike::Timeout(budget)),
+            Err(RecvTimeoutError::Disconnected) => {
+                Err(Strike::Panic("attempt thread vanished".to_string()))
+            }
+        }
+    }
+}
+
+/// One [`JobState::advance`] with its panic caught.
+fn advance_caught(state: &mut JobState, out_dir: &Path, inject_panic: bool) -> Result<(), Strike> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
+            panic!(
+                "injected panic for job {} ({} test hook)",
+                state.id, PANIC_JOB_ENV
+            );
+        }
+        state.advance(out_dir)
+    }))
+    .map_err(|payload| Strike::Panic(panic_message(payload.as_ref())))?
+    .map_err(|e| Strike::Error(e.to_string()))
+}
+
+/// Renders a panic payload (normally a `&str` or `String`) to text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,6 +984,59 @@ mod tests {
             Err(JobError::Persist { .. }) => {}
             other => panic!("expected Persist error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn driver_fails_after_exactly_max_strikes() {
+        let (jobs, out) = tmp_dirs("strikes");
+        // A device too small for either segment fails CompileLeft on
+        // every attempt.
+        let config = JobConfig {
+            device: "linear:1".to_string(),
+            ..JobConfig::default()
+        };
+        for n in 1..=4u32 {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let end = Driver {
+                jobs_dir: &jobs,
+                out_dir: &out,
+                resume: false,
+                retry: &RetryPolicy {
+                    max_strikes: n,
+                    base_delay_ms: 1,
+                    max_delay_ms: 2,
+                },
+                stage_timeout: None,
+                cancel: &AtomicBool::new(false),
+                on_strike: &|_, strikes| seen.lock().unwrap().push(strikes),
+            }
+            .drive(&format!("strike{n}"), sample(), &config);
+            let JobEnd::Failed { report, .. } = end else {
+                panic!("expected a failure, got {end:?}");
+            };
+            assert_eq!(report.kind, FailureKind::CrashLoop);
+            assert_eq!(report.attempts.len(), n as usize, "{report:?}");
+            assert!(report.attempts.iter().all(|a| a.stage == "compile_left"));
+            assert_eq!(report.attempts.last().unwrap().backoff_ms, 0);
+            assert_eq!(*seen.lock().unwrap(), (1..=n).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn driver_stops_at_the_cancel_flag() {
+        let (jobs, out) = tmp_dirs("cancel");
+        let end = Driver {
+            jobs_dir: &jobs,
+            out_dir: &out,
+            resume: false,
+            retry: &RetryPolicy::default(),
+            stage_timeout: None,
+            cancel: &AtomicBool::new(true),
+            on_strike: &|_, _| {},
+        }
+        .drive("cancelled", sample(), &JobConfig::default());
+        assert!(matches!(end, JobEnd::Cancelled), "{end:?}");
+        assert!(load_checkpoint(&jobs, "cancelled").unwrap().is_none());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Retry/backoff policy and crash-loop circuit breaker for the serve
-//! daemon.
+//! Retry/backoff policy for the job driver (`job::Driver`).
 //!
 //! Everything here is deliberately *deterministic*: the backoff jitter
 //! is derived from a caller-supplied seed via splitmix64, never from
@@ -14,13 +13,11 @@
 //! - **capped exactly**: once the doubling backbone reaches the cap,
 //!   the delay is exactly `max_delay_ms` with no jitter.
 //!
-//! The [`CircuitBreaker`] is the crash-loop guard: `N` consecutive
-//! failures open it (the serve worker quarantines the job at that
-//! point); a successful probe closes it again and resets the strike
-//! count.
+//! `max_strikes` is the crash-loop guard: a job fails once it has
+//! `max_strikes` failed attempts in total (serve quarantines it then).
 
-/// Default number of consecutive failures (strikes) before the breaker
-/// opens and the job is quarantined.
+/// Default number of failed attempts (strikes) per job before it is
+/// quarantined.
 pub const DEFAULT_MAX_STRIKES: u32 = 3;
 
 /// Default first-retry backoff in milliseconds.
@@ -32,7 +29,7 @@ pub const DEFAULT_MAX_DELAY_MS: u64 = 2_000;
 /// Bounded exponential backoff with deterministic seeded jitter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Consecutive failures tolerated before quarantine.
+    /// Failed attempts per job at which it fails (at least 1).
     pub max_strikes: u32,
     /// Backoff for the first retry (doubles per attempt).
     pub base_delay_ms: u64,
@@ -94,88 +91,6 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Breaker position. `Closed` passes work through, `Open` means the
-/// strike budget is spent (serve quarantines at this point), `HalfOpen`
-/// lets exactly one probe attempt through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation; failures accumulate strikes.
-    Closed,
-    /// Strike budget exhausted — no more attempts until a probe.
-    Open,
-    /// One probe attempt is in flight; its outcome decides the state.
-    HalfOpen,
-}
-
-/// Crash-loop circuit breaker: opens after exactly `max_strikes`
-/// consecutive failures, re-closes after a successful probe.
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
-    max_strikes: u32,
-    strikes: u32,
-    state: BreakerState,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker tolerating `max_strikes` consecutive failures
-    /// (clamped to at least 1).
-    pub fn new(max_strikes: u32) -> Self {
-        CircuitBreaker {
-            max_strikes: max_strikes.max(1),
-            strikes: 0,
-            state: BreakerState::Closed,
-        }
-    }
-
-    /// Current position.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Consecutive failures since the last success.
-    pub fn strikes(&self) -> u32 {
-        self.strikes
-    }
-
-    /// `true` once the strike budget is spent.
-    pub fn is_open(&self) -> bool {
-        self.state == BreakerState::Open
-    }
-
-    /// Records a failed attempt. A failure while half-open re-opens
-    /// immediately; otherwise the breaker opens once `strikes` reaches
-    /// `max_strikes`. Returns the new state.
-    pub fn record_failure(&mut self) -> BreakerState {
-        self.strikes = self.strikes.saturating_add(1);
-        if self.state == BreakerState::HalfOpen || self.strikes >= self.max_strikes {
-            self.state = BreakerState::Open;
-        }
-        self.state
-    }
-
-    /// Records a successful attempt (including a successful half-open
-    /// probe): the breaker closes and the strike count resets.
-    pub fn record_success(&mut self) {
-        self.strikes = 0;
-        self.state = BreakerState::Closed;
-    }
-
-    /// Asks to send a probe. From `Open` this transitions to `HalfOpen`
-    /// and returns `true` (send exactly one attempt); from `Closed` it
-    /// returns `true` without a transition; from `HalfOpen` it returns
-    /// `false` (a probe is already outstanding).
-    pub fn probe(&mut self) -> bool {
-        match self.state {
-            BreakerState::Open => {
-                self.state = BreakerState::HalfOpen;
-                true
-            }
-            BreakerState::HalfOpen => false,
-            BreakerState::Closed => true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,38 +124,5 @@ mod tests {
     fn huge_attempt_counts_saturate_at_cap() {
         let p = RetryPolicy::default();
         assert_eq!(p.delay_ms(3, 200), p.max_delay_ms);
-    }
-
-    #[test]
-    fn breaker_opens_after_exactly_n_strikes() {
-        let mut b = CircuitBreaker::new(3);
-        assert_eq!(b.record_failure(), BreakerState::Closed);
-        assert_eq!(b.record_failure(), BreakerState::Closed);
-        assert_eq!(b.record_failure(), BreakerState::Open);
-        assert!(b.is_open());
-        assert_eq!(b.strikes(), 3);
-    }
-
-    #[test]
-    fn probe_then_success_recloses() {
-        let mut b = CircuitBreaker::new(1);
-        b.record_failure();
-        assert!(b.is_open());
-        assert!(b.probe());
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.probe(), "only one probe may be outstanding");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.strikes(), 0);
-    }
-
-    #[test]
-    fn failed_probe_reopens_immediately() {
-        let mut b = CircuitBreaker::new(5);
-        for _ in 0..5 {
-            b.record_failure();
-        }
-        assert!(b.probe());
-        assert_eq!(b.record_failure(), BreakerState::Open);
     }
 }

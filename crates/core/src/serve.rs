@@ -14,9 +14,11 @@
 //! - **Retry with backoff** — every stage attempt runs under a
 //!   wall-clock timeout; failures (stage errors, panics, timeouts) cost
 //!   a strike and are retried after a deterministic seeded backoff
-//!   ([`crate::retry::RetryPolicy`]).
-//! - **Crash-loop quarantine** — when the [`crate::retry::CircuitBreaker`]
-//!   opens (N consecutive strikes), the job is moved to `failed/` with a
+//!   ([`crate::retry::RetryPolicy`]). The per-job loop is the shared
+//!   `job::Driver`; this module only schedules jobs and maps
+//!   their ends to manifest rows, counters and quarantine.
+//! - **Crash-loop quarantine** — once a job has spent its strike budget
+//!   (N failed attempts in total), it is moved to `failed/` with a
 //!   typed, serialized [`FailureReport`] instead of wedging the queue.
 //!   Inputs that do not even parse are quarantined at intake as
 //!   [`FailureKind::Poisoned`].
@@ -39,18 +41,16 @@
 //! The idle loop sleeps `poll_ms` between directory scans — idle CPU is
 //! polling-bounded by construction, never a busy-spin.
 
-use crate::batch::{self, JobFailure, JobOutcome};
-use crate::job::{load_checkpoint, save_checkpoint, JobConfig, JobState};
-use crate::retry::{CircuitBreaker, RetryPolicy};
+use crate::batch::{self, Manifest};
+pub use crate::job::{AttemptRecord, FailureKind, FailureReport};
+use crate::job::{Driver, JobConfig, JobEnd};
+use crate::retry::RetryPolicy;
 use qcir::{persist, Circuit};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime};
 
 static SERVE_ADMITTED: qobs::Counter = qobs::Counter::new("serve.admitted");
@@ -172,71 +172,13 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Failure taxonomy recorded in a [`FailureReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureKind {
-    /// The input file did not parse; quarantined at intake.
-    Poisoned,
-    /// The strike budget was spent on repeated stage failures/panics.
-    CrashLoop,
-    /// The strike budget was spent and the final strike was a
-    /// wall-clock stage timeout.
-    Timeout,
-    /// An existing checkpoint was written under a different job
-    /// configuration; refusing to silently recompute.
-    ConfigMismatch,
-}
-
-impl FailureKind {
-    /// Stable lowercase name (used in reports and diagnostics).
-    pub fn name(self) -> &'static str {
-        match self {
-            FailureKind::Poisoned => "poisoned",
-            FailureKind::CrashLoop => "crash_loop",
-            FailureKind::Timeout => "timeout",
-            FailureKind::ConfigMismatch => "config_mismatch",
-        }
-    }
-}
-
-impl fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One failed stage attempt inside a [`FailureReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AttemptRecord {
-    /// The stage that failed.
-    pub stage: String,
-    /// What went wrong (error text, panic message, or "timed out").
-    pub message: String,
-    /// Backoff slept after this attempt, in milliseconds.
-    pub backoff_ms: u64,
-}
-
-/// The typed quarantine record serialized (via [`qcir::persist`]) to
-/// `failed/<id>.failure` when a job is quarantined.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureReport {
-    /// The quarantined job.
-    pub id: String,
-    /// Why it was quarantined.
-    pub kind: FailureKind,
-    /// The final (deciding) failure message.
-    pub message: String,
-    /// Every failed attempt, in order.
-    pub attempts: Vec<AttemptRecord>,
-}
-
 /// Path of the serialized [`FailureReport`] for job `id`.
 pub fn failure_report_path(watch_dir: &Path, id: &str) -> PathBuf {
     watch_dir.join(FAILED_DIR).join(format!("{id}.failure"))
 }
 
 /// What a completed (drained) serve run did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Jobs admitted from the watch directory.
     pub admitted: u64,
@@ -281,17 +223,6 @@ pub fn parse_intake_name(file_name: &str) -> Option<(u32, String)> {
     Some((priority, id.to_string()))
 }
 
-/// FNV-1a 64-bit hash — derives the per-job jitter seed from the job
-/// id, so retry schedules are a pure function of `(id, config)`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// A queued, admitted job. Ordering is min-priority-first with FIFO
 /// admission-order tiebreak (via the monotone `seq`).
 struct Queued {
@@ -332,17 +263,6 @@ struct QueueState {
     draining: bool,
 }
 
-/// Monotone counters exposed through `status.json` and the summary.
-#[derive(Default)]
-struct Gauges {
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    quarantined: AtomicU64,
-    cancelled: AtomicU64,
-    retries: AtomicU64,
-    polls: AtomicU64,
-}
-
 /// Everything the intake loop and the workers share.
 struct Shared {
     queue: Mutex<QueueState>,
@@ -351,25 +271,26 @@ struct Shared {
     /// Doubles as the admission guard: an id present here is never
     /// re-admitted.
     cancels: Mutex<BTreeMap<String, Arc<AtomicBool>>>,
-    /// Manifest rows (id → status/tier/output), merged from any
-    /// existing manifest at startup and rewritten atomically on every
-    /// terminal transition.
-    manifest: Mutex<BTreeMap<String, (String, String, String)>>,
-    gauges: Gauges,
+    /// Manifest rows, merged from any existing manifest at startup and
+    /// rewritten atomically on every terminal transition.
+    manifest: Mutex<Manifest>,
+    /// Monotone counters exposed through `status.json`; returned from
+    /// [`run_serve`] once drained.
+    summary: Mutex<ServeSummary>,
 }
 
-/// The outcome of one stage attempt (run on a detached thread so the
-/// worker can enforce a wall-clock timeout).
-enum AttemptOutcome {
-    /// The stage transition succeeded; this is the advanced state.
-    Advanced(Box<JobState>),
-    /// The stage returned an error.
-    Failed(String),
-    /// The stage panicked.
-    Panicked(String),
-    /// The stage exceeded the wall-clock budget (the attempt thread is
-    /// abandoned; its eventual result is discarded).
-    TimedOut,
+impl Shared {
+    fn cancels(&self) -> MutexGuard<'_, BTreeMap<String, Arc<AtomicBool>>> {
+        self.cancels.lock().expect("cancels poisoned")
+    }
+
+    fn manifest(&self) -> MutexGuard<'_, Manifest> {
+        self.manifest.lock().expect("manifest poisoned")
+    }
+
+    fn summary(&self) -> MutexGuard<'_, ServeSummary> {
+        self.summary.lock().expect("summary poisoned")
+    }
 }
 
 /// Runs the serve daemon until drained. Blocks the calling thread; the
@@ -413,8 +334,12 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeSummary, ServeError> {
         }),
         wake: Condvar::new(),
         cancels: Mutex::new(BTreeMap::new()),
-        manifest: Mutex::new(load_manifest_rows(&manifest_path)),
-        gauges: Gauges::default(),
+        manifest: Mutex::new(Manifest::load(&manifest_path)),
+        summary: Mutex::new(ServeSummary {
+            manifest_path: manifest_path.clone(),
+            status_path: status_path.clone(),
+            ..ServeSummary::default()
+        }),
     };
 
     let span = qobs::span("serve.run")
@@ -429,19 +354,9 @@ pub fn run_serve(config: &ServeConfig) -> Result<ServeSummary, ServeError> {
     });
 
     // Final manifest + status after every worker has stopped.
-    write_manifest_from(&shared, &manifest_path);
+    let _ = shared.manifest().write(&manifest_path);
     write_status(config, &shared, &status_path, true);
-    let g = &shared.gauges;
-    let summary = ServeSummary {
-        admitted: g.admitted.load(Ordering::Relaxed),
-        completed: g.completed.load(Ordering::Relaxed),
-        quarantined: g.quarantined.load(Ordering::Relaxed),
-        cancelled: g.cancelled.load(Ordering::Relaxed),
-        retries: g.retries.load(Ordering::Relaxed),
-        polls: g.polls.load(Ordering::Relaxed),
-        manifest_path,
-        status_path,
-    };
+    let summary = shared.summary().clone();
     let _span = span
         .attr("admitted", summary.admitted)
         .attr("completed", summary.completed)
@@ -457,7 +372,7 @@ fn intake_loop(config: &ServeConfig, shared: &Shared, status_path: &Path) {
     let mut stability: BTreeMap<String, (u64, Option<SystemTime>, Instant)> = BTreeMap::new();
     let mut seq: u64 = 0;
     loop {
-        shared.gauges.polls.fetch_add(1, Ordering::Relaxed);
+        shared.summary().polls += 1;
         let mut drain = false;
         let mut entries: Vec<(String, PathBuf)> = Vec::new();
         if let Ok(rd) = std::fs::read_dir(&config.watch_dir) {
@@ -496,12 +411,7 @@ fn intake_loop(config: &ServeConfig, shared: &Shared, status_path: &Path) {
             let Some((priority, id)) = parse_intake_name(name) else {
                 continue;
             };
-            if shared
-                .cancels
-                .lock()
-                .expect("cancels poisoned")
-                .contains_key(&id)
-            {
+            if shared.cancels().contains_key(&id) {
                 continue; // already queued or in flight
             }
             if !is_stable(&mut stability, name, path, config.stability_ms) {
@@ -512,13 +422,9 @@ fn intake_loop(config: &ServeConfig, shared: &Shared, status_path: &Path) {
                 Ok(circuit) => {
                     seq += 1;
                     let flag = Arc::new(AtomicBool::new(false));
-                    shared
-                        .cancels
-                        .lock()
-                        .expect("cancels poisoned")
-                        .insert(id.clone(), flag);
+                    shared.cancels().insert(id.clone(), flag);
                     SERVE_ADMITTED.incr();
-                    shared.gauges.admitted.fetch_add(1, Ordering::Relaxed);
+                    shared.summary().admitted += 1;
                     qobs::event(
                         "serve.admitted",
                         &[
@@ -541,10 +447,9 @@ fn intake_loop(config: &ServeConfig, shared: &Shared, status_path: &Path) {
                     quarantine(
                         config,
                         shared,
-                        &id,
                         path,
                         FailureReport {
-                            id: id.clone(),
+                            id,
                             kind: FailureKind::Poisoned,
                             message,
                             attempts: Vec::new(),
@@ -607,7 +512,7 @@ fn read_circuit(path: &Path) -> Result<Circuit, String> {
 /// not-yet-admitted input straight to `cancelled/`. The sentinel is
 /// consumed in either case (and also when there is nothing to cancel).
 fn handle_cancel(config: &ServeConfig, shared: &Shared, id: &str, sentinel: &Path) {
-    let cancels = shared.cancels.lock().expect("cancels poisoned");
+    let cancels = shared.cancels();
     if let Some(flag) = cancels.get(id) {
         flag.store(true, Ordering::SeqCst);
         drop(cancels);
@@ -636,7 +541,7 @@ fn handle_cancel(config: &ServeConfig, shared: &Shared, id: &str, sentinel: &Pat
 /// Counts a cancellation (gauge + qobs) without touching the registry.
 fn record_cancelled(shared: &Shared, id: &str) {
     SERVE_CANCELLED.incr();
-    shared.gauges.cancelled.fetch_add(1, Ordering::Relaxed);
+    shared.summary().cancelled += 1;
     qobs::event("serve.cancelled", &[("job", qobs::AttrValue::from(id))]);
 }
 
@@ -674,312 +579,73 @@ fn worker_loop(config: &ServeConfig, shared: &Shared, manifest_path: &Path) {
     }
 }
 
-/// Drives one admitted job to a terminal state: completed (output
-/// emitted, input moved to `done/`), cancelled, or quarantined.
+/// Drives one admitted job to a terminal state — completed (output
+/// emitted, input moved to `done/`), cancelled, or quarantined — then
+/// records its manifest row and releases its registry entry (in that
+/// order, so intake can never re-admit a finishing job).
 fn run_serve_job(config: &ServeConfig, shared: &Shared, manifest_path: &Path, job: Queued) {
     let _span = qobs::span("serve.job")
         .attr("job", job.id.as_str())
         .attr("priority", u64::from(job.priority));
-    let cancel_flag = shared
-        .cancels
-        .lock()
-        .expect("cancels poisoned")
-        .get(&job.id)
-        .cloned()
-        .unwrap_or_default();
-
-    let mut state = match initial_state(config, shared, &job) {
-        Some(state) => state,
-        None => return, // terminal at admission (mismatch quarantine / already done)
+    let cancel_flag = shared.cancels().get(&job.id).cloned().unwrap_or_default();
+    let on_strike = |attempt: &AttemptRecord, strikes: u32| {
+        SERVE_RETRIES.incr();
+        shared.summary().retries += 1;
+        qobs::event(
+            "serve.retry",
+            &[
+                ("stage", qobs::AttrValue::from(attempt.stage.as_str())),
+                ("strikes", qobs::AttrValue::from(u64::from(strikes))),
+                ("backoff_ms", qobs::AttrValue::from(attempt.backoff_ms)),
+            ],
+        );
     };
-    let mut breaker = CircuitBreaker::new(config.retry.max_strikes);
-    let jitter_seed = fnv1a64(job.id.as_bytes()) ^ config.job.seed;
-    let mut attempts: Vec<AttemptRecord> = Vec::new();
-
-    loop {
-        if cancel_flag.load(Ordering::SeqCst) {
-            move_into(&job.input_path, &config.watch_dir.join(CANCELLED_DIR));
-            set_manifest_row(
-                shared,
-                &job.id,
-                (
-                    "CANCELLED".to_string(),
-                    "-".to_string(),
-                    "cancelled via sentinel".to_string(),
-                ),
+    let driver = Driver {
+        jobs_dir: &config.jobs_dir,
+        out_dir: &config.out_dir,
+        resume: true,
+        retry: &config.retry,
+        stage_timeout: Some(Duration::from_millis(config.stage_timeout_ms.max(1))),
+        cancel: &cancel_flag,
+        on_strike: &on_strike,
+    };
+    match driver.drive(&job.id, job.circuit, &config.job) {
+        JobEnd::Done { verdict, .. } => {
+            shared.manifest().set_verdict(&job.id, &verdict);
+            let _ = shared.manifest().write(manifest_path);
+            move_into(&job.input_path, &config.watch_dir.join(DONE_DIR));
+            SERVE_COMPLETED.incr();
+            shared.summary().completed += 1;
+            qobs::event(
+                "serve.completed",
+                &[("job", qobs::AttrValue::from(job.id.as_str()))],
             );
-            write_manifest_from(shared, manifest_path);
-            record_cancelled(shared, &job.id);
+        }
+        JobEnd::Failed { report, .. } => {
+            quarantine(config, shared, &job.input_path, report);
+            let _ = shared.manifest().write(manifest_path);
+        }
+        JobEnd::Cancelled => {
+            move_into(&job.input_path, &config.watch_dir.join(CANCELLED_DIR));
             shared
-                .cancels
-                .lock()
-                .expect("cancels poisoned")
-                .remove(&job.id);
-            return;
-        }
-        if state.is_done() {
-            finalize_completed(config, shared, manifest_path, &job, &state);
-            return;
-        }
-
-        let stage_name = state.stage.name().to_string();
-        let outcome = attempt_stage(config, &state);
-        match outcome {
-            AttemptOutcome::Advanced(next) => {
-                state = *next;
-                if let Err(err) = save_checkpoint(&config.jobs_dir, &state) {
-                    // A checkpoint that cannot be written is a strike
-                    // like any other failure: retry, then quarantine.
-                    strike(
-                        config,
-                        shared,
-                        &mut breaker,
-                        jitter_seed,
-                        &mut attempts,
-                        &stage_name,
-                        err.to_string(),
-                    );
-                    if breaker.is_open() {
-                        quarantine_job(
-                            config,
-                            shared,
-                            manifest_path,
-                            &job,
-                            FailureKind::CrashLoop,
-                            attempts,
-                        );
-                        return;
-                    }
-                    state = reload_state(config, &job, &state);
-                }
-            }
-            AttemptOutcome::Failed(message) | AttemptOutcome::Panicked(message) => {
-                strike(
-                    config,
-                    shared,
-                    &mut breaker,
-                    jitter_seed,
-                    &mut attempts,
-                    &stage_name,
-                    message,
-                );
-                if breaker.is_open() {
-                    quarantine_job(
-                        config,
-                        shared,
-                        manifest_path,
-                        &job,
-                        FailureKind::CrashLoop,
-                        attempts,
-                    );
-                    return;
-                }
-                state = reload_state(config, &job, &state);
-            }
-            AttemptOutcome::TimedOut => {
-                strike(
-                    config,
-                    shared,
-                    &mut breaker,
-                    jitter_seed,
-                    &mut attempts,
-                    &stage_name,
-                    format!("stage exceeded {} ms wall clock", config.stage_timeout_ms),
-                );
-                if breaker.is_open() {
-                    quarantine_job(
-                        config,
-                        shared,
-                        manifest_path,
-                        &job,
-                        FailureKind::Timeout,
-                        attempts,
-                    );
-                    return;
-                }
-                state = reload_state(config, &job, &state);
-            }
+                .manifest()
+                .set(&job.id, "CANCELLED", "-", "cancelled via sentinel");
+            let _ = shared.manifest().write(manifest_path);
+            record_cancelled(shared, &job.id);
         }
     }
-}
-
-/// Builds the job's starting state: a matching checkpoint resumes, a
-/// config-mismatched checkpoint quarantines, a checkpoint for
-/// different input bytes (or a corrupt one) is discarded, and a Done
-/// checkpoint with its output present finalizes immediately.
-/// Returns `None` when the job reached a terminal state here.
-fn initial_state(config: &ServeConfig, shared: &Shared, job: &Queued) -> Option<JobState> {
-    match load_checkpoint(&config.jobs_dir, &job.id) {
-        Ok(Some(state)) => {
-            if state.config != config.job {
-                quarantine(
-                    config,
-                    shared,
-                    &job.id,
-                    &job.input_path,
-                    FailureReport {
-                        id: job.id.clone(),
-                        kind: FailureKind::ConfigMismatch,
-                        message: format!(
-                            "checkpoint for {} was written under a different job configuration",
-                            job.id
-                        ),
-                        attempts: Vec::new(),
-                    },
-                );
-                shared
-                    .cancels
-                    .lock()
-                    .expect("cancels poisoned")
-                    .remove(&job.id);
-                return None;
-            }
-            if qcir::qasm::to_qasm(&state.original) != qcir::qasm::to_qasm(&job.circuit) {
-                // The producer replaced the input: the old checkpoint
-                // is for a different circuit. Start fresh.
-                return Some(JobState::new(
-                    job.id.clone(),
-                    job.circuit.clone(),
-                    config.job.clone(),
-                ));
-            }
-            Some(state)
-        }
-        // Corrupt beyond both generations: start fresh (the first
-        // save rotates the debris away).
-        Err(_) | Ok(None) => Some(JobState::new(
-            job.id.clone(),
-            job.circuit.clone(),
-            config.job.clone(),
-        )),
-    }
-}
-
-/// Reloads the last good checkpoint after a failed attempt (fresh
-/// state if there is none).
-fn reload_state(config: &ServeConfig, job: &Queued, current: &JobState) -> JobState {
-    match load_checkpoint(&config.jobs_dir, &job.id) {
-        Ok(Some(state)) if state.config == current.config => state,
-        _ => JobState::new(job.id.clone(), job.circuit.clone(), current.config.clone()),
-    }
-}
-
-/// Runs one `advance` under the wall-clock budget on a detached
-/// thread. On timeout the thread is abandoned: its eventual result is
-/// discarded (the channel send fails) and any late output write is an
-/// atomic rename of identical bytes, so it cannot corrupt anything.
-fn attempt_stage(config: &ServeConfig, state: &JobState) -> AttemptOutcome {
-    let (tx, rx) = mpsc::channel();
-    let mut moved = state.clone();
-    let out_dir = config.out_dir.clone();
-    std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            moved.advance(&out_dir).map(|()| moved.clone())
-        }));
-        let _ = tx.send(result);
-    });
-    match rx.recv_timeout(Duration::from_millis(config.stage_timeout_ms.max(1))) {
-        Ok(Ok(Ok(next))) => AttemptOutcome::Advanced(Box::new(next)),
-        Ok(Ok(Err(err))) => AttemptOutcome::Failed(err.to_string()),
-        Ok(Err(payload)) => AttemptOutcome::Panicked(batch::panic_message(payload.as_ref())),
-        Err(RecvTimeoutError::Timeout) => AttemptOutcome::TimedOut,
-        Err(RecvTimeoutError::Disconnected) => {
-            AttemptOutcome::Panicked("attempt thread vanished".to_string())
-        }
-    }
-}
-
-/// Records one failed attempt: counts the retry, appends the attempt
-/// record, advances the breaker, and (while the breaker stays closed)
-/// sleeps the deterministic backoff.
-fn strike(
-    config: &ServeConfig,
-    shared: &Shared,
-    breaker: &mut CircuitBreaker,
-    jitter_seed: u64,
-    attempts: &mut Vec<AttemptRecord>,
-    stage: &str,
-    message: String,
-) {
-    SERVE_RETRIES.incr();
-    shared.gauges.retries.fetch_add(1, Ordering::Relaxed);
-    breaker.record_failure();
-    let backoff_ms = if breaker.is_open() {
-        0 // quarantining; no point sleeping
-    } else {
-        config
-            .retry
-            .delay_ms(jitter_seed, breaker.strikes().saturating_sub(1))
-    };
-    qobs::event(
-        "serve.retry",
-        &[
-            ("stage", qobs::AttrValue::from(stage)),
-            (
-                "strikes",
-                qobs::AttrValue::from(u64::from(breaker.strikes())),
-            ),
-            ("backoff_ms", qobs::AttrValue::from(backoff_ms)),
-        ],
-    );
-    attempts.push(AttemptRecord {
-        stage: stage.to_string(),
-        message,
-        backoff_ms,
-    });
-    if backoff_ms > 0 {
-        std::thread::sleep(Duration::from_millis(backoff_ms));
-    }
-}
-
-/// Quarantines an in-flight job after the breaker opened.
-fn quarantine_job(
-    config: &ServeConfig,
-    shared: &Shared,
-    manifest_path: &Path,
-    job: &Queued,
-    kind: FailureKind,
-    attempts: Vec<AttemptRecord>,
-) {
-    let message = attempts
-        .last()
-        .map(|a| a.message.clone())
-        .unwrap_or_else(|| "no attempts recorded".to_string());
-    quarantine(
-        config,
-        shared,
-        &job.id,
-        &job.input_path,
-        FailureReport {
-            id: job.id.clone(),
-            kind,
-            message,
-            attempts,
-        },
-    );
-    write_manifest_from(shared, manifest_path);
-    shared
-        .cancels
-        .lock()
-        .expect("cancels poisoned")
-        .remove(&job.id);
+    shared.cancels().remove(&job.id);
 }
 
 /// The shared quarantine path: serializes the [`FailureReport`] to
 /// `failed/<id>.failure`, moves the input file to `failed/`, records
 /// the manifest row, and counts it.
-fn quarantine(
-    config: &ServeConfig,
-    shared: &Shared,
-    id: &str,
-    input_path: &Path,
-    report: FailureReport,
-) {
-    let report_path = failure_report_path(&config.watch_dir, id);
-    let _ = persist::save(&report_path, &report);
+fn quarantine(config: &ServeConfig, shared: &Shared, input_path: &Path, report: FailureReport) {
+    let id = report.id.as_str();
+    let _ = persist::save(&failure_report_path(&config.watch_dir, id), &report);
     move_into(input_path, &config.watch_dir.join(FAILED_DIR));
     SERVE_QUARANTINED.incr();
-    shared.gauges.quarantined.fetch_add(1, Ordering::Relaxed);
+    shared.summary().quarantined += 1;
     qobs::event(
         "serve.quarantined",
         &[
@@ -987,98 +653,12 @@ fn quarantine(
             ("kind", qobs::AttrValue::from(report.kind.name())),
         ],
     );
-    set_manifest_row(
-        shared,
+    shared.manifest().set(
         id,
-        (
-            "QUARANTINED".to_string(),
-            "-".to_string(),
-            format!(
-                "{}: {}",
-                report.kind,
-                report.message.replace(['\t', '\n'], " ")
-            ),
-        ),
+        "QUARANTINED",
+        "-",
+        &format!("{}: {}", report.kind, report.message),
     );
-}
-
-/// Terminal success: manifest row from the verdict, input moved to
-/// `done/`, registry entry released (in that order, so intake can
-/// never re-admit a finishing job).
-fn finalize_completed(
-    config: &ServeConfig,
-    shared: &Shared,
-    manifest_path: &Path,
-    job: &Queued,
-    state: &JobState,
-) {
-    let outcome = JobOutcome {
-        id: job.id.clone(),
-        steps_done: state.steps_done,
-        resumed: false,
-        result: state
-            .verdict
-            .clone()
-            .ok_or_else(|| JobFailure::Error("done without verdict".to_string())),
-    };
-    set_manifest_row(shared, &job.id, batch::manifest_row(&outcome));
-    write_manifest_from(shared, manifest_path);
-    move_into(&job.input_path, &config.watch_dir.join(DONE_DIR));
-    shared
-        .cancels
-        .lock()
-        .expect("cancels poisoned")
-        .remove(&job.id);
-    SERVE_COMPLETED.incr();
-    shared.gauges.completed.fetch_add(1, Ordering::Relaxed);
-    qobs::event(
-        "serve.completed",
-        &[("job", qobs::AttrValue::from(job.id.as_str()))],
-    );
-}
-
-/// Replaces (or inserts) one manifest row.
-fn set_manifest_row(shared: &Shared, id: &str, row: (String, String, String)) {
-    shared
-        .manifest
-        .lock()
-        .expect("manifest poisoned")
-        .insert(id.to_string(), row);
-}
-
-/// Atomically rewrites the manifest from the shared row map.
-fn write_manifest_from(shared: &Shared, manifest_path: &Path) {
-    let rows = shared.manifest.lock().expect("manifest poisoned");
-    let text = batch::render_manifest(
-        rows.iter()
-            .map(|(id, (s, t, o))| (id.as_str(), s.as_str(), t.as_str(), o.as_str())),
-    );
-    drop(rows);
-    let _ = batch::write_manifest_text(manifest_path, &text);
-}
-
-/// Parses an existing manifest back into the row map (serve restarts
-/// must not forget earlier terminal states).
-fn load_manifest_rows(path: &Path) -> BTreeMap<String, (String, String, String)> {
-    let mut rows = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return rows;
-    };
-    for line in text.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let mut parts = line.splitn(4, '\t');
-        if let (Some(id), Some(status), Some(tier), Some(output)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        {
-            rows.insert(
-                id.to_string(),
-                (status.to_string(), tier.to_string(), output.to_string()),
-            );
-        }
-    }
-    rows
 }
 
 /// Atomically rewrites `status.json` (one flat JSON object line) and
@@ -1088,25 +668,18 @@ fn write_status(config: &ServeConfig, shared: &Shared, status_path: &Path, drain
         let q = shared.queue.lock().expect("queue poisoned");
         (q.heap.len() as u64, q.in_flight as u64)
     };
-    let g = &shared.gauges;
-    let admitted = g.admitted.load(Ordering::Relaxed);
-    let completed = g.completed.load(Ordering::Relaxed);
-    let quarantined = g.quarantined.load(Ordering::Relaxed);
-    let cancelled = g.cancelled.load(Ordering::Relaxed);
-    let retries = g.retries.load(Ordering::Relaxed);
-    let polls = g.polls.load(Ordering::Relaxed);
-
+    let counts = shared.summary().clone();
     let mut obj = qobs::json::Obj::new("serve_status");
     obj.field_u64("schema_version", STATUS_SCHEMA_VERSION);
     obj.field_u64("workers", config.workers.max(1) as u64);
     obj.field_u64("queue_depth", queue_depth);
     obj.field_u64("in_flight", in_flight);
-    obj.field_u64("admitted", admitted);
-    obj.field_u64("completed", completed);
-    obj.field_u64("quarantined", quarantined);
-    obj.field_u64("cancelled", cancelled);
-    obj.field_u64("retries", retries);
-    obj.field_u64("polls", polls);
+    obj.field_u64("admitted", counts.admitted);
+    obj.field_u64("completed", counts.completed);
+    obj.field_u64("quarantined", counts.quarantined);
+    obj.field_u64("cancelled", counts.cancelled);
+    obj.field_u64("retries", counts.retries);
+    obj.field_u64("polls", counts.polls);
     obj.field_bool("draining", draining);
     let line = obj.finish();
 
@@ -1119,8 +692,8 @@ fn write_status(config: &ServeConfig, shared: &Shared, status_path: &Path, drain
         &[
             ("queue_depth", qobs::AttrValue::from(queue_depth)),
             ("in_flight", qobs::AttrValue::from(in_flight)),
-            ("retries", qobs::AttrValue::from(retries)),
-            ("quarantined", qobs::AttrValue::from(quarantined)),
+            ("retries", qobs::AttrValue::from(counts.retries)),
+            ("quarantined", qobs::AttrValue::from(counts.quarantined)),
         ],
     );
 }
@@ -1196,29 +769,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tlk_serve_mf_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("manifest.txt");
-        let mut rows = BTreeMap::new();
-        rows.insert(
-            "a".to_string(),
-            (
-                "equivalent".to_string(),
-                "tableau".to_string(),
-                "a.restored.qasm".to_string(),
-            ),
-        );
-        rows.insert(
-            "b".to_string(),
-            (
-                "QUARANTINED".to_string(),
-                "-".to_string(),
-                "poisoned: bad gate".to_string(),
-            ),
-        );
-        let text = batch::render_manifest(
-            rows.iter()
-                .map(|(id, (s, t, o))| (id.as_str(), s.as_str(), t.as_str(), o.as_str())),
-        );
-        batch::write_manifest_text(&path, &text).unwrap();
-        assert_eq!(load_manifest_rows(&path), rows);
+        let mut manifest = Manifest::default();
+        manifest.set("a", "equivalent", "tableau", "a.restored.qasm");
+        manifest.set("b", "QUARANTINED", "-", "poisoned: bad gate");
+        manifest.write(&path).unwrap();
+        assert_eq!(Manifest::load(&path), manifest);
     }
 
     #[test]
@@ -1239,11 +794,27 @@ mod tests {
         }
     }
 
-    /// End-to-end in-process smoke: two inputs (one prioritized), one
-    /// poisoned file, one cancel, then drain.
-    #[test]
-    fn serve_processes_quarantines_and_drains() {
-        let base = std::env::temp_dir().join(format!("tlk_serve_e2e_{}", std::process::id()));
+    /// Runs serve until `ready` holds (or a minute passes), then drains.
+    fn serve_until(
+        config: &ServeConfig,
+        ready: impl Fn() -> bool + Send + 'static,
+    ) -> ServeSummary {
+        let watch = config.watch_dir.clone();
+        let stopper = std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !ready() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            std::fs::write(watch.join(SHUTDOWN_SENTINEL), "").unwrap();
+        });
+        let summary = run_serve(config).unwrap();
+        stopper.join().unwrap();
+        summary
+    }
+
+    /// A fresh in-process serve sandbox with fast test intervals.
+    fn test_config(tag: &str) -> ServeConfig {
+        let base = std::env::temp_dir().join(format!("tlk_serve_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let config = ServeConfig {
             watch_dir: base.join("watch"),
@@ -1255,33 +826,32 @@ mod tests {
             ..ServeConfig::default()
         };
         std::fs::create_dir_all(&config.watch_dir).unwrap();
+        config
+    }
 
+    fn gamma_qasm() -> String {
         let mut c = Circuit::with_name(3, "gamma");
         c.x(0).cx(0, 1).ccx(0, 1, 2);
-        let qasm = qcir::qasm::to_qasm(&c);
+        qcir::qasm::to_qasm(&c)
+    }
+
+    /// End-to-end in-process smoke: two inputs (one prioritized), one
+    /// poisoned file, one cancel, then drain.
+    #[test]
+    fn serve_processes_quarantines_and_drains() {
+        let config = test_config("e2e");
+        let qasm = gamma_qasm();
         std::fs::write(config.watch_dir.join("gamma.qasm"), &qasm).unwrap();
         std::fs::write(config.watch_dir.join("p1--rush.qasm"), &qasm).unwrap();
         std::fs::write(config.watch_dir.join("poison.qasm"), "OPENQASM 2.0;\nqreg").unwrap();
 
-        let watch = config.watch_dir.clone();
-        let out = config.out_dir.clone();
-        let stopper = std::thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(120);
-            // Wait for both outputs and the quarantine, then drain.
-            loop {
-                let done = out.join("gamma.restored.qasm").exists()
-                    && out.join("rush.restored.qasm").exists()
-                    && failure_report_path(&watch, "poison").exists();
-                if done || Instant::now() > deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            std::fs::write(watch.join(SHUTDOWN_SENTINEL), "").unwrap();
+        let (watch, out) = (config.watch_dir.clone(), config.out_dir.clone());
+        // Wait for both outputs and the quarantine, then drain.
+        let summary = serve_until(&config, move || {
+            out.join("gamma.restored.qasm").exists()
+                && out.join("rush.restored.qasm").exists()
+                && failure_report_path(&watch, "poison").exists()
         });
-
-        let summary = run_serve(&config).unwrap();
-        stopper.join().unwrap();
 
         assert_eq!(summary.admitted, 2, "{summary:?}");
         assert_eq!(summary.completed, 2, "{summary:?}");
@@ -1309,5 +879,28 @@ mod tests {
             manifest.contains("poison\tQUARANTINED\t-\tpoisoned:"),
             "{manifest}"
         );
+    }
+
+    /// A job whose checkpoint is `Done` but whose output is gone must be
+    /// re-emitted when its input is dropped again, not counted done.
+    #[test]
+    fn done_job_with_missing_output_is_re_emitted() {
+        let config = test_config("reemit");
+        std::fs::write(config.watch_dir.join("gamma.qasm"), gamma_qasm()).unwrap();
+        let output = config.out_dir.join("gamma.restored.qasm");
+        let consumed = config.watch_dir.join(DONE_DIR).join("gamma.qasm");
+        let done = consumed.clone();
+        let ready = move || done.exists();
+        serve_until(&config, ready.clone());
+        let first = std::fs::read(&output).unwrap();
+
+        // The checkpoint stays `Done`; only the output goes.
+        std::fs::remove_file(&output).unwrap();
+        std::fs::rename(&consumed, config.watch_dir.join("gamma.qasm")).unwrap();
+        let summary = serve_until(&config, ready);
+        assert_eq!(summary.completed, 1, "{summary:?}");
+        assert_eq!(std::fs::read(&output).ok(), Some(first), "not re-emitted");
+        let manifest = std::fs::read_to_string(&summary.manifest_path).unwrap();
+        assert!(manifest.contains("gamma\tequivalent\t"), "{manifest}");
     }
 }

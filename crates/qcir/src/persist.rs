@@ -153,7 +153,8 @@ impl From<DecodeError> for PersistError {
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, and plenty for torn-write
 /// detection (this is an integrity check, not a cryptographic seal).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The job driver also derives its per-job retry jitter seed from it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

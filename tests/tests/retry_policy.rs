@@ -1,15 +1,13 @@
-//! Property-based tests for the serve daemon's retry/backoff policy
-//! and crash-loop circuit breaker (`tetrislock::retry`) in isolation.
+//! Property-based tests for the job driver's retry/backoff policy
+//! (`tetrislock::retry`) in isolation.
 //!
 //! The serve fault harness depends on these invariants holding for
 //! *every* configuration, not just the defaults: schedules must be a
-//! pure function of `(policy, seed)` (replayable), monotone and
-//! bounded (no retry storms), and the breaker must open after exactly
-//! `N` consecutive strikes (quarantine neither early nor late) and
-//! re-close after a successful probe.
+//! pure function of `(policy, seed)` (replayable), and monotone and
+//! bounded (no retry storms).
 
 use proptest::prelude::*;
-use tetrislock::retry::{BreakerState, CircuitBreaker, RetryPolicy};
+use tetrislock::retry::RetryPolicy;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -71,50 +69,5 @@ proptest! {
         let a = policy.schedule(seed, 6);
         let b = policy.schedule(seed ^ 0x5DEE_CE66_D1CE_1CEE, 6);
         prop_assert_ne!(a, b);
-    }
-
-    #[test]
-    fn breaker_opens_after_exactly_n_strikes(n in 1u32..32) {
-        let mut breaker = CircuitBreaker::new(n);
-        for strike in 1..n {
-            breaker.record_failure();
-            prop_assert!(
-                !breaker.is_open(),
-                "opened after {strike} of {n} strikes (too early)"
-            );
-        }
-        prop_assert_eq!(breaker.record_failure(), BreakerState::Open);
-        prop_assert_eq!(breaker.strikes(), n);
-    }
-
-    #[test]
-    fn breaker_recloses_after_successful_probe(n in 1u32..32) {
-        let mut breaker = CircuitBreaker::new(n);
-        for _ in 0..n {
-            breaker.record_failure();
-        }
-        prop_assert!(breaker.is_open());
-        // Exactly one probe may go out while half-open.
-        prop_assert!(breaker.probe());
-        prop_assert_eq!(breaker.state(), BreakerState::HalfOpen);
-        prop_assert!(!breaker.probe());
-        breaker.record_success();
-        prop_assert_eq!(breaker.state(), BreakerState::Closed);
-        prop_assert_eq!(breaker.strikes(), 0);
-        // After re-closing, the full strike budget applies again.
-        for _ in 0..n - 1 {
-            breaker.record_failure();
-        }
-        prop_assert!(n == 1 || !breaker.is_open());
-    }
-
-    #[test]
-    fn failed_probe_reopens_immediately(n in 1u32..32) {
-        let mut breaker = CircuitBreaker::new(n);
-        for _ in 0..n {
-            breaker.record_failure();
-        }
-        prop_assert!(breaker.probe());
-        prop_assert_eq!(breaker.record_failure(), BreakerState::Open);
     }
 }

@@ -12,6 +12,7 @@
 //!   instant resumes to **byte-identical** outputs on restart;
 //! - a crash-looping job quarantines after exactly the strike budget
 //!   and can be re-queued once the underlying fault is gone;
+//! - serve and batch write byte-identical outputs and manifests;
 //! - cancellation sentinels win races against admission;
 //! - drain under load exits 0 with no lost and no duplicated jobs;
 //! - the idle loop is polling-bounded (no busy-spin) and no orphan
@@ -191,10 +192,10 @@ fn assert_no_orphan_tmps(sb: &Sandbox) {
     }
 }
 
-/// Reference outputs from an uninterrupted `batch` run over the same
-/// circuits and (default) pipeline configuration — serve must be
-/// byte-identical to this.
-fn batch_reference(tag: &str) -> BTreeMap<String, Vec<u8>> {
+/// Output directory of an uninterrupted `batch` run over the same
+/// circuits and (default) pipeline configuration — serve's outputs must
+/// be byte-identical to the ones in it.
+fn batch_reference(tag: &str) -> PathBuf {
     let base = std::env::temp_dir().join(format!("tlk_serve_ref_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
@@ -219,7 +220,7 @@ fn batch_reference(tag: &str) -> BTreeMap<String, Vec<u8>> {
         .status()
         .expect("run reference batch");
     assert!(status.success(), "reference batch failed");
-    read_outputs(&out_dir)
+    out_dir
 }
 
 /// Parses status.json into (key → u64) plus the draining flag.
@@ -230,7 +231,7 @@ fn read_status(sb: &Sandbox) -> qobs::json::ParsedObj {
 
 #[test]
 fn clean_run_matches_uninterrupted_batch_and_drains() {
-    let reference = batch_reference("clean");
+    let reference_dir = batch_reference("clean");
     let sb = sandbox("clean");
     let mut child = spawn_serve(&sb, &[], &[]);
     for (id, circuit) in circuits() {
@@ -243,8 +244,14 @@ fn clean_run_matches_uninterrupted_batch_and_drains() {
 
     assert_eq!(
         read_outputs(&sb.out),
-        reference,
+        read_outputs(&reference_dir),
         "serve diverged from batch"
+    );
+    // One manifest writer: serve's rows match batch's byte for byte.
+    assert_eq!(
+        std::fs::read(sb.out.join("manifest.txt")).expect("serve manifest"),
+        std::fs::read(reference_dir.join("manifest.txt")).expect("batch manifest"),
+        "serve manifest diverged from batch"
     );
     // Inputs consumed into done/, none left in the watch dir.
     for (id, _) in circuits() {
@@ -260,7 +267,7 @@ fn clean_run_matches_uninterrupted_batch_and_drains() {
 
 #[test]
 fn seeded_kill9_cycles_resume_to_byte_identical_outputs() {
-    let reference = batch_reference("kill9");
+    let reference = read_outputs(&batch_reference("kill9"));
     let sb = sandbox("kill9");
     for (id, circuit) in circuits() {
         drop_circuit(&sb.watch, &format!("{id}.qasm"), &circuit);
@@ -561,7 +568,7 @@ fn drain_under_load_loses_and_duplicates_nothing() {
     }
 
     // A second serve run finishes the stragglers to the full set.
-    let reference = batch_reference("drain_load");
+    let reference = read_outputs(&batch_reference("drain_load"));
     let mut child = spawn_serve(&sb, &["--workers", "2"], &[]);
     wait_for("all outputs", Duration::from_secs(120), || {
         read_outputs(&sb.out).len() == 3
