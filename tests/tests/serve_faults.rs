@@ -24,28 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use tetrislock::serve::{failure_report_path, FailureKind, FailureReport, SHUTDOWN_SENTINEL};
-
-/// Locates the `tetrislock` binary next to the test executable,
-/// building it on demand.
-fn tetrislock_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("test executable path");
-    let debug_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("target/debug layout");
-    let bin = debug_dir.join(format!("tetrislock{}", std::env::consts::EXE_SUFFIX));
-    if bin.exists() {
-        return bin;
-    }
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let status = Command::new(cargo)
-        .args(["build", "-p", "tetrislock-cli", "--bin", "tetrislock"])
-        .status()
-        .expect("spawn cargo build");
-    assert!(status.success(), "building the tetrislock binary failed");
-    assert!(bin.exists(), "no tetrislock binary at {}", bin.display());
-    bin
-}
+use tetrislock_tests::tetrislock_bin;
 
 /// Small deterministic RNG (xorshift64*) for the kill schedule.
 struct KillRng(u64);
