@@ -90,7 +90,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
             BenchmarkId::new("naive_baseline", name),
             circuit,
             |b, circuit| {
-                b.iter(|| bench::naive::from_circuit(circuit));
+                b.iter(|| qsim::statevector::reference::from_circuit(circuit));
             },
         );
     }

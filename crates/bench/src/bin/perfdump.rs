@@ -6,8 +6,8 @@
 //! the median wall-clock per case. Each statevector case is timed three
 //! ways: the default engine (fusion + stride kernels + threading), the
 //! unfused engine, and the pre-engine naive full-scan loops
-//! ([`bench::naive`]), so the perf history records the speedup on every
-//! run instead of claiming it once.
+//! ([`qsim::statevector::reference`]), so the perf history records the
+//! speedup on every run instead of claiming it once.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfdump            # full suite
@@ -122,7 +122,7 @@ fn main() {
         let naive_ms = (circuit.num_qubits() <= 24).then(|| {
             let naive_reps = if circuit.num_qubits() <= 16 { reps } else { 1 };
             qobs::time_median_ms(&format!("perfdump.{name}.naive"), 1, naive_reps, || {
-                std::hint::black_box(bench::naive::from_circuit(circuit));
+                std::hint::black_box(qsim::statevector::reference::from_circuit(circuit));
             })
         });
         cases.push(CaseResult {

@@ -275,144 +275,6 @@ pub fn clifford_t_circuit(n: u32, gates: usize) -> qcir::Circuit {
     c
 }
 
-/// The pre-kernel-engine statevector loops, reproduced verbatim as the
-/// recorded performance baseline.
-///
-/// `qsim` keeps an identical copy behind `#[cfg(test)]` as the
-/// *correctness* reference for its kernel-equivalence suite; this copy
-/// exists so the `perfdump` binary and the Criterion comparison groups
-/// can measure the stride/fused/threaded engine against the exact
-/// pre-optimisation code on every run, keeping the speedup claim in
-/// `BENCH_qsim.json` honest rather than historical.
-pub mod naive {
-    use qcir::{Circuit, Gate, Instruction, Qubit};
-    use qsim::complex::C64;
-    use qsim::matrix::{gate_matrix, Matrix};
-
-    /// Runs `circuit` on `|0…0⟩` with the naive full-scan kernels and
-    /// returns the final amplitudes.
-    pub fn from_circuit(circuit: &Circuit) -> Vec<C64> {
-        let mut amps = vec![C64::ZERO; 1usize << circuit.num_qubits()];
-        amps[0] = C64::ONE;
-        for inst in circuit.iter() {
-            apply(&mut amps, inst);
-        }
-        amps
-    }
-
-    /// The original (pre-engine) `Statevector::apply` dispatch.
-    pub fn apply(amps: &mut [C64], inst: &Instruction) {
-        match inst.gate() {
-            Gate::I => {}
-            Gate::X => apply_x(amps, inst.qubits()[0]),
-            Gate::CX => apply_cx(amps, inst.qubits()[0], inst.qubits()[1]),
-            Gate::CCX => {
-                let q = inst.qubits();
-                apply_mcx(amps, &[q[0], q[1]], q[2]);
-            }
-            Gate::Mcx(_) => {
-                let q = inst.qubits();
-                let (controls, target) = q.split_at(q.len() - 1);
-                apply_mcx(amps, controls, target[0]);
-            }
-            Gate::Swap => apply_swap(amps, inst.qubits()[0], inst.qubits()[1]),
-            gate if gate.arity() == 1 => {
-                apply_1q(amps, &gate_matrix(gate), inst.qubits()[0]);
-            }
-            gate => {
-                apply_kq(amps, &gate_matrix(gate), inst.qubits());
-            }
-        }
-    }
-
-    fn apply_x(amps: &mut [C64], q: Qubit) {
-        let bit = 1usize << q.index();
-        for i in 0..amps.len() {
-            if i & bit == 0 {
-                amps.swap(i, i | bit);
-            }
-        }
-    }
-
-    fn apply_cx(amps: &mut [C64], control: Qubit, target: Qubit) {
-        let cbit = 1usize << control.index();
-        let tbit = 1usize << target.index();
-        for i in 0..amps.len() {
-            if i & cbit != 0 && i & tbit == 0 {
-                amps.swap(i, i | tbit);
-            }
-        }
-    }
-
-    fn apply_mcx(amps: &mut [C64], controls: &[Qubit], target: Qubit) {
-        let cmask: usize = controls.iter().map(|q| 1usize << q.index()).sum();
-        let tbit = 1usize << target.index();
-        for i in 0..amps.len() {
-            if i & cmask == cmask && i & tbit == 0 {
-                amps.swap(i, i | tbit);
-            }
-        }
-    }
-
-    fn apply_swap(amps: &mut [C64], a: Qubit, b: Qubit) {
-        let abit = 1usize << a.index();
-        let bbit = 1usize << b.index();
-        for i in 0..amps.len() {
-            if i & abit != 0 && i & bbit == 0 {
-                amps.swap(i, (i & !abit) | bbit);
-            }
-        }
-    }
-
-    fn apply_1q(amps: &mut [C64], m: &Matrix, q: Qubit) {
-        let bit = 1usize << q.index();
-        let (m00, m01, m10, m11) = (m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1));
-        for i in 0..amps.len() {
-            if i & bit == 0 {
-                let a0 = amps[i];
-                let a1 = amps[i | bit];
-                amps[i] = m00 * a0 + m01 * a1;
-                amps[i | bit] = m10 * a0 + m11 * a1;
-            }
-        }
-    }
-
-    fn apply_kq(amps: &mut [C64], m: &Matrix, qubits: &[Qubit]) {
-        let k = qubits.len();
-        let dim = 1usize << k;
-        let bits: Vec<usize> = qubits.iter().map(|q| 1usize << q.index()).collect();
-        let mask: usize = bits.iter().sum();
-        let mut gathered = vec![C64::ZERO; dim];
-        for base in 0..amps.len() {
-            if base & mask != 0 {
-                continue;
-            }
-            for (pattern, slot) in gathered.iter_mut().enumerate() {
-                let mut idx = base;
-                for (bit_pos, bit) in bits.iter().enumerate() {
-                    if pattern & (1 << bit_pos) != 0 {
-                        idx |= bit;
-                    }
-                }
-                *slot = amps[idx];
-            }
-            for row in 0..dim {
-                let mut acc = C64::ZERO;
-                for (col, &g) in gathered.iter().enumerate() {
-                    acc += m.get(row, col) * g;
-                }
-                let mut idx = base;
-                for (bit_pos, bit) in bits.iter().enumerate() {
-                    if row & (1 << bit_pos) != 0 {
-                        idx |= bit;
-                    }
-                }
-                amps[idx] = acc;
-            }
-        }
-    }
-}
-
 /// Structural validation for `BENCH_qsim.json`.
 ///
 /// The workspace vendors no JSON parser, so these checks are

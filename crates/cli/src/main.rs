@@ -27,10 +27,11 @@
 mod io;
 mod meta;
 
-use meta::Meta;
+use meta::{Meta, MAX_SEGMENTS};
 use qcir::{display, Circuit};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use tetrislock::recombine::{assign_ancillas, concatenate};
 use tetrislock::{GatePolicy, InsertionConfig, Obfuscator};
 
 fn main() -> ExitCode {
@@ -302,8 +303,8 @@ fn protect(args: &[String]) -> Result<(), String> {
         .unwrap_or("2")
         .parse()
         .map_err(|_| "bad --segments")?;
-    if segments < 2 {
-        return Err("--segments must be at least 2".into());
+    if !(2..=MAX_SEGMENTS).contains(&segments) {
+        return Err(format!("--segments must be between 2 and {MAX_SEGMENTS}"));
     }
     let policy = policy_opt(&options)?;
 
@@ -323,7 +324,11 @@ fn protect(args: &[String]) -> Result<(), String> {
         let split = obf.split(split_seed);
         io::write_circuit(&out_left, &split.left.circuit)?;
         io::write_circuit(&out_right, &split.right.circuit)?;
-        let meta = Meta::from_split(&split, &input.display().to_string());
+        let meta = Meta::from_segments(
+            split.original_qubits,
+            [&split.left, &split.right],
+            &input.display().to_string(),
+        );
         std::fs::write(&meta_path, meta.to_text())
             .map_err(|e| format!("cannot write {}: {e}", meta_path.display()))?;
         println!(
@@ -346,7 +351,11 @@ fn protect(args: &[String]) -> Result<(), String> {
             io::write_circuit(&path, &segment.circuit)?;
             outputs.push(path);
         }
-        let meta = Meta::from_multiway(&split, &input.display().to_string());
+        let meta = Meta::from_segments(
+            split.original_qubits,
+            &split.segments,
+            &input.display().to_string(),
+        );
         std::fs::write(&meta_path, meta.to_text())
             .map_err(|e| format!("cannot write {}: {e}", meta_path.display()))?;
         println!(
@@ -393,27 +402,11 @@ fn recombine_cmd(args: &[String]) -> Result<(), String> {
         .map(|p| io::read_circuit(p))
         .collect::<Result<_, _>>()?;
 
-    // Extend each map over any extra wires the compilers introduced.
-    let mut next = meta.register;
-    let mut maps = meta.ordered_qubit_maps();
-    for (map, circuit) in maps.iter_mut().zip(&circuits) {
-        for w in 0..circuit.num_qubits() {
-            map.entry(qcir::Qubit::new(w)).or_insert_with(|| {
-                let fresh = next;
-                next += 1;
-                qcir::Qubit::new(fresh)
-            });
-        }
-    }
-
-    // Concatenate segments in order on the combined register.
-    let mut restored = Circuit::with_name(next, "recombined");
-    for (circuit, map) in circuits.iter().zip(&maps) {
-        for inst in circuit.iter() {
-            let mapped = inst.remapped(map).map_err(|e| e.to_string())?;
-            restored.push(mapped).map_err(|e| e.to_string())?;
-        }
-    }
+    // Give any extra wires the compilers introduced fresh ancillas, then
+    // concatenate the segments in order on the widened register.
+    let mut segments: Vec<_> = circuits.iter().zip(meta.qubit_maps()).collect();
+    let total = assign_ancillas(meta.register, &mut segments);
+    let restored = concatenate("recombined", total, &segments).map_err(|e| e.to_string())?;
     io::write_circuit(&out, &restored)?;
     println!(
         "recombined {} segments → {} ({} gates over {} wires)",
@@ -1152,41 +1145,45 @@ mod tests {
 
     #[test]
     fn multiway_protect_recombine_roundtrip() {
-        let dir = TestDir::new();
-        let input = dir.demo_circuit();
-        let meta = dir.path("mw.tlk");
-        let prefix = dir.path("mwseg").to_str().unwrap().to_string();
-        let restored = dir.path("mwrestored.qasm");
+        // At 5 and 8 segments some segments of the demo split are empty;
+        // the metadata must still count them.
+        for k in [3, 5, 8] {
+            let dir = TestDir::new();
+            let input = dir.demo_circuit();
+            let meta = dir.path("mw.tlk");
+            let prefix = dir.path("mwseg").to_str().unwrap().to_string();
+            let restored = dir.path("mwrestored.qasm");
 
-        run(&s(&[
-            "protect",
-            input.to_str().unwrap(),
-            "--segments",
-            "3",
-            "--out-prefix",
-            &prefix,
-            "--meta",
-            meta.to_str().unwrap(),
-            "--seed",
-            "5",
-        ]))
-        .unwrap();
+            run(&s(&[
+                "protect",
+                input.to_str().unwrap(),
+                "--segments",
+                &k.to_string(),
+                "--out-prefix",
+                &prefix,
+                "--meta",
+                meta.to_str().unwrap(),
+                "--seed",
+                "5",
+            ]))
+            .unwrap();
 
-        let seg_paths: Vec<String> = (0..3).map(|i| format!("{prefix}{i}.qasm")).collect();
-        for p in &seg_paths {
-            assert!(std::path::Path::new(p).exists(), "{p} missing");
+            let seg_paths: Vec<String> = (0..k).map(|i| format!("{prefix}{i}.qasm")).collect();
+            for p in &seg_paths {
+                assert!(std::path::Path::new(p).exists(), "{p} missing");
+            }
+            let mut args = vec!["recombine".to_string()];
+            args.extend(seg_paths);
+            args.extend(s(&[
+                "--meta",
+                meta.to_str().unwrap(),
+                "--out",
+                restored.to_str().unwrap(),
+                "--verify",
+                input.to_str().unwrap(),
+            ]));
+            run(&args).unwrap_or_else(|e| panic!("k = {k}: {e}"));
         }
-        let mut args = vec!["recombine".to_string()];
-        args.extend(seg_paths);
-        args.extend(s(&[
-            "--meta",
-            meta.to_str().unwrap(),
-            "--out",
-            restored.to_str().unwrap(),
-            "--verify",
-            input.to_str().unwrap(),
-        ]));
-        run(&args).unwrap();
     }
 
     #[test]

@@ -71,12 +71,6 @@ impl SegmentCensus {
         }
     }
 
-    /// Census from explicit per-size counts (`counts[0]` = segments of 1
-    /// qubit).
-    pub fn from_counts(counts: Vec<u64>) -> Self {
-        SegmentCensus { counts }
-    }
-
     /// Largest segment size with a nonzero count.
     pub fn n_max(&self) -> u32 {
         self.counts.len() as u32
@@ -242,12 +236,12 @@ mod tests {
     fn eq1_hand_computation_small() {
         // n = 1, census = one segment of 1 qubit:
         // Σ_{j=0}^{1} C(1,j)² j! = 1 + 1 = 2.
-        let census = SegmentCensus::from_counts(vec![1]);
+        let census = SegmentCensus { counts: vec![1] };
         assert_eq!(tetrislock_complexity(1, &census).unwrap(), 2);
 
         // n = 2, one segment of 2 qubits:
         // j=0: 1, j=1: C(2,1)·C(2,1)·1 = 4, j=2: C(2,2)²·2 = 2 → 7.
-        let census = SegmentCensus::from_counts(vec![0, 1]);
+        let census = SegmentCensus { counts: vec![0, 1] };
         assert_eq!(tetrislock_complexity(2, &census).unwrap(), 7);
     }
 
@@ -297,7 +291,9 @@ mod tests {
 
     #[test]
     fn census_accessors() {
-        let census = SegmentCensus::from_counts(vec![1, 0, 7]);
+        let census = SegmentCensus {
+            counts: vec![1, 0, 7],
+        };
         assert_eq!(census.n_max(), 3);
         assert_eq!(census.count(0), 0);
         assert_eq!(census.count(1), 1);
@@ -309,7 +305,7 @@ mod tests {
 
     #[test]
     fn empty_census_gives_zero() {
-        let census = SegmentCensus::from_counts(vec![]);
+        let census = SegmentCensus { counts: vec![] };
         assert_eq!(tetrislock_complexity(5, &census).unwrap(), 0);
         assert_eq!(tetrislock_complexity_log10(5, &census), f64::NEG_INFINITY);
     }

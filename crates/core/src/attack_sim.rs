@@ -16,7 +16,6 @@
 //!    widths don't reveal the original register size.
 
 use qcir::{Circuit, Qubit};
-use qverify::Verifier;
 use std::collections::BTreeMap;
 
 /// One candidate reassembly: where each right-segment wire landed.
@@ -150,24 +149,6 @@ fn enumerate<F: FnMut(&[u32])>(
     }
 }
 
-/// Builds the strongest oracle the model allows: functional equivalence
-/// with the victim design, decided by the tiered `qverify` engine — so
-/// key-discrimination loops scale past the dense-unitary cap (stimulus
-/// tier for wide registers up to `qsim::statevector::MAX_QUBITS`,
-/// stabilizer tableau for Clifford victims). Each oracle query replays
-/// the candidate on qsim's kernel engine, so per-guess cost tracks the
-/// simulator's stride/fusion/threading improvements directly.
-///
-/// A candidate on a different register size is never a match; anything
-/// short of a definite [`qverify::Verdict::Equivalent`] counts as a
-/// failed reassembly, which is the conservative reading for an attacker.
-pub fn equivalence_oracle<'a>(
-    victim: &'a Circuit,
-    verifier: &'a Verifier,
-) -> impl Fn(&Circuit) -> bool + 'a {
-    move |candidate: &Circuit| verifier.check(victim, candidate).is_equivalent()
-}
-
 /// Number of injective placements of `n_right` wires into a register of
 /// `register` wires — the exact attempt count [`brute_force_reassembly`]
 /// performs (the falling factorial `register·(register−1)⋯`).
@@ -183,6 +164,7 @@ pub fn placement_count(register: u32, n_right: u32) -> u128 {
 mod tests {
     use super::*;
     use crate::obfuscate::Obfuscator;
+    use qverify::Verifier;
 
     fn victim() -> Circuit {
         let mut c = Circuit::with_name(4, "victim");
@@ -228,7 +210,8 @@ mod tests {
         let victim_in_frame = c.remapped(c.num_qubits(), &frame).expect("total frame");
 
         let verifier = Verifier::new();
-        let oracle = equivalence_oracle(&victim_in_frame, &verifier);
+        let oracle =
+            |candidate: &Circuit| verifier.check(&victim_in_frame, candidate).is_equivalent();
         let outcome = brute_force_reassembly(&split.left.circuit, &split.right.circuit, 4, oracle);
         // Exhaustive search with a perfect oracle must recover at least
         // one functional reassembly (the designer's own).
@@ -257,7 +240,7 @@ mod tests {
                 &split.left.circuit,
                 &split.right.circuit,
                 small,
-                equivalence_oracle(&c, &verifier),
+                |candidate: &Circuit| verifier.check(&c, candidate).is_equivalent(),
             );
             assert!(outcome.matches.is_empty());
         }

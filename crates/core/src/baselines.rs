@@ -103,46 +103,6 @@ pub fn saki_cascade_split(circuit: &Circuit, cut_layer: usize) -> (Circuit, Circ
     (left, right)
 }
 
-/// Inserts the swap network Saki et al. place between cascading sections
-/// (a random wire permutation realized with SWAP gates), returning the
-/// permuted right section and the permutation applied.
-pub fn saki_swap_network(right: &Circuit, seed: u64) -> (Circuit, Vec<u32>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = right.num_qubits();
-    // Random permutation via Fisher-Yates.
-    let mut perm: Vec<u32> = (0..n).collect();
-    for i in (1..n as usize).rev() {
-        let j = rng.gen_range(0..=i);
-        perm.swap(i, j);
-    }
-    // Realize the permutation with explicit SWAPs at the section front.
-    let mut out = Circuit::with_name(n, format!("{}_swapped", right.name()));
-    let mut current: Vec<u32> = (0..n).collect();
-    #[allow(clippy::needless_range_loop)] // `current` is mutated while scanning
-    for target_pos in 0..n as usize {
-        let want = perm[target_pos];
-        let at = current
-            .iter()
-            .position(|&w| w == want)
-            .expect("permutation covers all wires");
-        if at != target_pos {
-            out.swap(target_pos as u32, at as u32);
-            current.swap(target_pos, at);
-        }
-    }
-    // Remap the right section through the permutation.
-    let map: std::collections::BTreeMap<qcir::Qubit, qcir::Qubit> = perm
-        .iter()
-        .enumerate()
-        .map(|(pos, &orig)| (qcir::Qubit::new(orig), qcir::Qubit::new(pos as u32)))
-        .collect();
-    let remapped = right.remapped(n, &map).expect("total permutation");
-    for inst in remapped.iter() {
-        out.push(inst.clone()).expect("same register");
-    }
-    (out, perm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,46 +184,5 @@ mod tests {
         let (left, right) = saki_cascade_split(&c, 99);
         assert_eq!(left.gate_count(), c.gate_count());
         assert!(right.is_empty());
-    }
-
-    #[test]
-    fn swap_network_is_a_permutation() {
-        let c = sample();
-        let (_, right) = saki_cascade_split(&c, 1);
-        let (swapped, perm) = saki_swap_network(&right, 7);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-        // The swapped section contains the remapped gates plus SWAPs.
-        assert!(swapped.gate_count() >= right.gate_count());
-    }
-
-    #[test]
-    fn swap_network_preserves_function() {
-        // SWAP prefix followed by remapped gates must equal the original
-        // section's action conjugated by the permutation... the designer
-        // undoes it with the inverse permutation; here we check the
-        // self-consistency: applying the inverse SWAPs restores the wire
-        // order, i.e. swaps-then-remapped == original up to the final
-        // wire relabeling being undone.
-        let c = sample();
-        let (_, right) = saki_cascade_split(&c, 1);
-        let (swapped, perm) = saki_swap_network(&right, 9);
-        // Build the un-permutation circuit (apply inverse mapping with
-        // SWAP gates at the end) and compare against the plain section.
-        let n = right.num_qubits();
-        let mut undo = swapped.clone();
-        // Move wire at position pos (holding original wire perm[pos]) back.
-        let mut current: Vec<u32> = perm.clone();
-        for orig in 0..n {
-            let at = current.iter().position(|&w| w == orig).unwrap();
-            if at as u32 != orig {
-                undo.swap(orig, at as u32);
-                current.swap(orig as usize, at);
-            }
-        }
-        // undo = SWAPs · remapped(right) · SWAPs⁻¹-at-end. The net wire
-        // relabeling cancels, so it should equal `right` as a unitary.
-        assert!(equivalent_up_to_phase(&right, &undo, 1e-9).unwrap());
     }
 }

@@ -14,11 +14,18 @@
 //! * preserve per-wire gate order (the left set is a per-wire prefix), so
 //!   concatenating left ∘ right is a valid topological reordering of the
 //!   obfuscated circuit and de-obfuscation is exact.
+//!
+//! The two-way split is the `k`-way split of [`crate::multiway`] at
+//! `k = 2`: an [`InterlockPattern`] is a staircase of one cut per wire,
+//! drawn by [`MultiwayPattern::random_for`] and applied by the same
+//! assignment loop. This module keeps the two-way types — their fields
+//! and serialized bytes are part of the checkpoint format — and the
+//! `<name>_left` / `<name>_right` segment names.
 
+use crate::multiway::{MultiwayPattern, MultiwaySplit};
 use crate::obfuscate::Obfuscation;
-use qcir::{Circuit, CircuitDag, Qubit};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::recombine::Placement;
+use qcir::{Circuit, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -35,6 +42,12 @@ impl Segment {
     /// Inverse wire map (segment wire → original wire).
     pub fn inverse_map(&self) -> BTreeMap<Qubit, Qubit> {
         self.wire_map.iter().map(|(&k, &v)| (v, k)).collect()
+    }
+
+    /// The segment placed back on the original register: its circuit
+    /// with the inverse wire map.
+    pub fn placement(&self) -> Placement<'_> {
+        (&self.circuit, self.inverse_map())
     }
 }
 
@@ -90,39 +103,17 @@ impl InterlockPattern {
     /// Draws a random interlocking pattern for `obfuscation` that is
     /// guaranteed to separate every inserted pair: for each pair the cut
     /// on its wires falls in `(inverse_layer, forward_layer]`; unrelated
-    /// wires get independent random cuts across the full depth.
+    /// wires get independent random cuts across the full depth. This is
+    /// [`MultiwayPattern::random_for`] at two segments.
     pub fn random_for(obfuscation: &Obfuscation, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let circuit = obfuscation.obfuscated();
-        let depth = circuit.depth();
-        let n = circuit.num_qubits() as usize;
-
-        // Allowed cut interval per wire, initially the full range.
-        let mut lo = vec![0usize; n];
-        let mut hi = vec![depth; n];
-        for pair in &obfuscation.insertion().pairs {
-            for q in &pair.qubits {
-                let i = q.index();
-                lo[i] = lo[i].max(pair.inverse_layer + 1);
-                hi[i] = hi[i].min(pair.forward_layer);
-            }
+        let pattern = MultiwayPattern::random_for(obfuscation, 2, seed);
+        InterlockPattern {
+            cuts: pattern
+                .cuts()
+                .iter()
+                .map(|staircase| staircase[0])
+                .collect(),
         }
-        let cuts: Vec<usize> = (0..n)
-            .map(|i| {
-                if lo[i] > hi[i] {
-                    // Conflicting pairs on one wire cannot happen (spans
-                    // are reserved), but guard anyway.
-                    lo[i]
-                } else {
-                    // Bias unconstrained wires away from cut 0 so the left
-                    // segment carries a genuine `Cl` slice of the circuit
-                    // (Figure 2), not just the R⁻¹ gates.
-                    let lo_i = lo[i].max(1).min(hi[i]);
-                    rng.gen_range(lo_i..=hi[i])
-                }
-            })
-            .collect();
-        InterlockPattern { cuts }
     }
 
     /// Splits the obfuscated circuit along this pattern.
@@ -132,66 +123,30 @@ impl InterlockPattern {
     /// cut of **every** operand wire. Otherwise it goes right and freezes
     /// its wires (everything later on those wires also goes right). This
     /// guarantees the left set is a per-wire prefix, making
-    /// `left ∘ right` a valid reordering.
+    /// `left ∘ right` a valid reordering. It is the floor rule of
+    /// [`MultiwayPattern::split`] at two segments.
     ///
     /// # Panics
     ///
     /// Panics if the pattern's wire count does not match the circuit.
     pub fn split(&self, obfuscation: &Obfuscation) -> SplitPair {
-        let circuit = obfuscation.obfuscated();
-        assert_eq!(
-            self.cuts.len(),
-            circuit.num_qubits() as usize,
-            "pattern covers a different register"
-        );
-        let dag = CircuitDag::new(circuit);
-        let n = circuit.num_qubits();
-
-        let mut frozen = vec![false; n as usize];
-        let mut left = Circuit::with_name(n, format!("{}_left", circuit.name()));
-        let mut right = Circuit::with_name(n, format!("{}_right", circuit.name()));
-        let mut assignment = Vec::with_capacity(circuit.gate_count());
-        for (idx, inst) in circuit.iter().enumerate() {
-            let layer = dag.layer_of(idx);
-            let goes_left = inst
-                .qubits()
-                .iter()
-                .all(|q| !frozen[q.index()] && layer < self.cuts[q.index()]);
-            assignment.push(goes_left);
-            if goes_left {
-                left.push(inst.clone()).expect("same register");
-            } else {
-                for q in inst.qubits() {
-                    frozen[q.index()] = true;
-                }
-                right.push(inst.clone()).expect("same register");
-            }
-        }
-
-        let (left_circuit, left_map) = compact_or_trivial(&left);
-        let (right_circuit, right_map) = compact_or_trivial(&right);
-        SplitPair {
-            left: Segment {
-                circuit: left_circuit,
-                wire_map: left_map,
-            },
-            right: Segment {
-                circuit: right_circuit,
-                wire_map: right_map,
-            },
-            pattern: self.clone(),
-            original_qubits: n,
+        let staircases = self.cuts.iter().map(|&cut| vec![cut]).collect();
+        let name = obfuscation.obfuscated().name();
+        let MultiwaySplit {
+            segments,
+            original_qubits,
             assignment,
+            ..
+        } = MultiwayPattern::new(2, staircases)
+            .split_named(obfuscation, |i| format!("{name}_{}", ["left", "right"][i]));
+        let [left, right]: [Segment; 2] = segments.try_into().expect("two segments");
+        SplitPair {
+            left,
+            right,
+            pattern: self.clone(),
+            original_qubits,
+            assignment: assignment.iter().map(|&segment| segment == 0).collect(),
         }
-    }
-}
-
-/// Compacts a circuit onto its active wires; an empty side yields a
-/// 1-qubit empty circuit with an empty map.
-fn compact_or_trivial(circuit: &Circuit) -> (Circuit, BTreeMap<Qubit, Qubit>) {
-    match circuit.compacted() {
-        Ok(pair) => pair,
-        Err(_) => (Circuit::with_name(1, circuit.name()), BTreeMap::new()),
     }
 }
 

@@ -28,7 +28,7 @@ use crate::insertion::{Insertion, InsertionConfig};
 use crate::interlock::SplitPair;
 use crate::obfuscate::{Obfuscation, Obfuscator};
 use crate::policy::GatePolicy;
-use crate::recombine::recombine_compiled;
+use crate::recombine::{assign_ancillas, recombine_compiled};
 use crate::retry::RetryPolicy;
 use qcir::persist::{self, PersistError};
 use qcir::{Circuit, Qubit};
@@ -302,15 +302,13 @@ impl JobState {
                 self.stage = JobStage::CompileLeft;
             }
             JobStage::CompileLeft => {
-                let split = self.require_split()?;
-                let segment = split.left.clone();
-                self.compiled_left = Some(self.compile_segment(&segment)?);
+                let compiled = self.compile_segment(&self.require_split()?.left)?;
+                self.compiled_left = Some(compiled);
                 self.stage = JobStage::CompileRight;
             }
             JobStage::CompileRight => {
-                let split = self.require_split()?;
-                let segment = split.right.clone();
-                self.compiled_right = Some(self.compile_segment(&segment)?);
+                let compiled = self.compile_segment(&self.require_split()?.right)?;
+                self.compiled_right = Some(compiled);
                 self.stage = JobStage::Recombine;
             }
             JobStage::Recombine => {
@@ -345,9 +343,9 @@ impl JobState {
             .ok_or_else(|| self.stage_err("missing obfuscation product (corrupt stage order)"))
     }
 
-    fn require_split(&self) -> Result<SplitPair, JobError> {
+    fn require_split(&self) -> Result<&SplitPair, JobError> {
         self.split
-            .clone()
+            .as_ref()
             .ok_or_else(|| self.stage_err("missing split product (corrupt stage order)"))
     }
 
@@ -376,29 +374,21 @@ impl JobState {
     /// assigning compiler ancillas fresh wires deterministically (left
     /// segment's ancillas first, then right's).
     fn recombine_stage(&self) -> Result<Circuit, JobError> {
-        let split = self.require_split()?;
+        let register = self.require_split()?.original_qubits;
         let left = self
             .compiled_left
-            .clone()
+            .as_ref()
             .ok_or_else(|| self.stage_err("missing compiled left segment"))?;
         let right = self
             .compiled_right
-            .clone()
+            .as_ref()
             .ok_or_else(|| self.stage_err("missing compiled right segment"))?;
-        let mut next = split.original_qubits;
-        let mut maps = [left.to_original, right.to_original];
-        for (map, circuit) in maps.iter_mut().zip([&left.circuit, &right.circuit]) {
-            for w in 0..circuit.num_qubits() {
-                map.entry(Qubit::new(w)).or_insert_with(|| {
-                    let fresh = next;
-                    next += 1;
-                    Qubit::new(fresh)
-                });
-            }
-        }
-        let [left_map, right_map] = maps;
-        recombine_compiled(next, &left.circuit, &left_map, &right.circuit, &right_map)
-            .map_err(|e| self.stage_err(e.to_string()))
+        let mut segments = [
+            (&left.circuit, left.to_original.clone()),
+            (&right.circuit, right.to_original.clone()),
+        ];
+        let total = assign_ancillas(register, &mut segments);
+        recombine_compiled(total, &segments).map_err(|e| self.stage_err(e.to_string()))
     }
 
     /// Checks the restored circuit against the original design with the

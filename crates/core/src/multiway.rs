@@ -1,21 +1,25 @@
-//! Multi-segment interlocking splits.
+//! The split engine: `k`-way interlocking splits (§IV).
 //!
 //! §IV of the paper: "the circuit can be divided into two *or more*
 //! sub-circuits, which are then compiled separately using different
-//! quantum compilers". This module generalizes the two-way
-//! [`crate::interlock`] split to `k` segments: each wire gets `k−1`
-//! ascending cut columns, gates are assigned to the earliest segment all
-//! their wires still allow (with the same freezing rule that keeps every
-//! segment a per-wire *interval*), and recombination concatenates the
-//! segments in order.
+//! quantum compilers". Each wire gets `k−1` ascending cut columns, gates
+//! are assigned to the earliest segment all their wires still allow
+//! (with a freezing rule that keeps every segment a per-wire
+//! *interval*), and recombination concatenates the segments in order.
 //!
-//! Pair separation generalizes too: for every inserted pair the segment
-//! of `g†` is strictly earlier than the segment of `g`, so no single
-//! compiler can cancel the masking.
+//! Pair separation: for every inserted pair the segment of `g†` is
+//! strictly earlier than the segment of `g`, so no single compiler can
+//! cancel the masking.
+//!
+//! This is the only split implementation. The two-way split of
+//! [`crate::interlock`] is this engine at `k = 2`: an
+//! [`InterlockPattern`](crate::InterlockPattern) is a staircase of one
+//! cut per wire, drawn and applied by the code below.
 
 use crate::error::LockError;
 use crate::interlock::Segment;
 use crate::obfuscate::Obfuscation;
+use crate::recombine::concatenate;
 use qcir::{Circuit, CircuitDag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,8 +64,12 @@ impl MultiwayPattern {
     }
 
     /// Draws a random `k`-way pattern for `obfuscation`, constraining the
-    /// *first* boundary on every pair's wires to separate `g†` from `g`
-    /// (the later boundaries fall anywhere at or after the first).
+    /// *first* boundary on every pair's wires to separate `g†` from `g`:
+    /// it falls in `(inverse_layer, forward_layer]`. Unconstrained wires
+    /// draw their first cut across the full depth, biased away from 0 so
+    /// segment 0 carries a genuine `Cl` slice of the circuit (Figure 2),
+    /// not just the `R⁻¹` gates. The later boundaries fall anywhere at
+    /// or after the first.
     pub fn random_for(obfuscation: &Obfuscation, segments: usize, seed: u64) -> Self {
         assert!(segments >= 2, "need at least two segments");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -69,6 +77,7 @@ impl MultiwayPattern {
         let depth = circuit.depth();
         let n = circuit.num_qubits() as usize;
 
+        // Allowed first-cut interval per wire, initially the full range.
         let mut lo = vec![0usize; n];
         let mut hi = vec![depth; n];
         for pair in &obfuscation.insertion().pairs {
@@ -82,6 +91,8 @@ impl MultiwayPattern {
         let cuts: Vec<Vec<usize>> = (0..n)
             .map(|i| {
                 let first = if lo[i] > hi[i] {
+                    // Conflicting pairs on one wire cannot happen (spans
+                    // are reserved), but guard anyway.
                     lo[i]
                 } else {
                     let lo_i = lo[i].max(1).min(hi[i]);
@@ -106,7 +117,8 @@ impl MultiwayPattern {
             .unwrap_or(self.segments - 1)
     }
 
-    /// Splits the obfuscated circuit into `k` segments.
+    /// Splits the obfuscated circuit into `k` segments named
+    /// `<circuit>_part<i>`.
     ///
     /// Assignment: a gate's tentative segment is the maximum over its
     /// wires of `segment_of(wire, layer)` and of each wire's *floor* (the
@@ -125,6 +137,17 @@ impl MultiwayPattern {
             .attr("wires", circuit.num_qubits())
             .attr("gates", circuit.gate_count())
             .attr("segments", self.segments);
+        self.split_named(obfuscation, |i| format!("{}_part{i}", circuit.name()))
+    }
+
+    /// [`MultiwayPattern::split`] with segment `i` named `name(i)`; the
+    /// one assignment loop behind every split.
+    pub(crate) fn split_named(
+        &self,
+        obfuscation: &Obfuscation,
+        name: impl Fn(usize) -> String,
+    ) -> MultiwaySplit {
+        let circuit = obfuscation.obfuscated();
         assert_eq!(
             self.cuts.len(),
             circuit.num_qubits() as usize,
@@ -135,7 +158,7 @@ impl MultiwayPattern {
 
         let mut floor = vec![0usize; n as usize];
         let mut parts: Vec<Circuit> = (0..self.segments)
-            .map(|i| Circuit::with_name(n, format!("{}_part{}", circuit.name(), i)))
+            .map(|i| Circuit::with_name(n, name(i)))
             .collect();
         let mut assignment = Vec::with_capacity(circuit.gate_count());
         for (idx, inst) in circuit.iter().enumerate() {
@@ -153,6 +176,8 @@ impl MultiwayPattern {
             assignment.push(seg);
         }
 
+        // Compact each part onto its active wires; an empty part becomes
+        // a 1-qubit empty circuit with an empty map.
         let segments = parts
             .into_iter()
             .map(|part| {
@@ -210,18 +235,8 @@ impl MultiwaySplit {
         let _span = qobs::span("core.recombine_multiway")
             .attr("wires", self.original_qubits)
             .attr("segments", self.segments.len());
-        let mut out = Circuit::with_name(self.original_qubits, "recombined_multiway");
-        for segment in &self.segments {
-            let inverse = segment.inverse_map();
-            for inst in segment.circuit.iter() {
-                let mapped = inst
-                    .remapped(&inverse)
-                    .map_err(|e| LockError::Recombine(e.to_string()))?;
-                out.push(mapped)
-                    .map_err(|e| LockError::Recombine(e.to_string()))?;
-            }
-        }
-        Ok(out)
+        let placed: Vec<_> = self.segments.iter().map(Segment::placement).collect();
+        concatenate("recombined_multiway", self.original_qubits, &placed)
     }
 }
 
@@ -304,12 +319,22 @@ mod tests {
     #[test]
     fn two_way_multiway_matches_interlock_semantics() {
         let c = sample();
-        let obf = Obfuscator::new().with_seed(4).obfuscate(&c);
-        let pattern = MultiwayPattern::random_for(&obf, 2, 6);
-        let split = pattern.split(&obf);
-        assert_eq!(split.segments.len(), 2);
-        let restored = split.recombine().unwrap();
-        assert!(equivalent_up_to_phase(&c, &restored, 1e-9).unwrap());
+        for seed in 0..10 {
+            let obf = Obfuscator::new().with_seed(seed).obfuscate(&c);
+            let pattern = MultiwayPattern::random_for(&obf, 2, seed + 6);
+            let split = pattern.split(&obf);
+            assert_eq!(split.segments.len(), 2);
+            let restored = split.recombine().unwrap();
+            assert!(equivalent_up_to_phase(&c, &restored, 1e-9).unwrap());
+            // The two-way split is this engine at k = 2.
+            let pair = crate::InterlockPattern::random_for(&obf, seed + 6).split(&obf);
+            let cuts: Vec<usize> = pattern.cuts().iter().map(|c| c[0]).collect();
+            assert_eq!(pair.pattern.cuts(), &cuts[..]);
+            let left: Vec<bool> = split.assignment.iter().map(|&s| s == 0).collect();
+            assert_eq!(pair.assignment, left);
+            assert_eq!(pair.left.wire_map, split.segments[0].wire_map);
+            assert_eq!(pair.right.wire_map, split.segments[1].wire_map);
+        }
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl Obfuscator {
         self
     }
 
-    /// Sets the maximum number of inserted forward gates.
-    pub fn with_gate_limit(mut self, limit: usize) -> Self {
-        self.config.gate_limit = limit;
-        self
-    }
-
-    /// Sets the gate policy.
-    pub fn with_policy(mut self, policy: crate::policy::GatePolicy) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &InsertionConfig {
         &self.config
@@ -243,9 +231,12 @@ mod tests {
     #[test]
     fn builder_configures() {
         let o = Obfuscator::new()
-            .with_seed(5)
-            .with_gate_limit(2)
-            .with_policy(crate::policy::GatePolicy::Hadamard);
+            .with_config(InsertionConfig {
+                gate_limit: 2,
+                policy: crate::policy::GatePolicy::Hadamard,
+                ..Default::default()
+            })
+            .with_seed(5);
         assert_eq!(o.config().seed, 5);
         assert_eq!(o.config().gate_limit, 2);
     }

@@ -1,16 +1,66 @@
 //! De-obfuscation: recombining split-compiled segments (§IV-B).
 //!
-//! The designer, holding the wire maps, concatenates the two compiled
-//! segments back onto the original register. Because the left segment is
-//! a per-wire prefix of the obfuscated circuit, `left ∘ right` reproduces
-//! `R⁻¹RC = C` exactly; the `R` halves cancel against their `R⁻¹`
-//! partners without any extra correction circuit — this is the paper's
-//! "eliminating redundancies" step.
+//! The designer, holding the wire maps, concatenates the compiled
+//! segments back onto the original register. Because every segment is
+//! a per-wire interval of the obfuscated circuit, concatenating them in
+//! order reproduces `R⁻¹RC = C` exactly; the `R` halves cancel against
+//! their `R⁻¹` partners without any extra correction circuit — this is
+//! the paper's "eliminating redundancies" step.
+//!
+//! Every recombination — raw or compiled, two-way or `k`-way, library,
+//! batch job or CLI — is [`concatenate`], after [`assign_ancillas`]
+//! when the segments went through a compiler.
 
 use crate::error::LockError;
-use crate::interlock::{Segment, SplitPair};
+use crate::interlock::SplitPair;
 use qcir::{Circuit, Qubit};
 use std::collections::BTreeMap;
+
+/// A segment circuit with the map from its wires to register wires.
+pub type Placement<'a> = (&'a Circuit, BTreeMap<Qubit, Qubit>);
+
+/// Remaps each segment through its map and concatenates the segments,
+/// in order, onto a fresh `num_qubits`-wire circuit named `name`.
+///
+/// # Errors
+///
+/// Returns [`LockError::Recombine`] if a segment uses a wire its map
+/// does not cover, or maps a wire past the register.
+pub fn concatenate(
+    name: &str,
+    num_qubits: u32,
+    segments: &[Placement<'_>],
+) -> Result<Circuit, LockError> {
+    let mut out = Circuit::with_name(num_qubits, name);
+    for (circuit, map) in segments {
+        for inst in circuit.iter() {
+            let mapped = inst
+                .remapped(map)
+                .map_err(|e| LockError::Recombine(e.to_string()))?;
+            out.push(mapped)
+                .map_err(|e| LockError::Recombine(e.to_string()))?;
+        }
+    }
+    Ok(out)
+}
+
+/// Gives every wire of a compiled segment that its map does not cover
+/// (the compiler's routing ancillas) a fresh register wire past
+/// `register`: the first segment's ancillas first, each segment's in
+/// wire order. Returns the widened register size.
+pub fn assign_ancillas(register: u32, segments: &mut [Placement<'_>]) -> u32 {
+    let mut next = register;
+    for (circuit, map) in segments.iter_mut() {
+        for w in 0..circuit.num_qubits() {
+            map.entry(Qubit::new(w)).or_insert_with(|| {
+                let fresh = next;
+                next += 1;
+                Qubit::new(fresh)
+            });
+        }
+    }
+    next
+}
 
 /// Recombines a split back into a circuit over the original register.
 ///
@@ -36,16 +86,17 @@ use std::collections::BTreeMap;
 /// ```
 pub fn recombine(split: &SplitPair) -> Result<Circuit, LockError> {
     let _span = qobs::span("core.recombine").attr("wires", split.original_qubits);
-    let mut out = Circuit::with_name(split.original_qubits, "recombined");
-    append_segment(&mut out, &split.left)?;
-    append_segment(&mut out, &split.right)?;
-    Ok(out)
+    concatenate(
+        "recombined",
+        split.original_qubits,
+        &[split.left.placement(), split.right.placement()],
+    )
 }
 
-/// Recombines two independently *compiled* segments. The caller supplies,
-/// for each segment, the compiled circuit together with the map from the
-/// segment's logical wires back to the original register (obtained by
-/// composing the split's wire map with the compiler's final layout).
+/// Recombines independently *compiled* segments. Each segment comes
+/// with the map from its wires to the `num_qubits`-wire register: the
+/// split's inverse wire map, with the compiler's ancillas given fresh
+/// wires by [`assign_ancillas`].
 ///
 /// # Errors
 ///
@@ -53,38 +104,16 @@ pub fn recombine(split: &SplitPair) -> Result<Circuit, LockError> {
 /// overflow.
 pub fn recombine_compiled(
     num_qubits: u32,
-    left: &Circuit,
-    left_to_original: &BTreeMap<Qubit, Qubit>,
-    right: &Circuit,
-    right_to_original: &BTreeMap<Qubit, Qubit>,
+    segments: &[Placement<'_>],
 ) -> Result<Circuit, LockError> {
     let _span = qobs::span("core.recombine_compiled")
         .attr("wires", num_qubits)
-        .attr("gates_left", left.gate_count())
-        .attr("gates_right", right.gate_count());
-    let mut out = Circuit::with_name(num_qubits, "recombined_compiled");
-    for (circuit, map) in [(left, left_to_original), (right, right_to_original)] {
-        for inst in circuit.iter() {
-            let mapped = inst
-                .remapped(map)
-                .map_err(|e| LockError::Recombine(e.to_string()))?;
-            out.push(mapped)
-                .map_err(|e| LockError::Recombine(e.to_string()))?;
-        }
-    }
-    Ok(out)
-}
-
-fn append_segment(out: &mut Circuit, segment: &Segment) -> Result<(), LockError> {
-    let inverse = segment.inverse_map();
-    for inst in segment.circuit.iter() {
-        let mapped = inst
-            .remapped(&inverse)
-            .map_err(|e| LockError::Recombine(e.to_string()))?;
-        out.push(mapped)
-            .map_err(|e| LockError::Recombine(e.to_string()))?;
-    }
-    Ok(())
+        .attr("segments", segments.len())
+        .attr(
+            "gates",
+            segments.iter().map(|(c, _)| c.gate_count()).sum::<usize>(),
+        );
+    concatenate("recombined_compiled", num_qubits, segments)
 }
 
 #[cfg(test)]
@@ -129,18 +158,28 @@ mod tests {
         let mut b = Circuit::new(2);
         b.cx(0, 1);
         let map: BTreeMap<Qubit, Qubit> = (0..2).map(|i| (Qubit::new(i), Qubit::new(i))).collect();
-        let joined = recombine_compiled(2, &a, &map, &b, &map).unwrap();
+        let joined = recombine_compiled(2, &[(&a, map.clone()), (&b, map)]).unwrap();
         assert_eq!(joined.gate_count(), 2);
+
+        // Unmapped wires become ancillas past the register, first
+        // segment first.
+        let a = Circuit::new(3);
+        let b = Circuit::new(2);
+        let map: BTreeMap<Qubit, Qubit> = [(Qubit::new(0), Qubit::new(1))].into();
+        let mut segments = [(&a, map.clone()), (&b, map)];
+        assert_eq!(assign_ancillas(2, &mut segments), 5);
+        let wires = |m: &BTreeMap<Qubit, Qubit>| m.values().map(|q| q.raw()).collect::<Vec<_>>();
+        assert_eq!(wires(&segments[0].1), [1, 2, 3]);
+        assert_eq!(wires(&segments[1].1), [1, 4]);
     }
 
     #[test]
     fn recombine_compiled_rejects_missing_wire() {
         let mut a = Circuit::new(2);
         a.h(1);
-        let empty: BTreeMap<Qubit, Qubit> = BTreeMap::new();
         let b = Circuit::new(1);
         assert!(matches!(
-            recombine_compiled(2, &a, &empty, &b, &empty),
+            recombine_compiled(2, &[(&a, BTreeMap::new()), (&b, BTreeMap::new())]),
             Err(LockError::Recombine(_))
         ));
     }
@@ -151,6 +190,6 @@ mod tests {
         a.h(0);
         let bad: BTreeMap<Qubit, Qubit> = [(Qubit::new(0), Qubit::new(9))].into();
         let b = Circuit::new(1);
-        assert!(recombine_compiled(2, &a, &bad, &b, &bad.clone()).is_err());
+        assert!(recombine_compiled(2, &[(&a, bad.clone()), (&b, bad)]).is_err());
     }
 }

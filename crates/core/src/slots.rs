@@ -133,11 +133,6 @@ impl SlotTable {
         &self.windows[qubit.index()]
     }
 
-    /// All idle windows across wires, ordered by wire then start layer.
-    pub fn all_windows(&self) -> Vec<IdleWindow> {
-        self.windows.iter().flatten().copied().collect()
-    }
-
     /// Empty qubits of a layer (the paper's `empty_positions[layer]`).
     pub fn empty_at(&self, layer: usize) -> &[Qubit] {
         &self.empty_positions[layer]
@@ -147,31 +142,6 @@ impl SlotTable {
     /// bound on how much masking material fits without depth growth.
     pub fn total_empty_slots(&self) -> usize {
         self.empty_positions.iter().map(Vec::len).sum()
-    }
-
-    /// Windows of length ≥ `min_len` on one wire.
-    pub fn windows_at_least(&self, qubit: Qubit, min_len: usize) -> Vec<IdleWindow> {
-        self.windows[qubit.index()]
-            .iter()
-            .filter(|w| w.len() >= min_len)
-            .copied()
-            .collect()
-    }
-
-    /// All column spans `(start, end)` of length ≥ `min_len` where *both*
-    /// wires are simultaneously idle — candidate homes for a CX pair.
-    pub fn pair_windows(&self, a: Qubit, b: Qubit, min_len: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for wa in &self.windows[a.index()] {
-            for wb in &self.windows[b.index()] {
-                if let Some((s, e)) = wa.overlap(wb) {
-                    if e - s >= min_len {
-                        out.push((s, e));
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -228,22 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn pair_windows_require_mutual_idleness() {
-        let c = staircase();
-        let t = SlotTable::new(&c);
-        // q2 idle [0,2), q3 idle [0,4): overlap [0,2).
-        let pw = t.pair_windows(Qubit::new(2), Qubit::new(3), 2);
-        assert_eq!(pw, vec![(0, 2)]);
-        // min_len 3 excludes it.
-        assert!(t.pair_windows(Qubit::new(2), Qubit::new(3), 3).is_empty());
-    }
-
-    #[test]
     fn empty_positions_agree_with_windows() {
         let c = staircase();
         let t = SlotTable::new(&c);
         let empties: usize = (0..t.depth()).map(|l| t.empty_at(l).len()).sum();
-        let window_cells: usize = t.all_windows().iter().map(IdleWindow::len).sum();
+        let window_cells: usize = t.windows.iter().flatten().map(IdleWindow::len).sum();
         assert_eq!(empties, window_cells);
         assert_eq!(t.total_empty_slots(), empties);
     }
@@ -253,7 +212,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1).cx(0, 1);
         let t = SlotTable::new(&c);
-        assert!(t.all_windows().is_empty());
+        assert!(t.windows.iter().all(Vec::is_empty));
         assert_eq!(t.total_empty_slots(), 0);
     }
 
@@ -262,7 +221,7 @@ mod tests {
         let c = Circuit::new(3);
         let t = SlotTable::new(&c);
         assert_eq!(t.depth(), 0);
-        assert!(t.all_windows().is_empty());
+        assert!(t.windows.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Instruction {
         }
     }
 
-    /// `true` if the instruction touches `qubit`.
-    pub fn acts_on(&self, qubit: Qubit) -> bool {
-        self.qubits.contains(&qubit)
-    }
-
     /// Returns a copy with every operand remapped through `map`.
     ///
     /// # Errors

@@ -147,13 +147,6 @@ impl CircuitDag {
         &self.successors[node]
     }
 
-    /// Nodes with no predecessors (the circuit's input frontier).
-    pub fn front_layer(&self) -> Vec<NodeId> {
-        (0..self.predecessors.len())
-            .filter(|&id| self.predecessors[id].is_empty())
-            .collect()
-    }
-
     /// For each layer, the list of idle qubits — the paper's
     /// `empty_positions` table (Algorithm 1, step 1).
     pub fn empty_positions(&self) -> Vec<Vec<Qubit>> {
@@ -161,33 +154,6 @@ impl CircuitDag {
             .iter()
             .map(|layer| layer.empty_qubits(self.num_qubits))
             .collect()
-    }
-
-    /// Qubits idle in *every* column of `0..=last_layer` — candidates for a
-    /// front-region insertion that provably cancels (no intervening gates).
-    pub fn idle_through(&self, last_layer: usize) -> Vec<Qubit> {
-        let mut idle: BTreeSet<Qubit> = (0..self.num_qubits).map(Qubit::new).collect();
-        for layer in self.layers.iter().take(last_layer + 1) {
-            for q in &layer.used_qubits {
-                idle.remove(q);
-            }
-        }
-        idle.into_iter().collect()
-    }
-
-    /// First column in which `qubit` is used by a gate, or `None` if the
-    /// wire is idle for the whole circuit.
-    pub fn first_use(&self, qubit: Qubit) -> Option<usize> {
-        self.layers
-            .iter()
-            .position(|layer| layer.used_qubits.contains(&qubit))
-    }
-
-    /// Last column in which `qubit` is used, or `None` if never used.
-    pub fn last_use(&self, qubit: Qubit) -> Option<usize> {
-        self.layers
-            .iter()
-            .rposition(|layer| layer.used_qubits.contains(&qubit))
     }
 }
 
@@ -257,13 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn front_layer_has_no_predecessors() {
-        let c = sample();
-        let dag = CircuitDag::new(&c);
-        assert_eq!(dag.front_layer(), vec![0, 1]);
-    }
-
-    #[test]
     fn empty_positions_per_layer() {
         let c = sample();
         let dag = CircuitDag::new(&c);
@@ -277,39 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn idle_through_prefix() {
-        let c = sample();
-        let dag = CircuitDag::new(&c);
-        // Through layer 0, qubits 1 and 3 are untouched.
-        assert_eq!(dag.idle_through(0), vec![Qubit::new(1), Qubit::new(3)]);
-        // Through layer 1 everything has been used.
-        assert!(dag.idle_through(1).is_empty());
-    }
-
-    #[test]
-    fn first_and_last_use() {
-        let c = sample();
-        let dag = CircuitDag::new(&c);
-        assert_eq!(dag.first_use(Qubit::new(0)), Some(0));
-        assert_eq!(dag.first_use(Qubit::new(1)), Some(1));
-        assert_eq!(dag.last_use(Qubit::new(3)), Some(1));
-        let mut c5 = Circuit::new(5);
-        c5.x(0);
-        let dag5 = CircuitDag::new(&c5);
-        assert_eq!(dag5.first_use(Qubit::new(4)), None);
-        assert_eq!(dag5.last_use(Qubit::new(4)), None);
-    }
-
-    #[test]
     fn empty_circuit_has_no_layers() {
         let c = Circuit::new(3);
         let dag = CircuitDag::new(&c);
         assert_eq!(dag.num_layers(), 0);
         assert!(dag.empty_positions().is_empty());
-        assert_eq!(
-            dag.idle_through(0),
-            vec![Qubit::new(0), Qubit::new(1), Qubit::new(2)]
-        );
     }
 
     #[test]

@@ -169,20 +169,6 @@ impl Gate {
         )
     }
 
-    /// `true` if the gate carries continuous angle parameters.
-    pub fn is_parametric(&self) -> bool {
-        matches!(
-            self,
-            Gate::Rx(_)
-                | Gate::Ry(_)
-                | Gate::Rz(_)
-                | Gate::P(_)
-                | Gate::U(..)
-                | Gate::CP(_)
-                | Gate::CRz(_)
-        )
-    }
-
     /// `true` if the gate is diagonal in the computational basis.
     pub fn is_diagonal(&self) -> bool {
         matches!(

@@ -83,12 +83,6 @@ impl CircuitStats {
             },
         }
     }
-
-    /// Number of idle wire-layer cells (TetrisLock's insertion capacity).
-    pub fn empty_cells(&self) -> usize {
-        let cells = self.depth * self.qubits as usize;
-        cells - (self.utilization * cells as f64).round() as usize
-    }
 }
 
 impl fmt::Display for CircuitStats {
@@ -137,14 +131,12 @@ mod tests {
         dense.cx(0, 1).cx(0, 1);
         let s = CircuitStats::of(&dense);
         assert!((s.utilization - 1.0).abs() < 1e-12);
-        assert_eq!(s.empty_cells(), 0);
 
         // Half idle: single wire used of two.
         let mut sparse = Circuit::new(2);
         sparse.h(0).h(0);
         let s = CircuitStats::of(&sparse);
         assert!((s.utilization - 0.5).abs() < 1e-12);
-        assert_eq!(s.empty_cells(), 2);
     }
 
     #[test]
@@ -153,7 +145,6 @@ mod tests {
         assert_eq!(s.gates, 0);
         assert_eq!(s.depth, 0);
         assert_eq!(s.utilization, 0.0);
-        assert_eq!(s.empty_cells(), 0);
     }
 
     #[test]

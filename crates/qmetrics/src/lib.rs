@@ -6,7 +6,6 @@
 //!   (paper Eq. 2), the headline obfuscation-quality metric of Figure 4.
 //! * [`accuracy`] — fraction of shots landing on the expected outcome,
 //!   the fidelity proxy of Table I.
-//! * [`hellinger`] — Hellinger distance, a secondary distribution metric.
 //! * [`stats`] — mean/std summaries over experiment iterations (Table I
 //!   reports 20-iteration averages).
 
@@ -87,27 +86,6 @@ pub fn accuracy(counts: &Counts, expected: usize) -> f64 {
     counts.probability(expected)
 }
 
-/// Hellinger distance between two counts dictionaries, in `[0, 1]`.
-pub fn hellinger(a: &Counts, b: &Counts) -> f64 {
-    let ta = a.total();
-    let tb = b.total();
-    if ta == 0 || tb == 0 {
-        return if ta == tb { 0.0 } else { 1.0 };
-    }
-    let keys: std::collections::BTreeSet<usize> = a
-        .iter()
-        .map(|(k, _)| k)
-        .chain(b.iter().map(|(k, _)| k))
-        .collect();
-    let mut bc = 0.0;
-    for k in keys {
-        let pa = a.count(k) as f64 / ta as f64;
-        let pb = b.count(k) as f64 / tb as f64;
-        bc += (pa * pb).sqrt();
-    }
-    (1.0 - bc.min(1.0)).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,17 +153,6 @@ mod tests {
         let a = counts(&[(7, 974), (3, 26)]);
         assert!((accuracy(&a, 7) - 0.974).abs() < 1e-12);
         assert_eq!(accuracy(&counts(&[]), 0), 0.0);
-    }
-
-    #[test]
-    fn hellinger_bounds() {
-        let a = counts(&[(0, 100)]);
-        let b = counts(&[(1, 100)]);
-        assert!((hellinger(&a, &b) - 1.0).abs() < 1e-12);
-        assert_eq!(hellinger(&a, &a), 0.0);
-        let c = counts(&[(0, 50), (1, 50)]);
-        let h = hellinger(&a, &c);
-        assert!(h > 0.0 && h < 1.0);
     }
 
     #[test]

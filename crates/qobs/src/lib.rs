@@ -156,13 +156,6 @@ pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Raise the recording level to at least `min` (never lowers it).
-pub fn raise_level(min: Level) {
-    if level() < min {
-        set_level(min);
-    }
-}
-
 /// True when the current level is at least `min`. This is the hot-path
 /// guard: with `QOBS=off` it is a single relaxed load and compare.
 #[inline]
@@ -570,12 +563,6 @@ impl Span {
             inner.attrs.push((key, value.into()));
         }
         self
-    }
-
-    /// True when this span is actually recording (level was high enough
-    /// at creation time).
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
     }
 }
 

@@ -204,12 +204,6 @@ impl Device {
         &self.noise
     }
 
-    /// Replaces the noise model (e.g. to study noiseless routing).
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// `true` if a two-qubit gate can act directly on `(a, b)`.
     pub fn are_coupled(&self, a: u32, b: u32) -> bool {
         self.coupling
@@ -282,11 +276,5 @@ mod tests {
     #[should_panic(expected = "invalid")]
     fn rejects_bad_coupling() {
         Device::new("bad", 2, vec![(0, 5)], vec!["cx"], NoiseModel::ideal());
-    }
-
-    #[test]
-    fn with_noise_overrides() {
-        let dev = Device::fake_valencia().with_noise(NoiseModel::ideal());
-        assert!(!dev.noise().is_noisy());
     }
 }

@@ -12,6 +12,9 @@
 //!   cache sweeps, and persistent-pool multi-threaded application for
 //!   wide registers (see `docs/qsim.md` in the repository for the
 //!   engine internals and the determinism contract).
+//! * [`statevector::reference`] — the pre-engine naive full-scan loops,
+//!   the one reference the kernel-equivalence suites check the engine
+//!   against and the baseline its speedup is measured from.
 //! * [`unitary`] — full-unitary extraction and equivalence checking used to
 //!   *prove* de-obfuscation correctness in tests.
 //! * [`mod@column`] — sparse single-column simulation
@@ -50,7 +53,6 @@
 
 pub mod column;
 pub mod complex;
-pub mod density;
 pub mod device;
 pub mod error;
 pub(crate) mod exec;
@@ -64,7 +66,6 @@ pub mod unitary;
 
 pub use column::{ColumnProgram, SparseColumn, MAX_COLUMN_QUBITS};
 pub use complex::C64;
-pub use density::DensityMatrix;
 pub use device::Device;
 pub use error::SimError;
 pub use sampler::{Counts, Sampler};

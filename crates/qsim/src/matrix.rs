@@ -114,23 +114,6 @@ impl Matrix {
         out
     }
 
-    /// Kronecker product `self ⊗ rhs`.
-    pub fn kron(&self, rhs: &Matrix) -> Matrix {
-        let dim = self.dim * rhs.dim;
-        let mut out = Matrix::zeros(dim);
-        for i in 0..self.dim {
-            for j in 0..self.dim {
-                let a = self.get(i, j);
-                for k in 0..rhs.dim {
-                    for l in 0..rhs.dim {
-                        out.set(i * rhs.dim + k, j * rhs.dim + l, a * rhs.get(k, l));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// `true` if `U·U† = I` within `eps` per entry.
     pub fn is_unitary(&self, eps: f64) -> bool {
         let product = self.mul(&self.dagger());
@@ -428,17 +411,6 @@ mod tests {
         let ccx = gate_matrix(&Gate::CCX);
         let mcx = gate_matrix(&Gate::Mcx(2));
         assert!(ccx.approx_eq(&mcx, EPS));
-    }
-
-    #[test]
-    fn kron_dimension_and_identity() {
-        let x = gate_matrix(&Gate::X);
-        let i2 = Matrix::identity(2);
-        let k = x.kron(&i2);
-        assert_eq!(k.dim(), 4);
-        assert!(k.is_unitary(EPS));
-        let ii = i2.kron(&i2);
-        assert!(ii.approx_eq(&Matrix::identity(4), EPS));
     }
 
     #[test]

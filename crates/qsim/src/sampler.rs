@@ -103,14 +103,6 @@ impl Counts {
             .map(|(&index, _)| index)
     }
 
-    /// Converts to a `bitstring → count` map (for display/serialization).
-    pub fn to_string_map(&self) -> BTreeMap<String, u64> {
-        self.table
-            .iter()
-            .map(|(&index, &count)| (self.bitstring(index), count))
-            .collect()
-    }
-
     /// Marginalizes onto the given qubits (in the given order: entry 0 of
     /// `keep` becomes bit 0 of the marginal outcome).
     pub fn marginal(&self, keep: &[u32]) -> Counts {

@@ -616,13 +616,25 @@ fn compose_run(gates: &[&Gate]) -> Mat2 {
     Mat2::from_matrix(&acc)
 }
 
-/// The pre-kernel-engine naive loops, kept verbatim as the ground-truth
-/// reference for the kernel-equivalence suite (`cargo test -p qsim --
-/// kernels`): every new code path — stride, fused, threaded — must
-/// reproduce these amplitudes to ≤ 1e-12.
-#[cfg(test)]
-pub(crate) mod reference {
+/// The pre-kernel-engine naive full-scan loops, kept verbatim and kept
+/// once. They are the ground-truth reference for the kernel-equivalence
+/// suites (`cargo test -p qsim -- kernels`, `tests/properties.rs`):
+/// every engine path — stride, fused, threaded — must reproduce these
+/// amplitudes to ≤ 1e-12. They are also the recorded performance
+/// baseline that `perfdump` and the Criterion simulator bench measure
+/// the engine against on every run, so the speedup in
+/// `BENCH_qsim.json` is measured, not historical.
+pub mod reference {
     use super::*;
+
+    /// Runs `circuit` on `|0…0⟩` with the naive kernels and returns the
+    /// final amplitudes.
+    pub fn from_circuit(circuit: &Circuit) -> Vec<C64> {
+        let mut amps = vec![C64::ZERO; 1usize << circuit.num_qubits()];
+        amps[0] = C64::ONE;
+        apply_circuit(&mut amps, circuit);
+        amps
+    }
 
     /// Applies every instruction of `circuit` with the naive kernels.
     pub fn apply_circuit(amps: &mut [C64], circuit: &Circuit) {

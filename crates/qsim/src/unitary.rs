@@ -75,21 +75,6 @@ pub fn equivalent_up_to_phase(a: &Circuit, b: &Circuit, eps: f64) -> Result<bool
     Ok(ua.approx_eq_up_to_phase(&ub, eps))
 }
 
-/// `true` if the circuits act identically on the all-zeros input (weaker
-/// than full equivalence; what shot-based experiments observe).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn same_output_on_zero(a: &Circuit, b: &Circuit, eps: f64) -> Result<bool, SimError> {
-    let sa = Statevector::from_circuit(a)?;
-    let sb = Statevector::from_circuit(b)?;
-    if sa.num_qubits() != sb.num_qubits() {
-        return Ok(false);
-    }
-    Ok(sa.approx_eq_up_to_phase(&sb, eps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,19 +125,6 @@ mod tests {
     fn mismatched_sizes_not_equivalent() {
         let a = Circuit::new(1);
         let b = Circuit::new(2);
-        assert!(!equivalent_up_to_phase(&a, &b, EPS).unwrap());
-        assert!(!same_output_on_zero(&a, &b, EPS).unwrap());
-    }
-
-    #[test]
-    fn same_output_is_weaker_than_equivalence() {
-        // CZ acts trivially on |00>, so it matches identity on zero but is
-        // not the identity unitary.
-        let mut a = Circuit::new(2);
-        a.cz(0, 1);
-        let b = Circuit::new(2);
-        assert!(same_output_on_zero(&a, &b, EPS).unwrap());
-        // (CZ *is* diagonal with a -1 on |11>, so full equivalence fails.)
         assert!(!equivalent_up_to_phase(&a, &b, EPS).unwrap());
     }
 

@@ -12,12 +12,10 @@
 //! cargo run -p examples --bin untrusted_compiler_flow --release
 //! ```
 
-use qcir::{Circuit, Qubit};
 use qcompile::{OptimizationLevel, Transpiler};
 use qmetrics::accuracy;
 use qsim::{Device, Sampler};
-use std::collections::BTreeMap;
-use tetrislock::recombine::recombine_compiled;
+use tetrislock::recombine::{assign_ancillas, recombine_compiled};
 use tetrislock::Obfuscator;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -75,12 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let right_logical = compiled_right.into_logical_circuit();
 
     let n_orig = circuit.num_qubits();
-    let (left_map, next) = segment_to_original(&split.left.wire_map, &left_logical, n_orig, n_orig);
-    let (right_map, total) =
-        segment_to_original(&split.right.wire_map, &right_logical, n_orig, next);
-
-    let recombined =
-        recombine_compiled(total, &left_logical, &left_map, &right_logical, &right_map)?;
+    let mut segments = [
+        (&left_logical, split.left.inverse_map()),
+        (&right_logical, split.right.inverse_map()),
+    ];
+    let total = assign_ancillas(n_orig, &mut segments);
+    let recombined = recombine_compiled(total, &segments)?;
     println!(
         "recombined executable circuit: {} gates over {} wires",
         recombined.gate_count(),
@@ -112,24 +110,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ((acc_orig - acc_rest) / acc_orig * 100.0).abs()
     );
     Ok(())
-}
-
-/// Extends a segment→original wire map to cover a compiled segment's
-/// extra (routing) wires with fresh indices starting at `next_free`.
-fn segment_to_original(
-    split_map: &BTreeMap<Qubit, Qubit>,
-    logical_circuit: &Circuit,
-    _n_orig: u32,
-    mut next_free: u32,
-) -> (BTreeMap<Qubit, Qubit>, u32) {
-    // split_map: original wire -> segment wire. Invert it.
-    let mut map: BTreeMap<Qubit, Qubit> = split_map.iter().map(|(&o, &s)| (s, o)).collect();
-    for w in 0..logical_circuit.num_qubits() {
-        map.entry(Qubit::new(w)).or_insert_with(|| {
-            let fresh = next_free;
-            next_free += 1;
-            Qubit::new(fresh)
-        });
-    }
-    (map, next_free)
 }

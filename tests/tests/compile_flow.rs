@@ -2,31 +2,12 @@
 //! transpilation by different "untrusted compilers" and recombine to the
 //! original function.
 
-use qcir::{Circuit, Qubit};
+use qcir::Circuit;
 use qcompile::{OptimizationLevel, Transpiler};
 use qsim::unitary::equivalent_up_to_phase;
 use qsim::{Device, Statevector};
-use std::collections::BTreeMap;
-use tetrislock::recombine::recombine_compiled;
+use tetrislock::recombine::{assign_ancillas, recombine_compiled};
 use tetrislock::Obfuscator;
-
-/// Extends the (inverted) split wire map to cover a compiled segment's
-/// routing wires with fresh indices.
-fn segment_map(
-    split_map: &BTreeMap<Qubit, Qubit>,
-    logical: &Circuit,
-    mut next_free: u32,
-) -> (BTreeMap<Qubit, Qubit>, u32) {
-    let mut map: BTreeMap<Qubit, Qubit> = split_map.iter().map(|(&o, &s)| (s, o)).collect();
-    for w in 0..logical.num_qubits() {
-        map.entry(Qubit::new(w)).or_insert_with(|| {
-            let fresh = next_free;
-            next_free += 1;
-            Qubit::new(fresh)
-        });
-    }
-    (map, next_free)
-}
 
 fn end_to_end(circuit: &Circuit, seed: u64) -> Circuit {
     let obf = Obfuscator::new().with_seed(seed).obfuscate(circuit);
@@ -48,9 +29,12 @@ fn end_to_end(circuit: &Circuit, seed: u64) -> Circuit {
         .into_logical_circuit();
 
     let n = circuit.num_qubits();
-    let (lmap, next) = segment_map(&split.left.wire_map, &left, n);
-    let (rmap, total) = segment_map(&split.right.wire_map, &right, next);
-    recombine_compiled(total, &left, &lmap, &right, &rmap).expect("maps are total")
+    let mut segments = [
+        (&left, split.left.inverse_map()),
+        (&right, split.right.inverse_map()),
+    ];
+    let total = assign_ancillas(n, &mut segments);
+    recombine_compiled(total, &segments).expect("maps are total")
 }
 
 /// Checks the recombined-compiled circuit acts like the original on the

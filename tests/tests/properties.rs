@@ -161,8 +161,8 @@ proptest! {
 // Kernel equivalence: the layered engine vs the pre-engine naive loops
 // ---------------------------------------------------------------------------
 //
-// `bench::naive` keeps the original full-scan statevector loops as the
-// recorded baseline. Every engine configuration — stride kernels, the
+// `qsim::statevector::reference` keeps the original full-scan
+// statevector loops as the reference. Every engine configuration — stride kernels, the
 // lane-blocked SIMD-friendly pair loops, cost-model-gated fusion,
 // layer-blocked sweeps, and the pooled threaded drivers — must agree
 // with it on arbitrary circuits over the full gate-dispatch surface.
@@ -191,7 +191,7 @@ fn engine_configs() -> Vec<ExecConfig> {
 /// Largest per-component deviation between the engine run under
 /// `config` and the naive reference amplitudes.
 fn deviation_vs_naive(circuit: &Circuit, config: &ExecConfig) -> f64 {
-    let reference = bench::naive::from_circuit(circuit);
+    let reference = qsim::statevector::reference::from_circuit(circuit);
     let mut sv = Statevector::zero(circuit.num_qubits()).expect("within cap");
     sv.apply_circuit_with(circuit, config).expect("fits");
     sv.amplitudes()

@@ -6,14 +6,12 @@
 //! distributionally (`qmetrics`), and round-tripped through OpenQASM
 //! (`qcir`).
 
-use qcir::{Circuit, Qubit};
 use qcompile::{OptimizationLevel, Transpiler};
 use qmetrics::{accuracy, tvd};
 use qsim::unitary::equivalent_up_to_phase;
 use qsim::{Device, Sampler, Statevector};
 use revlib::adder_1bit;
-use std::collections::BTreeMap;
-use tetrislock::recombine::{recombine, recombine_compiled};
+use tetrislock::recombine::{assign_ancillas, recombine, recombine_compiled};
 use tetrislock::Obfuscator;
 
 const SEED: u64 = 2025;
@@ -69,10 +67,12 @@ fn paper_pipeline_end_to_end() {
     //    circuit computes the original function (data wires agree on the
     //    all-zeros input; routing ancillas start and end in |0⟩).
     let n = original.num_qubits();
-    let (lmap, next_free) = extend_map(&split.left.wire_map, &left, n);
-    let (rmap, total) = extend_map(&split.right.wire_map, &right, next_free);
-    let assembled =
-        recombine_compiled(total, &left, &lmap, &right, &rmap).expect("wire maps are total");
+    let mut segments = [
+        (&left, split.left.inverse_map()),
+        (&right, split.right.inverse_map()),
+    ];
+    let total = assign_ancillas(n, &mut segments);
+    let assembled = recombine_compiled(total, &segments).expect("wire maps are total");
     let expected = Statevector::from_circuit(original).expect("fits");
     let actual = Statevector::from_circuit(&assembled).expect("fits");
     let mut marginal = vec![0.0f64; 1usize << n];
@@ -100,22 +100,4 @@ fn paper_pipeline_end_to_end() {
     let qasm = qcir::qasm::to_qasm(&restored);
     let back = qcir::qasm::from_qasm(&qasm).expect("emitted QASM parses");
     assert_eq!(back.instructions(), restored.instructions());
-}
-
-/// Inverts a split wire map (original → segment) into segment → original
-/// and extends it with fresh wires for the compiler's routing ancillas.
-fn extend_map(
-    split_map: &BTreeMap<Qubit, Qubit>,
-    logical: &Circuit,
-    mut next_free: u32,
-) -> (BTreeMap<Qubit, Qubit>, u32) {
-    let mut map: BTreeMap<Qubit, Qubit> = split_map.iter().map(|(&o, &s)| (s, o)).collect();
-    for wire in 0..logical.num_qubits() {
-        map.entry(Qubit::new(wire)).or_insert_with(|| {
-            let fresh = next_free;
-            next_free += 1;
-            Qubit::new(fresh)
-        });
-    }
-    (map, next_free)
 }
