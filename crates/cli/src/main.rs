@@ -1145,8 +1145,8 @@ mod tests {
 
     #[test]
     fn multiway_protect_recombine_roundtrip() {
-        // At 5 and 8 segments some segments of the demo split are empty;
-        // the metadata must still count them.
+        // At 8 segments the last three segments of the demo split are
+        // empty; the metadata must still count them.
         for k in [3, 5, 8] {
             let dir = TestDir::new();
             let input = dir.demo_circuit();
