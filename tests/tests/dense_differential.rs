@@ -15,6 +15,12 @@
 //! compiled, against `C`), and seeded Clifford+T pairs at ≤ 12 qubits
 //! with few Hadamards (sparse columns) and many (budget trips, so the
 //! statevector fallback decides).
+//!
+//! The same rule re-checks the ZX tier's column witnesses: on every
+//! stripped-key and Clifford+T pair where a forced `check_zx` returns a
+//! basis-column or relative-phase witness, the exact columns must show
+//! the overlap deficit at `input`, or the phase mismatch between
+//! `input_a` and `input_b`.
 
 use qcir::Circuit;
 use qsim::unitary::circuit_unitary;
@@ -53,18 +59,29 @@ fn reference(a: &Circuit, b: &Circuit, columns: impl Iterator<Item = u64>) -> Ex
     let n = a.num_qubits();
     let matrices = (n <= MATRIX_MAX_QUBITS)
         .then(|| (circuit_unitary(a).unwrap(), circuit_unitary(b).unwrap()));
-    let overlap = |col: u64| -> C64 {
-        match &matrices {
-            Some((ua, ub)) => (0..1usize << n)
+    match &matrices {
+        Some((ua, ub)) => decide(columns, |col| {
+            (0..1usize << n)
                 .map(|row| ua.get(row, col as usize).conj() * ub.get(row, col as usize))
-                .sum(),
-            None => unitary_column(a, col)
-                .iter()
-                .zip(unitary_column(b, col))
-                .map(|(x, y)| x.conj() * y)
-                .sum(),
-        }
-    };
+                .sum()
+        }),
+        None => decide(columns, |col| column_overlap(a, b, col)),
+    }
+}
+
+/// `⟨A·col|B·col⟩` from two exact unitary columns.
+fn column_overlap(a: &Circuit, b: &Circuit, col: u64) -> C64 {
+    unitary_column(a, col)
+        .iter()
+        .zip(unitary_column(b, col))
+        .map(|(x, y)| x.conj() * y)
+        .sum()
+}
+
+/// The decision rule itself: a column whose overlap misses 1 by more
+/// than `EPS` diverges; one whose overlap differs from the first
+/// column's by more than the phase tolerance is a relative phase.
+fn decide(columns: impl Iterator<Item = u64>, overlap: impl Fn(u64) -> C64) -> Expected {
     let tolerance = EPS * 10.0;
     let mut first: Option<(u64, C64)> = None;
     for col in columns {
@@ -214,9 +231,11 @@ fn clifford_t(n: u32, gates: usize, max_h: usize, seed: u64) -> Circuit {
     c
 }
 
-#[test]
-fn seeded_clifford_t_pairs_match_unitary_columns() {
-    let mut kinds = [0usize; 3];
+/// The seeded Clifford+T pairs: for each width and Hadamard budget, a
+/// base circuit against identity noise, a diagonal residue and a bit
+/// flip.
+fn clifford_t_pairs() -> Vec<(String, Circuit, Circuit)> {
+    let mut pairs = Vec::new();
     for (k, &n) in [3u32, 5, 7, 9, 12].iter().enumerate() {
         for max_h in [2usize, 3 * n as usize] {
             let seed = 100 * k as u64 + max_h as u64;
@@ -229,30 +248,87 @@ fn seeded_clifford_t_pairs_match_unitary_columns() {
             let mut flipped = a.clone();
             flipped.x(n / 2);
             for (label, b) in [("same", same), ("phase", phase), ("flipped", flipped)] {
-                let label = format!("{n}q max_h={max_h} {label}");
-                if n > MATRIX_MAX_QUBITS && label.ends_with("same") {
-                    // Full 12-qubit reference only on the diverging
-                    // pairs, which stop at their first divergence.
-                    assert_eq!(dense_verdict(&a, &b), Expected::Equivalent, "{label}");
-                    continue;
-                }
-                let got = if n > MATRIX_MAX_QUBITS {
-                    let got = dense_verdict(&a, &b);
-                    assert_eq!(got, reference(&a, &b, 0..1u64 << n), "{label}");
-                    got
-                } else {
-                    assert_agrees(&label, &a, &b)
-                };
-                kinds[match got {
-                    Expected::Equivalent => 0,
-                    Expected::BasisColumn(_) => 1,
-                    Expected::RelativePhase(..) => 2,
-                }] += 1;
+                pairs.push((format!("{n}q max_h={max_h} {label}"), a.clone(), b));
             }
         }
+    }
+    pairs
+}
+
+#[test]
+fn seeded_clifford_t_pairs_match_unitary_columns() {
+    let mut kinds = [0usize; 3];
+    for (label, a, b) in clifford_t_pairs() {
+        let n = a.num_qubits();
+        if n > MATRIX_MAX_QUBITS && label.ends_with("same") {
+            // Full 12-qubit reference only on the diverging
+            // pairs, which stop at their first divergence.
+            assert_eq!(dense_verdict(&a, &b), Expected::Equivalent, "{label}");
+            continue;
+        }
+        let got = if n > MATRIX_MAX_QUBITS {
+            let got = dense_verdict(&a, &b);
+            assert_eq!(got, reference(&a, &b, 0..1u64 << n), "{label}");
+            got
+        } else {
+            assert_agrees(&label, &a, &b)
+        };
+        kinds[match got {
+            Expected::Equivalent => 0,
+            Expected::BasisColumn(_) => 1,
+            Expected::RelativePhase(..) => 2,
+        }] += 1;
     }
     assert!(
         kinds.iter().all(|&k| k > 0),
         "every verdict kind covered: {kinds:?}"
+    );
+}
+
+/// Re-checks a forced ZX tier's column witness for `(a, b)` against
+/// exact unitary columns with the rule above. Returns the witness kind
+/// it confirmed, or `None` when ZX decided without one (or not at all).
+fn zx_witness_holds(label: &str, a: &Circuit, b: &Circuit) -> Option<Expected> {
+    let report = Verifier::new().check_zx(a, b)?;
+    let (columns, expected) = match report.verdict {
+        Verdict::Inequivalent {
+            witness: Witness::BasisColumn { input, overlap },
+        } => {
+            assert!(overlap < 1.0 - EPS, "{label}: overlap {overlap}");
+            (vec![input], Expected::BasisColumn(input))
+        }
+        Verdict::Inequivalent {
+            witness: Witness::RelativePhase { input_a, input_b },
+        } => (
+            vec![input_a, input_b],
+            Expected::RelativePhase(input_a, input_b),
+        ),
+        _ => return None,
+    };
+    let got = decide(columns.into_iter(), |col| column_overlap(a, b, col));
+    assert_eq!(got, expected, "{label}: ZX witness not confirmed");
+    Some(got)
+}
+
+#[test]
+fn zx_column_witnesses_hold_on_unitary_columns() {
+    // The ZX tier's witness replay and the dense tier decide the same
+    // column question; every basis-column or relative-phase witness
+    // ZX certifies must hold on the exact columns.
+    let mut kinds = [0usize; 2];
+    let stripped = revlib::table1_benchmarks().into_iter().map(|bench| {
+        let (a, wrong) = stripped_key_pair(bench.circuit(), 1);
+        (format!("{} stripped key", bench.name()), a, wrong)
+    });
+    for (label, a, b) in stripped.chain(clifford_t_pairs()) {
+        match zx_witness_holds(&label, &a, &b) {
+            Some(Expected::BasisColumn(_)) => kinds[0] += 1,
+            Some(Expected::RelativePhase(..)) => kinds[1] += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "both column witness kinds covered: {kinds:?}"
     );
 }
