@@ -31,7 +31,8 @@ fn bench_noisy_shots(c: &mut Criterion) {
     let mut group = c.benchmark_group("noisy_1000_shots");
     group.sample_size(10);
     for bench in [adder_1bit(), rd53(), rd84()] {
-        let device = bench::device_for(bench.circuit().num_qubits());
+        let device = tetrislock::job::device_for("valencia", bench.circuit().num_qubits())
+            .expect("valencia fits any width");
         group.bench_with_input(
             BenchmarkId::from_parameter(bench.name()),
             bench.circuit(),

@@ -10,10 +10,10 @@
 //! cargo run -p bench --bin ablations --release
 //! ```
 
-use bench::device_for;
 use qmetrics::stats::summarize;
 use qmetrics::tvd_vs_ideal;
 use qsim::Sampler;
+use tetrislock::job::device_for;
 use tetrislock::multiway::MultiwayPattern;
 use tetrislock::{GatePolicy, InsertionConfig, Obfuscator};
 
@@ -23,7 +23,7 @@ const SHOTS: u64 = 1000;
 fn main() {
     let bench = revlib::rd53();
     let circuit = bench.circuit();
-    let device = device_for(circuit.num_qubits());
+    let device = device_for("valencia", circuit.num_qubits()).expect("valencia fits any width");
     let expected = bench.expected_output();
 
     println!("== ablation 1: insertion budget (rd53, X/CX policy) ==");

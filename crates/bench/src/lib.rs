@@ -14,8 +14,9 @@
 
 use qmetrics::stats::{percent_change, summarize, Summary};
 use qmetrics::{accuracy, tvd_vs_ideal};
-use qsim::{Device, Sampler};
+use qsim::Sampler;
 use revlib::Benchmark;
+use tetrislock::job::device_for;
 use tetrislock::recombine::recombine;
 use tetrislock::{InsertionConfig, Obfuscator};
 
@@ -26,17 +27,6 @@ pub const SHOTS: u64 = 1000;
 /// Iterations per data point, matching Table I ("averages of 20
 /// iterations").
 pub const ITERATIONS: u64 = 20;
-
-/// Picks the noisy device hosting a benchmark: the 5-qubit FakeValencia
-/// model when it fits, otherwise the widened FakeValencia-style device
-/// (see DESIGN.md §2 on this substitution).
-pub fn device_for(num_qubits: u32) -> Device {
-    if num_qubits <= 5 {
-        Device::fake_valencia()
-    } else {
-        Device::fake_valencia_extended(num_qubits)
-    }
-}
 
 /// One row of Table I.
 #[derive(Debug, Clone)]
@@ -75,7 +65,7 @@ pub struct TableRow {
 /// Panics if simulation fails (register too large for the simulator).
 pub fn table1_row(bench: &Benchmark, iterations: u64, shots: u64) -> TableRow {
     let circuit = bench.circuit();
-    let device = device_for(circuit.num_qubits());
+    let device = device_for("valencia", circuit.num_qubits()).expect("valencia fits any width");
     let expected = bench.expected_output();
 
     let mut depth_obf = Vec::new();
@@ -161,7 +151,7 @@ impl TvdPoint {
 /// Panics if simulation fails.
 pub fn fig4_point(bench: &Benchmark, iterations: u64, shots: u64) -> TvdPoint {
     let circuit = bench.circuit();
-    let device = device_for(circuit.num_qubits());
+    let device = device_for("valencia", circuit.num_qubits()).expect("valencia fits any width");
     let expected = bench.expected_output();
 
     let mut obfuscated = Vec::new();
@@ -206,14 +196,6 @@ pub fn bar(value: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn device_selection_by_size() {
-        assert_eq!(device_for(4).name(), "fake_valencia");
-        assert_eq!(device_for(5).name(), "fake_valencia");
-        assert!(device_for(7).name().contains("ext7"));
-        assert!(device_for(12).name().contains("ext12"));
-    }
 
     #[test]
     fn table1_row_smoke() {

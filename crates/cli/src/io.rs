@@ -39,12 +39,12 @@ fn extension(path: &Path) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
     #[test]
     fn qasm_roundtrip_via_files() {
-        let dir = std::env::temp_dir().join("tlk_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.qasm");
+        let dir = TestDir::new();
+        let path = dir.path("t.qasm");
         let mut c = Circuit::with_name(2, "t");
         c.h(0).cx(0, 1);
         write_circuit(&path, &c).unwrap();
@@ -54,9 +54,8 @@ mod tests {
 
     #[test]
     fn real_roundtrip_via_files() {
-        let dir = std::env::temp_dir().join("tlk_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.real");
+        let dir = TestDir::new();
+        let path = dir.path("t.real");
         let mut c = Circuit::with_name(3, "t");
         c.ccx(0, 1, 2).cx(0, 1).x(2);
         write_circuit(&path, &c).unwrap();
@@ -72,9 +71,8 @@ mod tests {
 
     #[test]
     fn real_rejects_quantum_gates() {
-        let dir = std::env::temp_dir().join("tlk_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.real");
+        let dir = TestDir::new();
+        let path = dir.path("h.real");
         let mut c = Circuit::new(1);
         c.h(0);
         assert!(write_circuit(&path, &c).is_err());

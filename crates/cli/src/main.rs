@@ -465,13 +465,16 @@ Tier selection — the cheapest applicable decision procedure wins:
                  a relative-phase witness (the diagonal-residue shape,
                  e.g. T vs Tdg). With no confirmed witness the stall
                  proves nothing and falls through.
-  dense-unitary  <= {dense} qubits. Exact comparison of every basis column,
-                 each run on a sparse support map (cost 2^n * gates *
-                 support). Pruned amplitudes are an explicit error bound
-                 charged against the tolerance; a column that bound could
-                 flip, or one past the support budget, switches the check
-                 to statevectors. Produces a concrete witness (basis
-                 column or relative phase) on failure.
+  dense-unitary  <= {dense} qubits. Exact check of every diagonal entry
+                 <x|C2^dag*C1|x> of one miter column, run on a sparse
+                 support map (cost 2^n * gates * support): one miter
+                 column, one rule, one tolerance (EPS = {eps:e}), the same
+                 column and rule the zx-calculus witness replay uses.
+                 Pruned amplitudes are an explicit error bound charged
+                 against EPS; an entry that bound could flip, or one past
+                 the support budget, switches the check to statevectors.
+                 Produces a concrete witness (basis column or relative
+                 phase) on failure.
   stimulus       <= {stimulus} qubits. Statistical: the miter runs on --trials
                  random product states (default 16), in parallel. A
                  failed trial is a concrete, reproducible witness; a
@@ -493,6 +496,7 @@ Exit status: 0 iff equivalent, 1 otherwise (including inconclusive).
         stimulus = qverify::MAX_STIMULUS_QUBITS,
         column = qverify::MAX_COLUMN_QUBITS,
         budget = qsim::column::MAX_SUPPORT_BUDGET,
+        eps = qverify::EPS,
     )
 }
 
@@ -956,18 +960,21 @@ fn parse_opt<T: std::str::FromStr>(
     }
 }
 
+/// Scratch directories for the unit tests of every module.
 #[cfg(test)]
-mod tests {
-    use super::*;
+mod test_dir {
+    use crate::io;
+    use qcir::Circuit;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A scratch directory unique to one test (pid + counter), so
     /// tests running in parallel, or concurrent runs of the suite, never
     /// share a file. Removed on drop.
-    struct TestDir(PathBuf);
+    pub(crate) struct TestDir(PathBuf);
 
     impl TestDir {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             static NEXT: AtomicUsize = AtomicUsize::new(0);
             let dir = std::env::temp_dir().join(format!(
                 "tlk_cli_test-{}-{}",
@@ -980,12 +987,12 @@ mod tests {
             TestDir(dir)
         }
 
-        fn path(&self, name: &str) -> PathBuf {
+        pub(crate) fn path(&self, name: &str) -> PathBuf {
             self.0.join(name)
         }
 
         /// Writes the 4-qubit demo circuit into the directory.
-        fn demo_circuit(&self) -> PathBuf {
+        pub(crate) fn demo_circuit(&self) -> PathBuf {
             let path = self.path("demo.qasm");
             let mut c = Circuit::with_name(4, "demo");
             c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).x(3).cx(3, 2);
@@ -999,6 +1006,12 @@ mod tests {
             let _ = std::fs::remove_dir_all(&self.0);
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_dir::TestDir;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()

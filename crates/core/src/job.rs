@@ -441,7 +441,9 @@ impl JobState {
 }
 
 /// Resolves a device spec string (`ideal`, `valencia`, `linear:<n>`)
-/// for a circuit of `n` qubits.
+/// for a circuit of `n` qubits. `valencia` is the 5-qubit FakeValencia
+/// model when the circuit fits, otherwise the widened FakeValencia-style
+/// device (see DESIGN.md §2 on this substitution).
 ///
 /// # Errors
 ///
@@ -1032,8 +1034,12 @@ mod tests {
     #[test]
     fn device_specs_resolve() {
         assert!(device_for("ideal", 4).is_ok());
-        assert!(device_for("valencia", 4).is_ok());
-        assert!(device_for("valencia", 9).is_ok());
+        let valencia = |n| device_for("valencia", n).unwrap().name().to_string();
+        assert_eq!(valencia(4), "fake_valencia");
+        assert_eq!(valencia(5), "fake_valencia");
+        assert!(valencia(7).contains("ext7"));
+        assert!(valencia(9).contains("ext9"));
+        assert!(valencia(12).contains("ext12"));
         assert!(device_for("linear:6", 4).is_ok());
         assert!(device_for("linear:2", 4).is_err());
         assert!(device_for("quantum9000", 4).is_err());

@@ -42,12 +42,13 @@
 //! let mut c = Circuit::new(2);
 //! c.h(0).cx(0, 1);
 //!
-//! let dir = std::env::temp_dir().join("qcir-persist-doc");
+//! let dir = std::env::temp_dir().join(format!("qcir-persist-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("bell.bin");
 //! persist::save(&path, &c).unwrap();
 //! let back: Circuit = persist::load(&path).unwrap();
 //! assert_eq!(back, c);
+//! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 use serde::codec::DecodeError;

@@ -1,10 +1,10 @@
 //! Sparse single-column simulation: the exact-check engine.
 //!
-//! Two verifier questions need single columns `C|x⟩` of a circuit, not
-//! the whole unitary: the dense tier compares two circuits column by
-//! column, and the ZX tier's witness replay needs one diagonal entry
-//! `⟨x|M|x⟩` of a miter. A dense statevector answers both by pushing
-//! all `2ⁿ` amplitudes through every gate. But a column usually has
+//! The verifier's exact column check needs single columns `C|x⟩` of a
+//! circuit, not the whole unitary: the dense tier and the ZX tier's
+//! witness replay both judge diagonal entries `⟨x|M|x⟩` of a miter
+//! `M = C₂†C₁`, one basis input at a time. A dense statevector answers
+//! that by pushing all `2ⁿ` amplitudes through every gate. But a column usually has
 //! tiny support: permutation gates (X/CX/CCX/MCX/SWAP) move amplitudes
 //! around, diagonal gates (Z/S/T/Rz/P and their controlled forms) only
 //! rotate phases, and each branching gate (H/Sx/Rx/Ry/U, …) at most
@@ -288,20 +288,6 @@ impl SparseColumn {
         }
     }
 
-    /// `⟨self|other⟩`, a merge over the two sorted supports.
-    pub fn inner(&self, other: &SparseColumn) -> C64 {
-        let (mut j, mut sum) = (0, C64::ZERO);
-        for &(index, a) in &self.entries {
-            while j < other.entries.len() && other.entries[j].0 < index {
-                j += 1;
-            }
-            if j < other.entries.len() && other.entries[j].0 == index {
-                sum += a.conj() * other.entries[j].1;
-            }
-        }
-        sum
-    }
-
     /// Upper bound on `‖exact column − kept column‖₂` from pruning: the
     /// sum over ops of the `ℓ₂` norm each op dropped.
     pub fn error_bound(&self) -> f64 {
@@ -498,19 +484,6 @@ mod tests {
         }
         assert_matches_statevector(&circuit, 0);
         assert_eq!(run(&circuit, 0).support(), 2, "only wire 7 keeps a branch");
-    }
-
-    #[test]
-    fn inner_product_matches_statevector() {
-        let (a, b) = (mixed_circuit(6, 3), mixed_circuit(6, 4));
-        for input in [0u64, 5, 63] {
-            let mut sa = Statevector::basis(6, input as usize).unwrap();
-            sa.apply_circuit(&a).unwrap();
-            let mut sb = Statevector::basis(6, input as usize).unwrap();
-            sb.apply_circuit(&b).unwrap();
-            let sparse = run(&a, input).inner(&run(&b, input));
-            assert!(sparse.approx_eq(sa.inner(&sb), 1e-10), "input {input}");
-        }
     }
 
     #[test]

@@ -1,23 +1,30 @@
-//! Dense tier: the exhaustive ≤ [`MAX_UNITARY_QUBITS`]-qubit fallback.
+//! The exact column check: one miter replay and one decision rule,
+//! shared by the dense tier and the ZX tier's witness replay.
 //!
-//! Compares the circuits column by column: each basis state is pushed
-//! through both circuits and the output overlap `⟨C₁·x|C₂·x⟩` is
-//! inspected. `C₁ ≃ C₂` up to global phase iff every column pair has
-//! unit overlap *and* all overlaps share one phase. Streaming one
-//! column at a time exits early on the first diverging column and still
-//! yields a concrete witness — a basis input with diverging outputs or
-//! a pair of basis inputs acquiring different phases.
+//! Both tiers ask the same question of the miter `M = C₂†C₁`:
+//! `C₁ ≃ C₂` up to global phase iff every diagonal entry `⟨x|M|x⟩` has
+//! unit magnitude *and* all entries share one phase (the miter-diagonal
+//! reduction of Burgholzer & Wille, arXiv:2004.08420). [`MiterReplay`]
+//! lowers the miter once and runs each basis input through one sparse
+//! support map ([`qsim::SparseColumn`]), so an entry costs
+//! `O(gates·support)` instead of a `2ⁿ` statevector sweep per gate.
+//! [`judge`] is the one rule that turns an entry into a verdict.
 //!
-//! Each column runs through a sparse support map
-//! ([`qsim::SparseColumn`]): both circuits are lowered once, and a
-//! column costs `O(gates·support)` instead of a `2ⁿ` statevector sweep
-//! per gate. The columns' pruning error bounds are charged against
-//! `eps`. When the bound could flip a column's decision, or a column
-//! trips the support budget, the check falls back to two statevectors for the rest of the run and
-//! re-measures the reference phase exactly, so every verdict is one the
+//! The **dense tier** ([`check`], the exhaustive ≤
+//! [`MAX_UNITARY_QUBITS`]-qubit fallback) walks every `x ∈ 0..2ⁿ` and
+//! exits on the first diverging entry with a witness — a basis input
+//! that leaves its own ray, or a pair of inputs acquiring different
+//! phases. The ZX tier judges the few candidates its stalled residue
+//! proposes with the same rule (`zx::witness`).
+//!
+//! Each sparse entry carries the column's pruning error bound, which
+//! [`judge`] charges against [`EPS`]. When the bound could flip a
+//! decision, or a column trips the support budget, the dense tier
+//! switches the replay to a statevector for the rest of the run and
+//! re-measures the reference entry exactly, so every verdict is one the
 //! statevector path would also reach.
 
-use crate::{Report, Tier, Verdict, Witness};
+use crate::{Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
 use qcir::Circuit;
 use qsim::column::{support_budget, ColumnProgram, SparseColumn};
 use qsim::complex::C64;
@@ -27,113 +34,121 @@ use qsim::{SimError, Statevector};
 static STATEVECTOR_FALLBACKS: qobs::Counter =
     qobs::Counter::new("qverify.dense.statevector_fallbacks");
 
-/// A column overlap `⟨C₁·x|C₂·x⟩` with an upper bound on its error.
+/// Two unit entries whose real or imaginary parts differ by more than
+/// this carry different phases.
+const PHASE_TOLERANCE: f64 = 10.0 * EPS;
+
+/// A miter diagonal entry `⟨x|M|x⟩` with an upper bound on its error.
 #[derive(Clone, Copy)]
-struct Overlap {
+pub(crate) struct Entry {
     value: C64,
     err: f64,
 }
 
-/// What one column says about the pair.
-enum Judgement {
+/// What one entry says about the pair.
+pub(crate) enum Judgement {
     Consistent,
     Diverges(Witness),
     /// The error bound straddles a threshold: re-measure exactly.
     Unsure,
 }
 
-/// Judges column `col` against the reference column (the first one).
-fn judge(col: u64, overlap: Overlap, reference: Option<(u64, Overlap)>, eps: f64) -> Judgement {
-    let deviation = (overlap.value.abs() - 1.0).abs();
-    if deviation > eps + overlap.err {
+/// Judges input `x`'s entry against the reference entry (the first
+/// consistent one): a magnitude off 1 by more than [`EPS`] is a
+/// [`Witness::BasisColumn`], a value off the reference's by more than
+/// the phase tolerance a [`Witness::RelativePhase`]. The entries' error
+/// bounds are charged against both thresholds.
+pub(crate) fn judge(x: u64, entry: Entry, reference: Option<(u64, Entry)>) -> Judgement {
+    let deviation = (entry.value.abs() - 1.0).abs();
+    if deviation > EPS + entry.err {
         return Judgement::Diverges(Witness::BasisColumn {
-            input: col,
-            overlap: overlap.value.abs(),
+            input: x,
+            overlap: entry.value.abs(),
         });
     }
-    if deviation > eps - overlap.err {
+    if deviation > EPS - entry.err {
         return Judgement::Unsure;
     }
     let Some((first, phase)) = reference else {
         return Judgement::Consistent;
     };
-    let tolerance = eps.max(1e-12) * 10.0;
-    let diff = overlap.value - phase.value;
+    let diff = entry.value - phase.value;
     let distance = diff.re.abs().max(diff.im.abs());
-    let err = overlap.err + phase.err;
-    if distance > tolerance + err {
+    let err = entry.err + phase.err;
+    if distance > PHASE_TOLERANCE + err {
         Judgement::Diverges(Witness::RelativePhase {
             input_a: first,
-            input_b: col,
+            input_b: x,
         })
-    } else if distance > tolerance - err {
+    } else if distance > PHASE_TOLERANCE - err {
         Judgement::Unsure
     } else {
         Judgement::Consistent
     }
 }
 
-/// The two sides of a check, lowered once.
-struct Columns<'a> {
-    a: &'a Circuit,
-    b: &'a Circuit,
-    program_a: ColumnProgram,
-    program_b: ColumnProgram,
-    column_a: SparseColumn,
-    column_b: SparseColumn,
+/// Diagonal entries `⟨x|M|x⟩` of one miter `M`, lowered once. Each
+/// input runs through a sparse column at any width up to
+/// [`qsim::MAX_COLUMN_QUBITS`], so cost scales with amplitude support,
+/// not `2ⁿ`. Once a column trips the support budget, or the caller asks
+/// for exact entries, this and every later input replay through a
+/// statevector within [`MAX_STIMULUS_QUBITS`].
+pub(crate) struct MiterReplay<'a> {
+    miter: &'a Circuit,
+    program: ColumnProgram,
+    column: SparseColumn,
+    statevector: bool,
 }
 
-impl<'a> Columns<'a> {
-    fn new(a: &'a Circuit, b: &'a Circuit) -> Result<Self, SimError> {
-        let budget = support_budget(a.num_qubits());
-        Ok(Columns {
-            a,
-            b,
-            program_a: ColumnProgram::new(a)?,
-            program_b: ColumnProgram::new(b)?,
-            column_a: SparseColumn::new(budget),
-            column_b: SparseColumn::new(budget),
+impl<'a> MiterReplay<'a> {
+    /// Lowers `miter` for replay.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TooManyQubits`] past [`qsim::MAX_COLUMN_QUBITS`].
+    pub(crate) fn new(miter: &'a Circuit) -> Result<Self, SimError> {
+        Ok(MiterReplay {
+            miter,
+            program: ColumnProgram::new(miter)?,
+            column: SparseColumn::new(support_budget(miter.num_qubits())),
+            statevector: false,
         })
     }
 
-    /// The sparse overlap of column `col`, or `None` when a column
-    /// trips the support budget.
-    fn sparse(&mut self, col: u64) -> Result<Option<Overlap>, SimError> {
-        for (program, column) in [
-            (&self.program_a, &mut self.column_a),
-            (&self.program_b, &mut self.column_b),
-        ] {
-            match column.run(program, col) {
-                Ok(()) => {}
-                Err(SimError::SupportBudgetExceeded { .. }) => return Ok(None),
-                Err(other) => return Err(other),
+    /// `⟨input|M|input⟩` with an upper bound on its error: the sparse
+    /// column's pruned norm, or `0` for a statevector replay.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SupportBudgetExceeded`] when the miter is too branchy
+    /// for the column and too wide for a statevector.
+    pub(crate) fn entry(&mut self, input: u64) -> Result<Entry, SimError> {
+        let n = self.miter.num_qubits();
+        if !self.statevector {
+            match self.column.run(&self.program, input) {
+                Ok(()) => {
+                    return Ok(Entry {
+                        value: self.column.amplitude(input),
+                        err: self.column.error_bound(),
+                    });
+                }
+                Err(SimError::SupportBudgetExceeded { .. }) if n <= MAX_STIMULUS_QUBITS => {
+                    self.statevector = true;
+                }
+                Err(e) => return Err(e),
             }
         }
-        let (ea, eb) = (self.column_a.error_bound(), self.column_b.error_bound());
-        // |⟨a+δa|b+δb⟩ − ⟨a|b⟩| ≤ ‖δa‖·‖b‖ + ‖a‖·‖δb‖ + ‖δa‖·‖δb‖
-        // with both kept columns of norm ≤ 1.
-        Ok(Some(Overlap {
-            value: self.column_a.inner(&self.column_b),
-            err: ea + eb + ea * eb,
-        }))
-    }
-
-    /// The exact overlap of column `col` through two statevectors.
-    fn statevector(&self, col: u64) -> Result<Overlap, SimError> {
-        let n = self.a.num_qubits();
-        let mut sa = Statevector::basis(n, col as usize)?;
-        sa.apply_circuit(self.a)?;
-        let mut sb = Statevector::basis(n, col as usize)?;
-        sb.apply_circuit(self.b)?;
-        Ok(Overlap {
-            value: sa.inner(&sb),
+        let mut state = Statevector::basis(n, input as usize)?;
+        state.apply_circuit(self.miter)?;
+        Ok(Entry {
+            value: state.amplitudes()[input as usize],
             err: 0.0,
         })
     }
 }
 
 /// Dense equivalence check with witness extraction and early exit.
-pub(crate) fn check(a: &Circuit, b: &Circuit, eps: f64) -> Result<Report, SimError> {
+pub(crate) fn check(a: &Circuit, b: &Circuit) -> Result<Report, SimError> {
     let n = a.num_qubits();
     if n > MAX_UNITARY_QUBITS {
         return Err(SimError::TooManyQubits {
@@ -141,35 +156,30 @@ pub(crate) fn check(a: &Circuit, b: &Circuit, eps: f64) -> Result<Report, SimErr
             max: MAX_UNITARY_QUBITS,
         });
     }
-    let mut columns = Columns::new(a, b)?;
-    let mut sparse = true;
-    let mut reference: Option<(u64, Overlap)> = None;
-    for col in 0..1u64 << n {
-        let measured = if sparse { columns.sparse(col)? } else { None };
-        let mut overlap = match measured {
-            Some(overlap) => overlap,
-            None => columns.statevector(col)?,
-        };
-        let mut judgement = judge(col, overlap, reference, eps);
-        if sparse && (measured.is_none() || matches!(judgement, Judgement::Unsure)) {
-            // Sticky: the reference phase, this column and every later
-            // one are measured exactly from here on.
-            sparse = false;
+    let miter = a.then(&b.inverse()).expect("equal registers concatenate");
+    let mut replay = MiterReplay::new(&miter)?;
+    let mut reference: Option<(u64, Entry)> = None;
+    for x in 0..1u64 << n {
+        let sparse = !replay.statevector;
+        let mut entry = replay.entry(x)?;
+        let mut judgement = judge(x, entry, reference);
+        if sparse && (replay.statevector || matches!(judgement, Judgement::Unsure)) {
+            // Sticky: the reference entry, this one and every later one
+            // are measured exactly from here on.
+            replay.statevector = true;
             STATEVECTOR_FALLBACKS.incr();
             if let Some((first, _)) = reference {
-                reference = Some((first, columns.statevector(first)?));
+                reference = Some((first, replay.entry(first)?));
             }
-            if measured.is_some() {
-                overlap = columns.statevector(col)?;
-            }
-            judgement = judge(col, overlap, reference, eps);
+            entry = replay.entry(x)?;
+            judgement = judge(x, entry, reference);
         }
         match judgement {
             Judgement::Consistent => {}
             Judgement::Diverges(witness) => return Ok(report(Verdict::Inequivalent { witness })),
-            Judgement::Unsure => unreachable!("exact overlaps carry no error bound"),
+            Judgement::Unsure => unreachable!("exact entries carry no error bound"),
         }
-        reference.get_or_insert((col, overlap));
+        reference.get_or_insert((x, entry));
     }
     Ok(report(Verdict::Equivalent))
 }
@@ -187,18 +197,16 @@ mod tests {
     use super::*;
     use qsim::unitary::equivalent_up_to_phase;
 
-    const EPS: f64 = 1e-9;
-
     #[test]
     fn agrees_with_qsim_boolean_check() {
         let mut a = Circuit::new(2);
         a.h(0).cx(0, 1).t(1);
         let mut b = Circuit::new(2);
         b.h(0).cx(0, 1).t(1);
-        assert!(check(&a, &b, EPS).unwrap().verdict.is_equivalent());
+        assert!(check(&a, &b).unwrap().verdict.is_equivalent());
         assert!(equivalent_up_to_phase(&a, &b, EPS).unwrap());
         b.s(0);
-        assert!(check(&a, &b, EPS).unwrap().verdict.is_inequivalent());
+        assert!(check(&a, &b).unwrap().verdict.is_inequivalent());
         assert!(!equivalent_up_to_phase(&a, &b, EPS).unwrap());
     }
 
@@ -208,7 +216,7 @@ mod tests {
         a.rz(0.9, 0);
         let mut b = Circuit::new(1);
         b.p(0.9, 0);
-        assert!(check(&a, &b, EPS).unwrap().verdict.is_equivalent());
+        assert!(check(&a, &b).unwrap().verdict.is_equivalent());
     }
 
     #[test]
@@ -217,7 +225,7 @@ mod tests {
         let mut a = Circuit::new(2);
         a.cz(0, 1);
         let b = Circuit::new(2);
-        match check(&a, &b, EPS).unwrap().verdict {
+        match check(&a, &b).unwrap().verdict {
             Verdict::Inequivalent {
                 witness: Witness::RelativePhase { input_a, input_b },
             } => {
@@ -233,7 +241,7 @@ mod tests {
         let mut a = Circuit::new(2);
         a.x(1);
         let b = Circuit::new(2);
-        match check(&a, &b, EPS).unwrap().verdict {
+        match check(&a, &b).unwrap().verdict {
             Verdict::Inequivalent {
                 witness: Witness::BasisColumn { input, overlap },
             } => {
@@ -250,16 +258,17 @@ mod tests {
         a.x(0).ccx(0, 1, 2).swap(0, 2);
         let mut b = a.clone();
         b.h(1).h(1);
-        let mut columns = Columns::new(&a, &b).unwrap();
-        for col in 0..8 {
-            let overlap = columns.sparse(col).unwrap().unwrap();
-            assert_eq!(columns.column_a.support(), 1);
-            assert!(overlap.value.approx_eq(C64::ONE, 1e-12), "column {col}");
+        let miter = a.then(&b.inverse()).unwrap();
+        let mut replay = MiterReplay::new(&miter).unwrap();
+        for x in 0..8 {
+            let entry = replay.entry(x).unwrap();
+            assert!(!replay.statevector);
+            assert!(entry.value.approx_eq(C64::ONE, 1e-12), "column {x}");
         }
-        assert!(check(&a, &b, EPS).unwrap().verdict.is_equivalent());
+        assert!(check(&a, &b).unwrap().verdict.is_equivalent());
         b.t(2);
         assert!(matches!(
-            check(&a, &b, EPS).unwrap().verdict,
+            check(&a, &b).unwrap().verdict,
             Verdict::Inequivalent {
                 witness: Witness::RelativePhase { .. }
             }
@@ -268,34 +277,88 @@ mod tests {
 
     #[test]
     fn bound_straddling_column_falls_back_to_statevectors() {
-        // ry(1e-13) leaves 5e-14 of amplitude off each H branch. It is
-        // pruned (|a|² < 1e-26), so the sparse overlap carries an error
-        // bound of 5e-14 — larger than this check's eps, so column 0 is
-        // undecidable from the sparse map. The statevector path decides
-        // instead: every overlap is cos(5e-14), which rounds to exactly
-        // 1, so the exact column rule says equivalent.
-        let eps = 1e-14;
-        let mut a = Circuit::new(3);
-        a.h(1).ry(1e-13, 0).cx(1, 2);
-        let mut b = Circuit::new(3);
-        b.h(1).cx(1, 2);
-        let overlap = Columns::new(&a, &b).unwrap().sparse(0).unwrap().unwrap();
-        assert!(overlap.err > eps, "bound {}", overlap.err);
-        assert!(matches!(judge(0, overlap, None, eps), Judgement::Unsure));
-        assert!(check(&a, &b, eps).unwrap().verdict.is_equivalent());
-        // At the default eps the same bound is negligible.
-        assert!(matches!(
-            judge(0, overlap, None, EPS),
-            Judgement::Consistent
-        ));
+        // Each ry(1.8e-13) leaves 9e-14 of amplitude on |1⟩, which is
+        // pruned (|a|² < 1e-26): 20,000 of them charge an error bound of
+        // 1.8e-9 > EPS, so column 0 is undecidable from the sparse map.
+        // The statevector path decides instead: the exact entry is
+        // cos(1.8e-9), which rounds to exactly 1, so the pair is
+        // equivalent.
+        let mut a = Circuit::new(1);
+        for _ in 0..20_000 {
+            a.ry(1.8e-13, 0);
+        }
+        let b = Circuit::new(1);
+        let miter = a.then(&b.inverse()).unwrap();
+        let entry = MiterReplay::new(&miter).unwrap().entry(0).unwrap();
+        assert!(entry.err > EPS, "bound {}", entry.err);
+        assert!(matches!(judge(0, entry, None), Judgement::Unsure));
+        assert!(check(&a, &b).unwrap().verdict.is_equivalent());
     }
 
     #[test]
     fn oversized_register_errors() {
         let c = Circuit::new(MAX_UNITARY_QUBITS + 1);
         assert!(matches!(
-            check(&c, &c.clone(), EPS),
+            check(&c, &c.clone()),
             Err(SimError::TooManyQubits { .. })
+        ));
+    }
+
+    #[test]
+    fn miter_amplitude_column_path_matches_dense_replay() {
+        let mut m = Circuit::new(6);
+        m.h(0).t(1).cx(1, 2).swap(2, 5).tdg(3);
+        let mut replay = MiterReplay::new(&m).unwrap();
+        for input in [0u64, 0b100110, 0b111111] {
+            let entry = replay.entry(input).unwrap();
+            assert!(!replay.statevector, "a 2-amplitude column fits the budget");
+            assert_eq!(entry.err, 0.0);
+            let mut sv = Statevector::basis(6, input as usize).unwrap();
+            sv.apply_circuit(&m).unwrap();
+            assert!(
+                entry
+                    .value
+                    .approx_eq(sv.amplitudes()[input as usize], 1e-12),
+                "input {input:#b}"
+            );
+        }
+    }
+
+    #[test]
+    fn budget_trip_falls_back_to_a_sticky_statevector_replay() {
+        // H on all 12 wires passes the 2⁸ budget; the replay switches
+        // to the statevector for this and every later input.
+        let mut m = Circuit::new(12);
+        for q in 0..12 {
+            m.h(q);
+        }
+        m.t(3);
+        let mut replay = MiterReplay::new(&m).unwrap();
+        let entry = replay.entry(0).unwrap();
+        assert!(replay.statevector);
+        assert_eq!(entry.err, 0.0);
+        assert!(
+            (entry.value.abs() - 1.0 / 64.0).abs() < 1e-12,
+            "{:?}",
+            entry.value
+        );
+        replay.entry(1).unwrap();
+        assert!(replay.statevector);
+    }
+
+    #[test]
+    fn branchy_wide_miter_is_replay_infeasible() {
+        // Too branchy for the column budget AND too wide for a
+        // statevector: the replay must refuse with a typed error, never
+        // attempt an exponential stream.
+        let mut m = Circuit::new(MAX_STIMULUS_QUBITS + 2);
+        for q in 0..=16 {
+            m.h(q);
+        }
+        let mut replay = MiterReplay::new(&m).unwrap();
+        assert!(matches!(
+            replay.entry(0),
+            Err(SimError::SupportBudgetExceeded { .. })
         ));
     }
 }

@@ -14,7 +14,7 @@
 //! | [`Tier::Classical`] | both circuits are classical reversible, ≤ [`CLASSICAL_EXHAUSTIVE_MAX_QUBITS`] qubits | `O(2ⁿ·gates)` bit ops | exact (exhaustive) |
 //! | [`Tier::Tableau`] | both circuits are Clifford | `O(n·gates)` words | exact (stabilizer) |
 //! | [`Tier::Zx`] | the miter diagram reduces to the identity, or its residue yields a replay-confirmed witness | `O(gates²)` graph rewriting (+ a few replays) | exact, two-sided |
-//! | [`Tier::Dense`] | ≤ [`MAX_UNITARY_QUBITS`] qubits | `O(2ⁿ·gates·support)` (sparse columns) | exact (every column; pruned norm charged against `eps`) |
+//! | [`Tier::Dense`] | ≤ [`MAX_UNITARY_QUBITS`] qubits | `O(2ⁿ·gates·support)` (one sparse miter column per input) | exact (every miter diagonal entry; pruned norm charged against [`EPS`]) |
 //! | [`Tier::Stimulus`] | ≤ [`MAX_STIMULUS_QUBITS`] qubits | `O(trials·2ⁿ·gates)`, parallel | statistical (miter) |
 //!
 //! The **tableau** tier is an Aaronson–Gottesman stabilizer engine: it
@@ -32,10 +32,8 @@
 //! nothing by itself, but its residue proposes candidate basis inputs;
 //! a candidate confirmed by an independent replay — limb-backed
 //! classical bit evaluation for reversible circuits at **any** register
-//! width, or a sparse basis-column replay of the miter up to
-//! [`MAX_COLUMN_QUBITS`] wires (with a dense statevector fallback
-//! within [`MAX_STIMULUS_QUBITS`] once the column trips its support
-//! budget) — certifies
+//! width, or the dense tier's miter column and decision rule up to
+//! [`MAX_COLUMN_QUBITS`] wires — certifies
 //! **inequivalence** with a concrete [`Witness::BasisInput`] /
 //! [`Witness::BasisColumn`] / [`Witness::RelativePhase`]. With no
 //! confirmed candidate the tier falls through. The **stimulus** tier
@@ -44,15 +42,18 @@
 //! that fails to return to itself is a concrete counterexample
 //! [`Witness::Stimulus`].
 //!
-//! The **dense** tier walks all `2ⁿ` basis columns, but each column is
-//! a sparse support map ([`qsim::SparseColumn`]) over circuits lowered
-//! once per check (a classical reversible column keeps one amplitude,
-//! so it costs `O(gates)`). Pruned amplitudes are tracked as an error
-//! bound `b` per column (the sum of both sides' pruned norms): a column
-//! counts as diverging only if its overlap misses 1 by more than
-//! `eps + b`, and as matching only if it is within `eps − b`. A column
-//! in between, or one that trips the support budget, switches the rest
-//! of the check to exact statevector columns.
+//! The **dense** tier walks all `2ⁿ` diagonal entries `⟨x|C₂†C₁|x⟩` of
+//! the miter, lowered once per check and run one basis input at a time
+//! on a sparse support map ([`qsim::SparseColumn`]; a classical
+//! reversible column keeps one amplitude, so it costs `O(gates)`). One
+//! column, one rule, one tolerance: the ZX tier's witness replay runs
+//! the same miter column and judges its candidates with the same rule.
+//! Pruned amplitudes are tracked as an error bound `b` per column: an
+//! entry counts as diverging only if its magnitude misses 1 by more
+//! than `EPS + b`, and as matching only if it is within `EPS − b`
+//! (likewise for the phase against the first entry). An entry in
+//! between, or one that trips the support budget, switches the rest of
+//! the check to exact statevector columns.
 //!
 //! # Example
 //!
@@ -93,6 +94,14 @@ use std::fmt;
 pub use qsim::statevector::MAX_QUBITS as MAX_STIMULUS_QUBITS;
 pub use qsim::unitary::MAX_UNITARY_QUBITS;
 pub use qsim::MAX_COLUMN_QUBITS;
+
+/// The verifier's one numeric tolerance. An exact-tier entry
+/// `⟨x|C₂†C₁|x⟩` whose magnitude misses 1 by more than `EPS` is a
+/// diverging basis column, and two entries whose real or imaginary
+/// parts differ by more than `10·EPS` carry different phases; a stimulus
+/// trial whose return fidelity falls below `1 − EPS` is a witness. The
+/// dense, ZX-witness and stimulus tiers all use it.
+pub const EPS: f64 = 1e-9;
 
 /// Largest register for which the classical tier enumerates every basis
 /// input (`2¹⁶` evaluations per circuit); beyond it classical circuits
@@ -192,9 +201,9 @@ pub enum Tier {
     /// residue can certify [`Verdict::Inequivalent`], but only through
     /// a replay-confirmed basis witness.
     Zx,
-    /// Exhaustive column-by-column comparison (the ≤
-    /// [`MAX_UNITARY_QUBITS`]-qubit fallback), on sparse columns with a
-    /// statevector fallback.
+    /// Exhaustive check of every miter diagonal entry (the ≤
+    /// [`MAX_UNITARY_QUBITS`]-qubit fallback), on one sparse miter column
+    /// with a statevector fallback.
     Dense,
     /// Randomized product-state miter, parallel across threads.
     Stimulus,
@@ -418,7 +427,6 @@ impl fmt::Display for Report {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Verifier {
-    eps: f64,
     trials: u64,
     threads: usize,
     seed: u64,
@@ -427,7 +435,6 @@ pub struct Verifier {
 impl Default for Verifier {
     fn default() -> Self {
         Verifier {
-            eps: 1e-9,
             trials: 8,
             threads: 0,
             seed: 0x7e7_1257,
@@ -436,16 +443,10 @@ impl Default for Verifier {
 }
 
 impl Verifier {
-    /// Creates a verifier with the default configuration (ε = 1e-9,
-    /// 8 stimulus trials, auto thread count).
+    /// Creates a verifier with the default configuration (8 stimulus
+    /// trials, auto thread count).
     pub fn new() -> Self {
         Verifier::default()
-    }
-
-    /// Sets the numeric tolerance used by the dense and stimulus tiers.
-    pub fn with_eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
     }
 
     /// Sets the number of randomized stimulus trials.
@@ -638,9 +639,9 @@ impl Verifier {
     /// with no qubit cap. A stalled non-identity residue proposes
     /// candidate basis inputs; if one is confirmed by an independent
     /// replay (classical bit evaluation when both circuits are
-    /// reversible, at any width, or a sparse basis-column replay of the
-    /// miter up to [`MAX_COLUMN_QUBITS`] wires, falling back to a
-    /// statevector within [`MAX_STIMULUS_QUBITS`]), this returns
+    /// reversible, at any width, or the dense tier's miter column and
+    /// decision rule up to [`MAX_COLUMN_QUBITS`] wires, falling back to
+    /// a statevector within [`MAX_STIMULUS_QUBITS`]), this returns
     /// `Some(Inequivalent)` with that concrete witness. Returns `None`
     /// when the registers mismatch, a gate does not translate (an
     /// [`qcir::Gate::Mcx`] with more than [`MAX_MCX_CONTROLS`]
@@ -648,14 +649,14 @@ impl Verifier {
     /// candidate — a stall alone carries **no** evidence either way, so
     /// an engine bug can cost completeness but never a false verdict.
     pub fn check_zx(&self, original: &Circuit, candidate: &Circuit) -> Option<Report> {
-        zx::check(original, candidate, self.eps)
+        zx::check(original, candidate)
     }
 
     /// Forces the dense-unitary tier (the exhaustive ≤
-    /// [`MAX_UNITARY_QUBITS`]-qubit fallback): every basis column, each
-    /// a sparse column with its pruned norm charged against `eps`, or
-    /// a statevector pair once that bound could decide a column or the
-    /// support budget trips.
+    /// [`MAX_UNITARY_QUBITS`]-qubit fallback): every miter diagonal
+    /// entry, each from a sparse column with its pruned norm charged
+    /// against [`EPS`], or from a statevector once that bound could flip
+    /// a decision or the support budget trips.
     ///
     /// # Errors
     ///
@@ -668,7 +669,7 @@ impl Verifier {
         if original.num_qubits() != candidate.num_qubits() {
             return Ok(mismatch_report(original, candidate));
         }
-        dense::check(original, candidate, self.eps)
+        dense::check(original, candidate)
     }
 
     /// Forces the randomized product-state stimulus tier.
@@ -685,14 +686,7 @@ impl Verifier {
         if original.num_qubits() != candidate.num_qubits() {
             return Ok(mismatch_report(original, candidate));
         }
-        stimulus::check(
-            original,
-            candidate,
-            self.eps,
-            self.trials,
-            self.threads,
-            self.seed,
-        )
+        stimulus::check(original, candidate, self.trials, self.threads, self.seed)
     }
 }
 

@@ -14,10 +14,9 @@
 //! [`Verdict::Equivalent`] with confidence `1 − 2^{−trials}` recorded in
 //! the [`Report`].
 
-use crate::{Report, Tier, Verdict, Witness, MAX_STIMULUS_QUBITS};
+use crate::{Report, Tier, Verdict, Witness, EPS};
 use qcir::Circuit;
-use qsim::column::{support_budget, ColumnProgram, SparseColumn};
-use qsim::{SimError, Statevector, C64};
+use qsim::{SimError, Statevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{PI, TAU};
@@ -28,7 +27,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub(crate) fn check(
     original: &Circuit,
     candidate: &Circuit,
-    eps: f64,
     trials: u64,
     threads: usize,
     seed: u64,
@@ -61,7 +59,7 @@ pub(crate) fn check(
                         output.apply_circuit(original)?;
                         output.apply_circuit(candidate_inverse)?;
                         let fidelity = input.fidelity(&output);
-                        if fidelity < 1.0 - eps {
+                        if fidelity < 1.0 - EPS {
                             found = Some(Witness::Stimulus {
                                 trial,
                                 seed: trial_seed,
@@ -112,71 +110,6 @@ pub(crate) fn check(
         tier: Tier::Stimulus,
         trials,
     })
-}
-
-/// Diagonal entries `⟨x|M|x⟩` of one miter `M = C₂†C₁`. A magnitude
-/// strictly below 1 means the input does not return to its own ray —
-/// exact evidence of inequivalence; a *unit* magnitude pins the input
-/// as an eigenvector whose exact phase can be compared across inputs
-/// (two different phases certify a diagonal residue).
-///
-/// This is the certification half of the ZX tier's witness extraction
-/// (`zx::witness`): the graph reduction only *proposes* basis inputs,
-/// and this replay — which never looks at the ZX graph — is what turns
-/// a proposal into a [`Witness::BasisColumn`] or
-/// [`Witness::RelativePhase`]. The miter is lowered once; each input
-/// runs through a sparse column at any width up to
-/// [`qsim::MAX_COLUMN_QUBITS`], so cost scales with amplitude support,
-/// not `2ⁿ`. Once a column trips the support budget, this and every
-/// later input of the miter replay through a dense statevector within
-/// [`MAX_STIMULUS_QUBITS`].
-pub(crate) struct MiterReplay<'a> {
-    miter: &'a Circuit,
-    program: ColumnProgram,
-    column: SparseColumn,
-    dense: bool,
-}
-
-impl<'a> MiterReplay<'a> {
-    /// Lowers `miter` for replay.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TooManyQubits`] past [`qsim::MAX_COLUMN_QUBITS`].
-    pub(crate) fn new(miter: &'a Circuit) -> Result<Self, SimError> {
-        Ok(MiterReplay {
-            miter,
-            program: ColumnProgram::new(miter)?,
-            column: SparseColumn::new(support_budget(miter.num_qubits())),
-            dense: false,
-        })
-    }
-
-    /// `⟨input|M|input⟩` with an upper bound on its error: the sparse
-    /// column's pruned norm, or `0` for a statevector replay.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SupportBudgetExceeded`] when the miter is too branchy
-    /// for the column and too wide for a statevector — the caller
-    /// treats any error as "replay infeasible" and falls through.
-    pub(crate) fn amplitude(&mut self, input: u64) -> Result<(C64, f64), SimError> {
-        let n = self.miter.num_qubits();
-        if !self.dense {
-            match self.column.run(&self.program, input) {
-                Ok(()) => {
-                    return Ok((self.column.amplitude(input), self.column.error_bound()));
-                }
-                Err(SimError::SupportBudgetExceeded { .. }) if n <= MAX_STIMULUS_QUBITS => {
-                    self.dense = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let mut state = Statevector::basis(n, input as usize)?;
-        state.apply_circuit(self.miter)?;
-        Ok((state.amplitudes()[input as usize], 0.0))
-    }
 }
 
 /// Worker count: requested (or available parallelism), capped by the
@@ -233,13 +166,11 @@ fn product_state_prep(num_qubits: u32, seed: u64) -> Circuit {
 mod tests {
     use super::*;
 
-    const EPS: f64 = 1e-9;
-
     #[test]
     fn equivalent_circuits_pass_all_trials() {
         let mut a = Circuit::new(4);
         a.h(0).cx(0, 1).t(2).ccx(1, 2, 3);
-        let report = check(&a, &a.clone(), EPS, 6, 2, 11).unwrap();
+        let report = check(&a, &a.clone(), 6, 2, 11).unwrap();
         assert!(report.verdict.is_equivalent());
         assert_eq!(report.tier, Tier::Stimulus);
         assert_eq!(report.trials, 6);
@@ -252,7 +183,7 @@ mod tests {
         a.h(0).cx(0, 1).ccx(1, 2, 3);
         let mut b = a.clone();
         b.x(2);
-        let report = check(&a, &b, EPS, 8, 3, 11).unwrap();
+        let report = check(&a, &b, 8, 3, 11).unwrap();
         let Verdict::Inequivalent {
             witness:
                 Witness::Stimulus {
@@ -283,8 +214,8 @@ mod tests {
         a.h(0).cx(0, 1).t(1).cx(1, 2).ccx(2, 3, 4);
         let mut b = a.clone();
         b.z(3);
-        let one = check(&a, &b, EPS, 8, 1, 5).unwrap();
-        let four = check(&a, &b, EPS, 8, 4, 5).unwrap();
+        let one = check(&a, &b, 8, 1, 5).unwrap();
+        let four = check(&a, &b, 8, 4, 5).unwrap();
         // Early exit may surface different trials, but the verdict kind
         // and the smallest failing trial must match.
         assert_eq!(
@@ -300,70 +231,15 @@ mod tests {
         a.rz(1.1, 0).cx(0, 1);
         let mut b = Circuit::new(2);
         b.p(1.1, 0).cx(0, 1);
-        assert!(check(&a, &b, EPS, 4, 2, 3).unwrap().verdict.is_equivalent());
+        assert!(check(&a, &b, 4, 2, 3).unwrap().verdict.is_equivalent());
     }
 
     #[test]
     fn zero_trials_inconclusive() {
         let a = Circuit::new(2);
-        let report = check(&a, &a.clone(), EPS, 0, 0, 1).unwrap();
+        let report = check(&a, &a.clone(), 0, 0, 1).unwrap();
         assert!(matches!(report.verdict, Verdict::Inconclusive { .. }));
         assert_eq!(report.confidence(), 0.0);
-    }
-
-    #[test]
-    fn miter_amplitude_column_path_matches_dense_replay() {
-        let mut m = Circuit::new(6);
-        m.h(0).t(1).cx(1, 2).swap(2, 5).tdg(3);
-        let mut replay = MiterReplay::new(&m).unwrap();
-        for input in [0u64, 0b100110, 0b111111] {
-            let (sparse, err) = replay.amplitude(input).unwrap();
-            assert!(!replay.dense, "a 2-amplitude column fits the budget");
-            assert_eq!(err, 0.0);
-            let mut sv = Statevector::basis(6, input as usize).unwrap();
-            sv.apply_circuit(&m).unwrap();
-            assert!(
-                sparse.approx_eq(sv.amplitudes()[input as usize], 1e-12),
-                "input {input:#b}"
-            );
-        }
-    }
-
-    #[test]
-    fn budget_trip_falls_back_to_a_sticky_statevector_replay() {
-        // H on all 12 wires passes the 2⁸ budget; the replay switches
-        // to the statevector for this and every later input.
-        let mut m = Circuit::new(12);
-        for q in 0..12 {
-            m.h(q);
-        }
-        m.t(3);
-        let mut replay = MiterReplay::new(&m).unwrap();
-        let (amplitude, err) = replay.amplitude(0).unwrap();
-        assert!(replay.dense);
-        assert_eq!(err, 0.0);
-        assert!(
-            (amplitude.abs() - 1.0 / 64.0).abs() < 1e-12,
-            "{amplitude:?}"
-        );
-        replay.amplitude(1).unwrap();
-        assert!(replay.dense);
-    }
-
-    #[test]
-    fn branchy_wide_miter_is_replay_infeasible() {
-        // Too branchy for the column budget AND too wide for a
-        // statevector: the replay must refuse with a typed error, never
-        // attempt an exponential stream.
-        let mut m = Circuit::new(MAX_STIMULUS_QUBITS + 2);
-        for q in 0..=16 {
-            m.h(q);
-        }
-        let mut replay = MiterReplay::new(&m).unwrap();
-        assert!(matches!(
-            replay.amplitude(0),
-            Err(SimError::SupportBudgetExceeded { .. })
-        ));
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   rule set is deliberately incomplete — but it *proposes* candidate
 //!   basis inputs, and a candidate confirmed by an independent replay
 //!   ([`witness`]: limb-backed classical bit evaluation for reversible
-//!   pairs at any width, or sparse basis-column replays of the miter
-//!   up to [`qsim::MAX_COLUMN_QUBITS`] wires — magnitude deficits
-//!   certify basis-column witnesses, and diverging unit phases certify
+//!   pairs at any width, or the dense tier's miter replay and decision
+//!   rule on the candidate basis columns up to
+//!   [`qsim::MAX_COLUMN_QUBITS`] wires — magnitude deficits certify
+//!   basis-column witnesses, and diverging unit phases certify
 //!   relative-phase witnesses) certifies **inequivalence** with a
 //!   concrete witness;
 //! * **a stall with no confirmed candidate still certifies nothing** —
@@ -57,7 +58,7 @@ pub use translate::MAX_MCX_CONTROLS;
 /// * `None` when the circuits do not translate (an `Mcx` beyond
 ///   [`MAX_MCX_CONTROLS`] controls), or rewriting stalls and no
 ///   candidate input survives replay.
-pub(crate) fn check(original: &Circuit, candidate: &Circuit, eps: f64) -> Option<Report> {
+pub(crate) fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
     if original.num_qubits() != candidate.num_qubits() {
         return None;
     }
@@ -71,7 +72,7 @@ pub(crate) fn check(original: &Circuit, candidate: &Circuit, eps: f64) -> Option
             trials: 0,
         });
     }
-    let witness = witness::extract(original, candidate, &miter, &diagram, eps)?;
+    let witness = witness::extract(original, candidate, &miter, &diagram)?;
     Some(Report {
         verdict: Verdict::Inequivalent { witness },
         tier: Tier::Zx,
@@ -82,17 +83,15 @@ pub(crate) fn check(original: &Circuit, candidate: &Circuit, eps: f64) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Witness;
+    use crate::{Witness, EPS};
     use qcir::random::{random_unitary_circuit, RandomCircuitConfig};
     use qsim::unitary::equivalent_up_to_phase;
-
-    const EPS: f64 = 1e-9;
 
     #[test]
     fn self_miter_of_random_unitary_circuits_reduces() {
         for seed in 0..10u64 {
             let c = random_unitary_circuit(&RandomCircuitConfig::new(5, 40, seed));
-            let report = check(&c, &c.clone(), EPS).expect("self-pair must fully reduce");
+            let report = check(&c, &c.clone()).expect("self-pair must fully reduce");
             assert!(report.verdict.is_equivalent());
             assert_eq!(report.tier, Tier::Zx);
         }
@@ -110,7 +109,7 @@ mod tests {
             let a = random_unitary_circuit(&RandomCircuitConfig::new(4, 25, seed));
             let b = random_unitary_circuit(&RandomCircuitConfig::new(4, 25, seed + 5000));
             for (x, y) in [(&a, &b), (&a, &a), (&b, &b)] {
-                if let Some(report) = check(x, y, EPS) {
+                if let Some(report) = check(x, y) {
                     let dense = equivalent_up_to_phase(x, y, EPS).unwrap();
                     if report.verdict.is_equivalent() {
                         equivalences += 1;
@@ -136,7 +135,7 @@ mod tests {
         let mut a = Circuit::new(2);
         a.t(0);
         let b = Circuit::new(2);
-        let report = check(&a, &b, EPS).expect("phase replay must certify");
+        let report = check(&a, &b).expect("phase replay must certify");
         assert_eq!(report.tier, Tier::Zx);
         assert!(matches!(
             report.verdict,
@@ -151,7 +150,7 @@ mod tests {
 
     #[test]
     fn register_mismatch_is_not_for_this_tier() {
-        assert!(check(&Circuit::new(2), &Circuit::new(3), EPS).is_none());
+        assert!(check(&Circuit::new(2), &Circuit::new(3)).is_none());
     }
 
     #[test]
@@ -161,7 +160,7 @@ mod tests {
         a.t(0).s(1).cz(1, 2).t(0);
         let mut b = Circuit::new(3);
         b.t(0).t(0).cz(1, 2).s(1);
-        let report = check(&a, &b, EPS).expect("commuted diagonals reduce");
+        let report = check(&a, &b).expect("commuted diagonals reduce");
         assert!(report.verdict.is_equivalent());
     }
 
@@ -176,7 +175,7 @@ mod tests {
         let mut b = Circuit::new(1);
         b.x(0).rz(-0.2, 0).x(0);
         assert!(equivalent_up_to_phase(&a, &b, EPS).unwrap());
-        let report = check(&a, &b, EPS).expect("pivot-gadget closes this pair");
+        let report = check(&a, &b).expect("pivot-gadget closes this pair");
         assert!(report.verdict.is_equivalent());
     }
 
@@ -191,7 +190,7 @@ mod tests {
         let mut b = Circuit::new(1);
         b.tdg(0);
         assert!(!equivalent_up_to_phase(&a, &b, EPS).unwrap());
-        let report = check(&a, &b, EPS).expect("phase replay must certify");
+        let report = check(&a, &b).expect("phase replay must certify");
         assert!(matches!(
             report.verdict,
             Verdict::Inequivalent {
@@ -210,7 +209,7 @@ mod tests {
         let mut a = Circuit::new(1);
         a.h(0);
         let b = Circuit::new(1);
-        let report = check(&a, &b, EPS).expect("witness extraction must fire");
+        let report = check(&a, &b).expect("witness extraction must fire");
         assert_eq!(report.tier, Tier::Zx);
         let Verdict::Inequivalent {
             witness: Witness::BasisColumn { input, overlap },
@@ -234,7 +233,7 @@ mod tests {
         }
         let mut b = a.clone();
         b.x(17);
-        let report = check(&a, &b, EPS).expect("classical replay must confirm");
+        let report = check(&a, &b).expect("classical replay must confirm");
         assert_eq!(report.tier, Tier::Zx);
         let Verdict::Inequivalent {
             witness:
@@ -268,7 +267,7 @@ mod tests {
         let mut a = Circuit::new(n);
         a.swap(3, 7).t(0).tdg(0);
         let b = Circuit::new(n);
-        let report = check(&a, &b, EPS).expect("permutation residue is basis-visible");
+        let report = check(&a, &b).expect("permutation residue is basis-visible");
         assert!(matches!(
             report.verdict,
             Verdict::Inequivalent {

@@ -20,18 +20,19 @@
 //!      evaluation of each circuit ([`revlib::classical_eval_bits`]) at
 //!      **any** register width, `O(gates)` per input
 //!      ([`Witness::BasisInput`], outputs compared exactly);
-//!    * otherwise → the miter's diagonal amplitude `⟨x|C₂†C₁|x⟩` from
-//!      [`crate::stimulus::MiterReplay`] (a sparse column up to
-//!      [`qsim::MAX_COLUMN_QUBITS`] wires, with its pruning error bound
-//!      charged against the tolerance; a dense basis replay within the
-//!      statevector cap once the column trips its support budget). A
-//!      magnitude deficit certifies [`Witness::BasisColumn`]; two
-//!      unit-magnitude amplitudes with *different phases* certify
-//!      [`Witness::RelativePhase`] — this is what catches purely
-//!      diagonal residues (`T` vs `T†`, a leftover `CZ`) that no single
-//!      basis input can see.
+//!    * otherwise → the miter's diagonal entry `⟨x|C₂†C₁|x⟩` from the
+//!      dense tier's [`MiterReplay`] (a sparse column up to
+//!      [`qsim::MAX_COLUMN_QUBITS`] wires; a statevector replay within
+//!      the statevector cap once the column trips its support budget),
+//!      judged by the dense tier's own rule ([`judge`], error bound
+//!      charged against [`crate::EPS`]). A magnitude deficit certifies
+//!      [`Witness::BasisColumn`]; two unit-magnitude entries with
+//!      *different phases* certify [`Witness::RelativePhase`] — this is
+//!      what catches purely diagonal residues (`T` vs `T†`, a leftover
+//!      `CZ`) that no single basis input can see.
 //!
-//! A candidate that fails certification is simply dropped; a replay
+//! A candidate that fails certification, or whose error bound leaves
+//! the rule unsure, is simply dropped; a replay
 //! that errors (miter too branchy for the column budget and too wide
 //! for a statevector) aborts the quantum path. If nothing survives, the
 //! tier falls through exactly as a plain stall does. A rewrite-engine
@@ -40,10 +41,10 @@
 //! caller can re-run.
 
 use super::graph::{Diagram, EdgeKind};
-use crate::stimulus::{self, mix};
+use crate::dense::{judge, Judgement, MiterReplay};
+use crate::stimulus::mix;
 use crate::Witness;
 use qcir::{BasisBits, Circuit};
-use qsim::C64;
 use revlib::classical_eval_bits;
 
 /// Most miter basis replays attempted per stalled diagram: enough for
@@ -81,7 +82,6 @@ pub(crate) fn extract(
     candidate: &Circuit,
     miter: &Circuit,
     diagram: &Diagram,
-    eps: f64,
 ) -> Option<Witness> {
     if diagram.has_zero_scalar() {
         // The structure is not trustworthy enough even to *propose*
@@ -106,7 +106,7 @@ pub(crate) fn extract(
         // the tier falls through rather than guess.
         return None;
     }
-    extract_quantum(miter, &active, eps)
+    extract_quantum(miter, &active, n)
 }
 
 /// Bit-level certification for reversible pairs: limb-backed basis
@@ -142,59 +142,42 @@ fn extract_classical(
     None
 }
 
-/// Quantum certification through the miter's diagonal amplitudes: one
-/// unified replay loop covering both witness shapes. A magnitude
-/// deficit at any candidate is a [`Witness::BasisColumn`]; when every
-/// replayed amplitude has unit magnitude, the candidates are basis
-/// eigenvectors and their exact phases are compared — a disagreement is
-/// a [`Witness::RelativePhase`], the shape diagonal residues (`T` vs
-/// `T†`) produce. Phase tolerance mirrors the dense tier
-/// (`eps.max(1e-12) * 10`). Each replay's error bound is charged
-/// against both tests, so a witness never rests on pruned mass; an
-/// input whose bound straddles the magnitude threshold certifies
-/// nothing. Any replay error (miter too branchy for the column budget,
-/// too wide for a statevector) aborts: soundness over completeness.
-fn extract_quantum(miter: &Circuit, active: &[u32], eps: f64) -> Option<Witness> {
-    let candidates = structured_candidates(active, MAX_BASIS_REPLAYS);
+/// Quantum certification through the miter's diagonal entries, judged
+/// candidate by candidate with the dense tier's rule against the first
+/// consistent entry. A magnitude deficit at any candidate is a
+/// [`Witness::BasisColumn`]; a unit-magnitude entry whose phase differs
+/// from the reference's is a [`Witness::RelativePhase`], the shape
+/// diagonal residues (`T` vs `T†`) produce. A candidate the rule is
+/// unsure of certifies nothing, so a witness never rests on pruned
+/// mass. Any replay error (miter too branchy for the column budget, too
+/// wide for a statevector) aborts: soundness over completeness.
+fn extract_quantum(miter: &Circuit, active: &[u32], n: u32) -> Option<Witness> {
+    // Below the column cap every candidate is one u64 column index.
+    let candidates: Vec<u64> = structured_candidates_bits(active, n, MAX_BASIS_REPLAYS)
+        .iter()
+        .filter_map(BasisBits::to_u64)
+        .collect();
     WITNESS_CANDIDATES.add(candidates.len() as u64);
-    let mut replay = stimulus::MiterReplay::new(miter).ok()?;
-    let phase_tolerance = eps.max(1e-12) * 10.0;
-    // (input, unit phase, bound on that phase's error)
-    let mut reference: Option<(u64, C64, f64)> = None;
+    let mut replay = MiterReplay::new(miter).ok()?;
+    let mut reference = None;
     for x in candidates {
         WITNESS_BASIS_REPLAYS.incr();
-        let Ok((amplitude, err)) = replay.amplitude(x) else {
+        let Ok(entry) = replay.entry(x) else {
             // Replay infeasible for this miter: no candidate can be
             // certified, so the whole quantum path falls through.
             break;
         };
-        let overlap = amplitude.abs();
-        if overlap + err < 1.0 - eps {
-            WITNESS_CONFIRMED.incr();
-            return Some(Witness::BasisColumn { input: x, overlap });
-        }
-        if overlap - err < 1.0 - eps {
-            continue;
-        }
-        // Unit magnitude: `x` is an eigenvector of the miter and its
-        // phase is exact evidence. Compare against the first unit
-        // candidate seen; normalising moves the phase by at most
-        // `2·err/overlap`.
-        let phase = amplitude.scale(overlap.recip());
-        let phase_err = 2.0 * err / overlap;
-        match reference {
-            None => reference = Some((x, phase, phase_err)),
-            Some((first, reference_phase, reference_err)) => {
-                WITNESS_PHASE_REPLAYS.incr();
-                let tolerance = phase_tolerance + phase_err + reference_err;
-                if !phase.approx_eq(reference_phase, tolerance) {
-                    WITNESS_CONFIRMED.incr();
-                    return Some(Witness::RelativePhase {
-                        input_a: first,
-                        input_b: x,
-                    });
+        match judge(x, entry, reference) {
+            Judgement::Consistent if reference.is_none() => reference = Some((x, entry)),
+            Judgement::Consistent => WITNESS_PHASE_REPLAYS.incr(),
+            Judgement::Diverges(witness) => {
+                if matches!(witness, Witness::RelativePhase { .. }) {
+                    WITNESS_PHASE_REPLAYS.incr();
                 }
+                WITNESS_CONFIRMED.incr();
+                return Some(witness);
             }
+            Judgement::Unsure => {}
         }
     }
     None
@@ -213,31 +196,13 @@ fn active_wires(d: &Diagram) -> Vec<u32> {
         .collect()
 }
 
-/// Candidate basis inputs derived from the active-wire set, most
-/// promising first: all-zeros (exposes bit-flip residues), the
-/// all-active pattern (satisfies control conjunctions), then single-bit
-/// probes per active wire (expose wire permutations) and the all-active
-/// pattern with one bit dropped.
-fn structured_candidates(active: &[u32], limit: usize) -> Vec<u64> {
-    let all: u64 = active.iter().fold(0, |m, &w| m | (1u64 << w));
-    let mut out: Vec<u64> = vec![0, all];
-    for &w in active {
-        out.push(1u64 << w);
-        out.push(all & !(1u64 << w));
-    }
-    let mut seen: Vec<u64> = Vec::new();
-    for x in out {
-        if !seen.contains(&x) {
-            seen.push(x);
-        }
-    }
-    seen.truncate(limit);
-    seen
-}
-
-/// The same probe shapes as [`structured_candidates`], as limb-backed
-/// basis states over a `width`-qubit register — active wires (and the
-/// register) may sit past bit 63.
+/// Candidate basis inputs derived from the active-wire set, as
+/// limb-backed basis states over a `width`-qubit register (active wires,
+/// and the register, may sit past bit 63), most promising first:
+/// all-zeros (exposes bit-flip residues), the all-active pattern
+/// (satisfies control conjunctions), then single-bit probes per active
+/// wire (expose wire permutations) and the all-active pattern with one
+/// bit dropped.
 fn structured_candidates_bits(active: &[u32], width: u32, limit: usize) -> Vec<BasisBits> {
     let mut all = BasisBits::zeros(width);
     for &w in active {
@@ -290,25 +255,19 @@ mod tests {
 
     #[test]
     fn structured_candidates_cover_the_probe_shapes() {
-        let c = structured_candidates(&[1, 3], usize::MAX);
+        let narrow = |limit| -> Vec<u64> {
+            structured_candidates_bits(&[1, 3], 4, limit)
+                .iter()
+                .filter_map(BasisBits::to_u64)
+                .collect()
+        };
+        let c = narrow(usize::MAX);
         assert_eq!(c[0], 0);
         assert_eq!(c[1], 0b1010);
         assert!(c.contains(&0b0010));
         assert!(c.contains(&0b1000));
         assert_eq!(c.len(), 4); // duplicates (all − bit = other bit) folded
-        assert_eq!(structured_candidates(&[1, 3], 2), vec![0, 0b1010]);
-    }
-
-    #[test]
-    fn bits_candidates_match_u64_candidates_below_the_limb_boundary() {
-        for active in [vec![0u32], vec![1, 3], vec![0, 5, 17, 40]] {
-            let narrow = structured_candidates(&active, usize::MAX);
-            let wide = structured_candidates_bits(&active, 63, usize::MAX);
-            assert_eq!(narrow.len(), wide.len());
-            for (a, b) in narrow.iter().zip(&wide) {
-                assert_eq!(b.to_u64(), Some(*a));
-            }
-        }
+        assert_eq!(narrow(2), vec![0, 0b1010]);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Differential test of the dense tier's sparse-column check against
-//! exact unitary matrix columns.
+//! Differential test of the exact column check against exact unitary
+//! matrix columns.
 //!
-//! `Verifier::check_dense` runs every basis column through a sparse
-//! support map, charging the pruned norm against `eps`. This suite
-//! re-derives each verdict from `qsim::unitary::circuit_unitary`
-//! columns with the same decision rule — a column whose overlap misses
-//! 1 by more than `eps` diverges; a column whose overlap differs from
-//! column 0's by more than the phase tolerance is a relative phase —
-//! and requires the same verdict kind, the same first diverging column
-//! and the same relative-phase pair.
+//! `Verifier::check_dense` runs every diagonal entry of the miter
+//! `C₂†C₁` through one sparse support map, charging the pruned norm
+//! against `qverify::EPS`. This suite re-derives each verdict from
+//! `qsim::unitary::circuit_unitary` columns with the same decision rule
+//! — a column whose overlap misses 1 by more than `EPS` diverges; a
+//! column whose overlap differs from column 0's by more than the phase
+//! tolerance is a relative phase — and requires the same verdict kind,
+//! the same first diverging column and the same relative-phase pair.
 //!
 //! Cases: the restored pairs of the 8 Table I circuits under the default
 //! job config, their stripped-key variants (the masked circuit `R·C`,

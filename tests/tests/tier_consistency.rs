@@ -98,8 +98,8 @@ fn clifford_seq(n: u32, len: usize, rng: &mut StdRng) -> GateSeq {
 }
 
 /// Random Clifford+T sequence with at most `max_h` Hadamards, so the
-/// miter of any pair built from two such sequences stays within the
-/// sharded column replay's branching bound.
+/// miter of any pair built from two such sequences reaches at most
+/// `2^(2·max_h)` live amplitudes in its sparse column replay.
 fn clifford_t_seq(n: u32, len: usize, max_h: usize, rng: &mut StdRng) -> GateSeq {
     let mut h_left = max_h;
     (0..len)
@@ -391,9 +391,10 @@ fn small_clifford_t_pairs_match_dense_ground_truth() {
 fn wide_bounded_branching_clifford_t_pairs_stay_decided_to_32_qubits() {
     // 24 pairs, 16 to 32 wires — past the dense cap and (at 30/32) past
     // the statevector cap. Each sequence carries at most 4 Hadamards,
-    // so every miter stays within MAX_COLUMN_BRANCHING and the sharded
-    // column replay can certify what the reduction alone cannot. These
-    // widths were the cascade's blind spot before this issue.
+    // so every miter column peaks at 2^8 = 256 live amplitudes, inside
+    // `qsim::column::support_budget(n)` (4,096 at 16 wires, 65,536 from
+    // 20 wires on), and the sparse column replay can certify what the
+    // reduction alone cannot, even past the statevector cap.
     for &n in &[16u32, 24, 30, 32] {
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(seed * 4000 + n as u64);
