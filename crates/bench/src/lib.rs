@@ -198,6 +198,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn device_selection_by_size() {
+        let name = |n| device_for("valencia", n).unwrap().name().to_string();
+        assert_eq!(name(4), "fake_valencia");
+        assert_eq!(name(5), "fake_valencia");
+        assert!(name(7).contains("ext7"));
+        assert!(name(12).contains("ext12"));
+    }
+
+    #[test]
     fn table1_row_smoke() {
         let bench = revlib::adder_1bit();
         let row = table1_row(&bench, 3, 200);
