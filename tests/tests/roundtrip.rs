@@ -12,7 +12,7 @@ use revlib::{all_benchmarks, table1_benchmarks};
 use std::process::Command;
 use tetrislock::multiway::MultiwayPattern;
 use tetrislock::recombine::recombine;
-use tetrislock::{InsertionConfig, Obfuscation, Obfuscator};
+use tetrislock::{GatePolicy, InsertionConfig, InterlockPattern, Obfuscation, Obfuscator};
 use tetrislock_tests::tetrislock_bin;
 
 #[test]
@@ -287,6 +287,60 @@ fn split_and_recombine_bytes_are_pinned() {
     assert_eq!(
         actual, expected,
         "split/recombine bytes moved; now:\n{table}"
+    );
+}
+
+/// FNV-1a digest of every obfuscated QASM and its `InsertedPair`
+/// records, over all benchmarks × gate policies × gate limits
+/// 2/4/8 × insertion seeds 0–4.
+const INSERTION_PIN: u64 = 0xb31c381deed2c946;
+
+/// Algorithm 1's bytes are pinned beyond the default policy and limit,
+/// and the first interlocking draw separates every inserted pair.
+#[test]
+fn insertion_and_first_draw_split_are_pinned() {
+    let mut text = String::new();
+    for bench in all_benchmarks() {
+        for policy in [GatePolicy::XCx, GatePolicy::Hadamard, GatePolicy::Mixed] {
+            for gate_limit in [2, 4, 8] {
+                for seed in 0..5u64 {
+                    let config = InsertionConfig {
+                        gate_limit,
+                        policy,
+                        seed,
+                        ..Default::default()
+                    };
+                    let obf = Obfuscator::new()
+                        .with_config(config)
+                        .obfuscate(bench.circuit());
+                    text.push_str(&to_qasm(obf.obfuscated()));
+                    for p in &obf.insertion().pairs {
+                        let wires: Vec<usize> = p.qubits.iter().map(|q| q.index()).collect();
+                        text.push_str(&format!(
+                            "pair {} {wires:?} {} {} {} {}\n",
+                            p.gate,
+                            p.inverse_layer,
+                            p.forward_layer,
+                            p.inverse_index,
+                            p.forward_index
+                        ));
+                    }
+                    for split_seed in 0..5u64 {
+                        let split = InterlockPattern::random_for(&obf, split_seed).split(&obf);
+                        assert!(
+                            obf.split_separates_pairs(&split),
+                            "{} {policy:?} limit {gate_limit} seed {seed}: split seed {split_seed} left a pair unseparated",
+                            bench.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let digest = fnv1a64(text.as_bytes());
+    assert_eq!(
+        digest, INSERTION_PIN,
+        "insertion bytes moved; now {digest:#018x}"
     );
 }
 
