@@ -25,7 +25,9 @@
 //! binary validates its own output against
 //! [`bench::schema::validate_qsim_bench_json`], so a schema drift
 //! fails the smoke run instead of producing a file the perf-history
-//! consumers can no longer read. `detected_workers` reports the
+//! consumers can no longer read. The `provenance` block
+//! ([`bench::provenance_json`]) names the commit, the host's cores and
+//! the resolved qsim worker count. `detected_workers` reports the
 //! engine's resolved worker count ([`qsim::resolved_workers`]) —
 //! `QSIM_WORKERS` override, detected parallelism, `MAX_WORKERS`
 //! clamp — not the raw hardware parallelism.
@@ -142,7 +144,7 @@ fn main() {
         // states).
         let circuit = qcir::random::random_reversible(&RandomCircuitConfig::new(20, 40, 7));
         eprintln!("timing stimulus_20q…");
-        let verifier = Verifier::new().with_trials(2).with_threads(1).with_seed(5);
+        let verifier = Verifier::new().with_trials(2).with_seed(5);
         let fused_ms = qobs::time_median_ms("perfdump.stimulus_20q_2trials", 1, 3, || {
             let report = verifier
                 .check_stimulus(&circuit, &circuit.clone())
@@ -196,8 +198,9 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
     }
     format!(
         "{{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n  \
-         \"smoke\": {smoke},\n  \"engine\": {{\"max_qubits\": {}, \
+         \"smoke\": {smoke},\n  \"provenance\": {},\n  \"engine\": {{\"max_qubits\": {}, \
          \"parallel_min_qubits\": {}, \"detected_workers\": {}}},\n  \"cases\": [\n{body}  ]\n}}\n",
+        bench::provenance_json(),
         MAX_QUBITS,
         PARALLEL_MIN_QUBITS,
         // The engine's own resolution (QSIM_WORKERS override, detected

@@ -31,7 +31,6 @@
 use qcir::random::{random_reversible, RandomCircuitConfig};
 use qcir::Circuit;
 use qverify::{Verdict, Verifier};
-use std::process::Command;
 use tetrislock::job::{JobConfig, JobStage, JobState};
 use tetrislock::recombine::recombine;
 use tetrislock::Obfuscator;
@@ -289,28 +288,6 @@ fn stripped_key(c: &Circuit) -> Circuit {
         .masked_circuit()
 }
 
-/// `git` output for `args`, trimmed; `None` without git or a repository.
-fn git(args: &[&str]) -> Option<String> {
-    let out = Command::new("git").args(args).output().ok()?;
-    out.status
-        .success()
-        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-}
-
-/// Where the numbers came from: the checked-out commit (and whether the
-/// tree had uncommitted changes), the host's cores, and the qsim worker
-/// count every statevector replay resolved to.
-fn provenance_json() -> String {
-    let commit = git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
-    let dirty = git(&["status", "--porcelain", "--untracked-files=no"]).map(|s| !s.is_empty());
-    let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
-    format!(
-        "{{\"commit\": \"{commit}\", \"dirty\": {}, \"nproc\": {nproc}, \"resolved_workers\": {}}}",
-        dirty.map_or("null".to_string(), |d| d.to_string()),
-        qsim::resolved_workers(),
-    )
-}
-
 fn render_json(cases: &[CaseResult], smoke: bool) -> String {
     let mut body = String::new();
     for (i, case) in cases.iter().enumerate() {
@@ -332,7 +309,7 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
          \"engine\": {{\"max_mcx_controls\": {}, \"stimulus_cap_qubits\": {}, \
          \"dyadic_grid_log\": {}, \"column_cap_qubits\": {}, \
          \"column_support_budget\": {}}},\n  \"cases\": [\n{body}  ]\n}}\n",
-        provenance_json(),
+        bench::provenance_json(),
         qverify::MAX_MCX_CONTROLS,
         qverify::MAX_STIMULUS_QUBITS,
         qverify::DYADIC_GRID_LOG,

@@ -266,6 +266,29 @@ pub fn clifford_t_circuit(n: u32, gates: usize) -> qcir::Circuit {
     c
 }
 
+/// `git` output for `args`, trimmed; `None` without git or a repository.
+fn git(args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git").args(args).output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The `provenance` block of the `BENCH_*.json` files: the checked-out
+/// commit (and whether the tree had uncommitted changes), the host's
+/// cores, and the qsim worker count every statevector replay resolved
+/// to.
+pub fn provenance_json() -> String {
+    let commit = git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"]).map(|s| !s.is_empty());
+    let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
+    format!(
+        "{{\"commit\": \"{commit}\", \"dirty\": {}, \"nproc\": {nproc}, \"resolved_workers\": {}}}",
+        dirty.map_or("null".to_string(), |d| d.to_string()),
+        qsim::resolved_workers(),
+    )
+}
+
 /// Structural validation for `BENCH_qsim.json`.
 ///
 /// The workspace vendors no JSON parser, so these checks are
@@ -288,7 +311,9 @@ pub mod schema {
     ];
 
     /// Checks that `json` has the `BENCH_qsim.json` schema-version-1
-    /// shape: the suite/header fields, an `engine` block whose
+    /// shape: the suite/header fields, a `provenance` block (see
+    /// [`crate::provenance_json`]) whose `resolved_workers` is at least
+    /// 1, an `engine` block whose
     /// `detected_workers` is at least 1, and a non-empty case list in
     /// which every case carries all eight per-case keys and a numeric
     /// `fused_ms`.
@@ -301,6 +326,8 @@ pub mod schema {
     /// let doc = concat!(
     ///     "{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n",
     ///     "  \"smoke\": true,\n",
+    ///     "  \"provenance\": {\"commit\": \"unknown\", \"dirty\": null, ",
+    ///     "\"nproc\": 4, \"resolved_workers\": 4},\n",
     ///     "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
     ///     "\"detected_workers\": 4},\n  \"cases\": [\n",
     ///     "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
@@ -315,6 +342,10 @@ pub mod schema {
         require(json, "\"schema_version\": 1")?;
         if !json.contains("\"smoke\": true") && !json.contains("\"smoke\": false") {
             return Err("missing boolean \"smoke\" field".into());
+        }
+        require(json, "\"provenance\": {\"commit\": \"")?;
+        if uint_field(json, "resolved_workers")? == 0 {
+            return Err("\"resolved_workers\" must be at least 1".into());
         }
         let max_qubits = uint_field(json, "max_qubits")?;
         let parallel_min = uint_field(json, "parallel_min_qubits")?;
@@ -380,6 +411,8 @@ pub mod schema {
             concat!(
                 "{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n",
                 "  \"smoke\": false,\n",
+                "  \"provenance\": {\"commit\": \"0123abc\", \"dirty\": false, ",
+                "\"nproc\": 2, \"resolved_workers\": 2},\n",
                 "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
                 "\"detected_workers\": 4},\n  \"cases\": [\n",
                 "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
@@ -419,6 +452,18 @@ pub mod schema {
             assert!(validate_qsim_bench_json(&doc)
                 .unwrap_err()
                 .contains("no case objects"));
+        }
+
+        #[test]
+        fn requires_provenance_with_workers() {
+            let doc = valid_doc().replace("\"provenance\"", "\"origin\"");
+            assert!(validate_qsim_bench_json(&doc)
+                .unwrap_err()
+                .contains("provenance"));
+            let doc = valid_doc().replace("\"resolved_workers\": 2", "\"resolved_workers\": 0");
+            assert!(validate_qsim_bench_json(&doc)
+                .unwrap_err()
+                .contains("resolved_workers"));
         }
 
         #[test]

@@ -271,11 +271,11 @@ fn inspect(args: &[String]) -> Result<(), String> {
         "estimated duration: {:.0} ns (falcon gate times)",
         timing.duration_ns
     );
-    let slots = tetrislock::slots::SlotTable::new(&circuit);
+    let empty_positions = qcir::CircuitDag::new(&circuit).empty_positions();
     println!(
         "empty slots: {} cells across {} layers",
-        slots.total_empty_slots(),
-        slots.depth()
+        empty_positions.iter().map(Vec::len).sum::<usize>(),
+        empty_positions.len()
     );
     if circuit.num_qubits() <= 16 && circuit.depth() <= 40 {
         print!("{}", display::render(&circuit));
@@ -314,7 +314,6 @@ fn protect(args: &[String]) -> Result<(), String> {
             seed,
             gate_limit: limit,
             policy,
-            ..Default::default()
         })
         .obfuscate(&circuit);
 

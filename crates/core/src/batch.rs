@@ -346,15 +346,14 @@ impl Manifest {
         self.set(id, status, &verdict.tier, &format!("{id}.restored.qasm"));
     }
 
-    /// Atomically (tmp + rename) replaces the manifest file.
-    pub(crate) fn write(&self, path: &Path) -> std::io::Result<()> {
+    /// Atomically and durably (tmp + sync + rename) replaces the
+    /// manifest file.
+    pub(crate) fn write(&self, path: &Path) -> Result<(), persist::PersistError> {
         let mut text = String::from(MANIFEST_HEADER);
         for (id, [status, tier, output]) in &self.rows {
             text.push_str(&format!("{id}\t{status}\t{tier}\t{output}\n"));
         }
-        let tmp = persist::tmp_path(path);
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, path)
+        persist::write_atomic(path, text.as_bytes())
     }
 }
 

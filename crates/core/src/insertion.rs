@@ -1,21 +1,22 @@
 //! Random gate insertion (the paper's Algorithm 1).
 //!
-//! Inserts a random circuit `R` *and its inverse* `R⁻¹` into empty slots
-//! of the original circuit so that:
+//! Inserts a random circuit `R` *and its inverse* `R⁻¹` into the leading
+//! empty slots of the original circuit — the paper's `R⁻¹RC` front
+//! placement — so that:
 //!
 //! * the obfuscated circuit computes exactly `R⁻¹·R·C = C` — each inserted
-//!   gate `g` is paired with `g†` placed earlier inside the same idle
-//!   window, with no gate touching those wires in between, so the pair
-//!   cancels algebraically with no commutation assumptions;
+//!   gate `g` is paired with `g†` placed earlier on the same wires, before
+//!   any original gate touches them, so the pair cancels algebraically
+//!   with no commutation assumptions;
 //! * circuit depth is *provably unchanged*: gates only occupy idle
 //!   wire-layer cells, so the layer count (and hence ASAP depth) cannot
 //!   move (the paper's "0% depth increase" claim);
-//! * the `R` halves sit strictly later than their `R⁻¹` partners, so the
-//!   interlocking split can separate them into different segments.
+//! * the `R` halves sit strictly later than their `R⁻¹` partners, and
+//!   each `g†` is the first gate on its wires, so no earlier gate can
+//!   freeze those wires and the interlocking split always separates
+//!   `g†` from `g` into different segments.
 
 use crate::policy::{DrawnGate, GatePolicy};
-use crate::slots::SlotTable;
-use qcir::dag::layered_instructions;
 use qcir::{Circuit, Gate, Instruction, Qubit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,16 +34,6 @@ pub struct InsertionConfig {
     pub policy: GatePolicy,
     /// RNG seed (experiments average over 20 seeds).
     pub seed: u64,
-    /// Restrict insertion to *leading* idle windows (wires untouched since
-    /// layer 0), exactly as in the paper's `R⁻¹RC` front placement. This
-    /// is the default because it is what guarantees the interlocking
-    /// split can always separate `g†` from `g`: the inverse half is the
-    /// first gate on its wires, so no earlier right-assigned gate can
-    /// freeze those wires. When `false`, mid-circuit and trailing idle
-    /// windows are fair game too — function and depth are still exactly
-    /// preserved, but a pair may end up with both halves in one segment
-    /// (weaker masking for that pair).
-    pub leading_only: bool,
 }
 
 impl Default for InsertionConfig {
@@ -51,7 +42,6 @@ impl Default for InsertionConfig {
             gate_limit: 4,
             policy: GatePolicy::XCx,
             seed: 0,
-            leading_only: true,
         }
     }
 }
@@ -136,13 +126,15 @@ impl Insertion {
 /// Runs Algorithm 1 on `circuit`.
 ///
 /// Empty-slot discovery follows the paper (DAG → layers → per-layer
-/// unused qubits); placement then picks an idle window of length ≥ 2,
-/// drops `g†` in an early column and `g` in a later one, and reserves the
-/// spanned cells so later insertions cannot break the cancellation.
+/// unused qubits, [`qcir::CircuitDag::empty_positions`]). Each wire's
+/// leading idle run — the layers before its first gate — is the only
+/// room used: a pair on wires whose common run has length ≥ 2 drops
+/// `g†` in an early column and `g` in a later one, and its wires are
+/// then spent, so no later pair shares them.
 ///
-/// Circuits with no idle windows (fully dense) come back unchanged with
-/// zero pairs — the honest outcome under the zero-depth-overhead
-/// constraint.
+/// Circuits with no leading idle run of length ≥ 2 (fully dense)
+/// come back unchanged with zero pairs — the honest outcome under the
+/// zero-depth-overhead constraint.
 ///
 /// # Example
 ///
@@ -158,77 +150,39 @@ impl Insertion {
 /// ```
 pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Insertion {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let slots = SlotTable::new(circuit);
-    let depth = slots.depth();
+    let dag = qcir::CircuitDag::new(circuit);
+    let empty_positions = dag.empty_positions();
+    let depth = empty_positions.len();
     let n = circuit.num_qubits();
 
-    // Occupancy matrix [wire][layer]: true = used (original gate or
-    // reserved by an inserted pair's span).
-    let mut occupied = vec![vec![false; depth]; n as usize];
-    for (q, wire_row) in occupied.iter_mut().enumerate() {
-        for (layer, cell) in wire_row.iter_mut().enumerate() {
-            if !slots.empty_at(layer).contains(&Qubit::new(q as u32)) {
-                *cell = true;
-            }
-        }
-    }
+    // Per wire: the number of leading idle layers still free; zeroed
+    // once a pair uses the wire.
+    let mut lead: Vec<usize> = (0..n)
+        .map(|q| {
+            let q = Qubit::new(q);
+            empty_positions
+                .iter()
+                .take_while(|empty| empty.contains(&q))
+                .count()
+        })
+        .collect();
 
     // Planned insertions: (gate, wires, inv_layer, fwd_layer).
     let mut planned: Vec<(Gate, Vec<Qubit>, usize, usize)> = Vec::new();
 
-    // A wire-column span [s, e) is free if every cell is unoccupied.
-    let span_free = |occupied: &Vec<Vec<bool>>, wires: &[u32], s: usize, e: usize| {
-        wires
-            .iter()
-            .all(|&w| (s..e).all(|l| !occupied[w as usize][l]))
-    };
-
-    // Candidate spans of length >= 2 for the given wires under the
-    // leading-only restriction.
-    let candidate_spans = |occupied: &Vec<Vec<bool>>, wires: &[u32]| -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        let mut start = None;
-        #[allow(clippy::needless_range_loop)] // parallel indexing across wires
-        for layer in 0..depth {
-            let free = wires.iter().all(|&w| !occupied[w as usize][layer]);
-            match (free, start) {
-                (true, None) => start = Some(layer),
-                (false, Some(s)) => {
-                    if layer - s >= 2 {
-                        spans.push((s, layer));
-                    }
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            if depth - s >= 2 {
-                spans.push((s, depth));
-            }
-        }
-        if config.leading_only {
-            spans.retain(|&(s, _)| s == 0);
-        }
-        spans
-    };
-
     while (planned.len() + 1) * 2 <= config.gate_limit {
-        // Gather single-wire and pair candidates under current occupancy.
-        let mut single_candidates: Vec<(u32, usize, usize)> = Vec::new();
-        for w in 0..n {
-            for (s, e) in candidate_spans(&occupied, &[w]) {
-                single_candidates.push((w, s, e));
-            }
-        }
-        let mut pair_candidates: Vec<(u32, u32, usize, usize)> = Vec::new();
+        // Single-wire and pair candidates: wires (and their common
+        // leading run `[0, e)`) with room for both halves.
+        let single_candidates: Vec<(u32, usize)> = (0..n)
+            .map(|w| (w, lead[w as usize]))
+            .filter(|&(_, e)| e >= 2)
+            .collect();
+        let mut pair_candidates: Vec<(u32, u32, usize)> = Vec::new();
         for a in 0..n {
             for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                for (s, e) in candidate_spans(&occupied, &[a, b]) {
-                    pair_candidates.push((a, b, s, e));
+                let e = lead[a as usize].min(lead[b as usize]);
+                if a != b && e >= 2 {
+                    pair_candidates.push((a, b, e));
                 }
             }
         }
@@ -237,40 +191,36 @@ pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Inser
         }
 
         let drawn = config.policy.draw(!pair_candidates.is_empty(), &mut rng);
-        let (gate, wires, span) = match drawn {
+        let (gate, wires, e) = match drawn {
             DrawnGate::TwoQubit(g) if !pair_candidates.is_empty() => {
-                let &(a, b, s, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
-                (g, vec![a, b], (s, e))
+                let &(a, b, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
+                (g, vec![a, b], e)
             }
             DrawnGate::TwoQubit(_) | DrawnGate::Single(_) if single_candidates.is_empty() => {
                 // Policy wanted a single but none fit; fall back to a pair.
-                let &(a, b, s, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
-                (Gate::CX, vec![a, b], (s, e))
+                let &(a, b, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
+                (Gate::CX, vec![a, b], e)
             }
             DrawnGate::Single(g) => {
-                let &(w, s, e) = &single_candidates[rng.gen_range(0..single_candidates.len())];
-                (g, vec![w], (s, e))
+                let &(w, e) = &single_candidates[rng.gen_range(0..single_candidates.len())];
+                (g, vec![w], e)
             }
             DrawnGate::TwoQubit(g) => {
                 // Unreachable (guarded above) but harmless.
-                let &(a, b, s, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
-                (g, vec![a, b], (s, e))
+                let &(a, b, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
+                (g, vec![a, b], e)
             }
         };
 
-        let (s, e) = span;
-        debug_assert!(span_free(&occupied, &wires, s, e));
-        // Place g† in the first half of the span, g in the second half.
-        let first_half = ((e - s) / 2).max(1);
-        let inv_layer = rng.gen_range(s..s + first_half).min(e - 2);
+        // Place g† in the first half of the run, g in the second half.
+        let first_half = (e / 2).max(1);
+        let inv_layer = rng.gen_range(0..first_half).min(e - 2);
         let fwd_layer = rng.gen_range(inv_layer + 1..e);
-        // Reserve the *entire* span so no later pair shares it: two pairs
-        // in one window would make their cut-column constraints collide
-        // and could strand a pair unseparated by the split.
+        // Spend the wires' leading runs so no later pair shares them: two
+        // pairs in one run would make their cut-column constraints
+        // collide and could strand a pair unseparated by the split.
         for &w in &wires {
-            for cell in &mut occupied[w as usize][s..e] {
-                *cell = true;
-            }
+            lead[w as usize] = 0;
         }
         planned.push((
             gate,
@@ -281,7 +231,6 @@ pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Inser
     }
 
     // Rebuild the circuit layer by layer with insertions in place.
-    let layers = layered_instructions(circuit);
     let mut out = Circuit::with_name(n, circuit.name());
     // (planned_index, is_forward) keyed by layer.
     let mut by_layer: Vec<Vec<(usize, bool)>> = vec![Vec::new(); depth];
@@ -292,10 +241,10 @@ pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Inser
 
     let mut inv_indices = vec![usize::MAX; planned.len()];
     let mut fwd_indices = vec![usize::MAX; planned.len()];
-    for (layer_idx, layer) in layers.into_iter().enumerate() {
-        // Inserted inverse halves first within the layer (wire-disjoint
-        // from everything else in the layer, so order is cosmetic).
-        for &(pi, forward) in &by_layer[layer_idx] {
+    for (layer, inserted) in dag.layers().iter().zip(&by_layer) {
+        // Inserted halves first within the layer (wire-disjoint from
+        // everything else in the layer, so order is cosmetic).
+        for &(pi, forward) in inserted {
             let (gate, qubits, _, _) = &planned[pi];
             let inst = Instruction::new(
                 if forward {
@@ -314,8 +263,9 @@ pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Inser
                 inv_indices[pi] = index;
             }
         }
-        for inst in layer {
-            out.push(inst).expect("same register");
+        for &id in &layer.nodes {
+            out.push(circuit.instructions()[id].clone())
+                .expect("same register");
         }
     }
 
@@ -338,7 +288,7 @@ pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Inser
         .collect();
     pairs.sort_by_key(|p| p.forward_layer);
 
-    debug_assert_eq!(out.depth(), circuit.depth().max(out.depth().min(depth)));
+    debug_assert_eq!(out_dag.num_layers(), depth);
     Insertion {
         circuit: out,
         pairs,
@@ -557,25 +507,24 @@ mod tests {
     }
 
     #[test]
-    fn leading_only_restricts_spans() {
+    fn pairs_sit_in_leading_idle_runs() {
         let c = roomy_circuit();
         let cfg = InsertionConfig {
-            leading_only: true,
             seed: 6,
             ..Default::default()
         };
         let result = insert_random_pairs(&c, &cfg);
-        let slots = SlotTable::new(&c);
+        let empty_positions = qcir::CircuitDag::new(&c).empty_positions();
+        assert!(result.inserted_count() >= 1);
         for p in &result.pairs {
             for q in &p.qubits {
                 // Every wire used must be idle from layer 0 through the
                 // forward layer in the original circuit.
-                let leading = slots
-                    .windows_for(*q)
-                    .iter()
-                    .find(|w| w.is_leading())
-                    .expect("pair wire must have a leading window");
-                assert!(p.forward_layer < leading.end);
+                assert!(
+                    (0..=p.forward_layer).all(|l| empty_positions[l].contains(q)),
+                    "{q:?} busy before layer {}",
+                    p.forward_layer
+                );
             }
         }
     }

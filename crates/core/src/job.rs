@@ -288,7 +288,6 @@ impl JobState {
                         seed: self.config.seed,
                         gate_limit: self.config.gate_limit,
                         policy: self.config.policy,
-                        ..Default::default()
                     })
                     .obfuscate(&self.original);
                 self.insertion = Some(obf.insertion().clone());
@@ -424,8 +423,9 @@ impl JobState {
         }
     }
 
-    /// Writes the restored circuit atomically (tmp + rename, like the
-    /// checkpoints) so a crash mid-emit never leaves a torn output.
+    /// Writes the restored circuit atomically and durably (tmp + sync +
+    /// rename, like the checkpoints), so neither a crash mid-emit nor a
+    /// power loss after the `Done` checkpoint leaves a torn output.
     fn emit_stage(&self, out_dir: &Path) -> Result<(), JobError> {
         let restored = self
             .restored
@@ -433,9 +433,7 @@ impl JobState {
             .ok_or_else(|| self.stage_err("missing restored circuit"))?;
         let path = self.output_path(out_dir);
         let text = qcir::qasm::to_qasm(restored);
-        let tmp = persist::tmp_path(&path);
-        std::fs::write(&tmp, &text)
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        persist::write_atomic(&path, text.as_bytes())
             .map_err(|e| self.stage_err(format!("cannot write {}: {e}", path.display())))
     }
 }

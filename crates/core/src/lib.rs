@@ -6,9 +6,9 @@
 //! The flow (paper Figure 2):
 //!
 //! 1. **Obfuscate** — [`Obfuscator`] runs Algorithm 1: a random circuit
-//!    `R` *and its inverse* are placed into empty slots of the original
-//!    circuit `C`, producing `R⁻¹RC` with **zero depth overhead** and the
-//!    exact original function ([`insertion`]).
+//!    `R` *and its inverse* are placed into the leading empty slots of the
+//!    original circuit `C`, producing `R⁻¹RC` with **zero depth overhead**
+//!    and the exact original function ([`insertion`]).
 //! 2. **Split** — an [`interlock::InterlockPattern`] cuts the obfuscated
 //!    circuit along a jagged, per-wire boundary into two segments with
 //!    (generally) different qubit counts; every `R` gate is separated
@@ -77,7 +77,6 @@ pub mod policy;
 pub mod recombine;
 pub mod retry;
 pub mod serve;
-pub mod slots;
 
 pub use error::LockError;
 pub use insertion::InsertionConfig;

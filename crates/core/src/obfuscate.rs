@@ -136,32 +136,28 @@ impl Obfuscation {
         self.obfuscated().depth() as isize - self.original.depth() as isize
     }
 
-    /// Splits the obfuscated circuit with a random interlocking pattern
-    /// derived from `seed` (see [`InterlockPattern::random_for`]).
+    /// Splits the obfuscated circuit with one random interlocking
+    /// pattern derived from `seed` (see [`InterlockPattern::random_for`]).
     ///
-    /// With the default leading-window insertion the resulting split
-    /// always separates every `R`/`R⁻¹` pair. For mid-circuit insertions
-    /// (`leading_only: false`) wire-freezing can occasionally strand a
-    /// pair in one segment; this method retries with derived pattern
-    /// seeds (up to 16 attempts) and returns the first fully separated
-    /// split, falling back to the last attempt if none separates (check
-    /// [`Obfuscation::split_separates_pairs`] when using that mode).
+    /// Front placement makes every `g†` the first gate on its wires, so
+    /// the draw always puts each `R⁻¹` half in the left segment and its
+    /// `R` half in the right one.
+    ///
+    /// # Panics
+    ///
+    /// If the split leaves a pair unseparated (a broken invariant, not
+    /// an unlucky draw).
     pub fn split(&self, seed: u64) -> SplitPair {
         let _span = qobs::span("core.split")
             .attr("circuit", self.original.name())
             .attr("wires", self.original.num_qubits())
             .attr("gates", self.obfuscated().gate_count());
-        let mut last = None;
-        for attempt in 0..16u64 {
-            let pattern =
-                InterlockPattern::random_for(self, seed.wrapping_add(attempt.wrapping_mul(0x9E37)));
-            let split = pattern.split(self);
-            if self.split_separates_pairs(&split) {
-                return split;
-            }
-            last = Some(split);
-        }
-        last.expect("at least one attempt ran")
+        let split = InterlockPattern::random_for(self, seed).split(self);
+        assert!(
+            self.split_separates_pairs(&split),
+            "interlocking split left an inserted pair unseparated"
+        );
+        split
     }
 
     /// `true` if every inserted pair has its inverse half in the left

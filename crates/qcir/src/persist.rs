@@ -244,24 +244,34 @@ pub fn from_envelope<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, Pe
     Ok(serde::from_bytes(payload)?)
 }
 
-/// Atomically writes `value` to `path`.
-///
-/// The envelope is written to `<path>.tmp`, synced, then renamed over
-/// `path`, so a crash at any instant leaves `path` either absent, the
-/// previous complete file, or the new complete file.
+/// Atomically writes `value` to `path` (see [`write_atomic`]).
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] if any filesystem step fails.
 pub fn save<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), PersistError> {
-    let bytes = to_envelope(value);
+    write_atomic(path, &to_envelope(value))
+}
+
+/// Atomically and durably replaces `path` with `bytes`.
+///
+/// The bytes are written to `<path>.tmp`, synced, then renamed over
+/// `path`, so a crash at any instant leaves `path` either absent, the
+/// previous complete file, or the new complete file — and once this
+/// returns, a power loss cannot leave the rename pointing at unwritten
+/// data.
+///
+/// # Errors
+///
+/// [`PersistError::Io`] if any filesystem step fails.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let tmp = tmp_path(path);
     let io_err = |source| PersistError::Io {
         path: tmp.clone(),
         source,
     };
     let mut file = fs::File::create(&tmp).map_err(io_err)?;
-    file.write_all(&bytes).map_err(io_err)?;
+    file.write_all(bytes).map_err(io_err)?;
     file.sync_all().map_err(io_err)?;
     drop(file);
     fs::rename(&tmp, path).map_err(|source| PersistError::Io {
@@ -419,6 +429,23 @@ mod tests {
         assert!(!tmp_path(&path).exists(), "tmp file left behind");
         let back: Circuit = load(&path).unwrap();
         assert_eq!(back, c);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_file_and_reports_io_errors() {
+        let dir = std::env::temp_dir().join(format!("qcir-atomic-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.txt");
+        write_atomic(&path, b"first version, longer").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second");
+        assert!(!tmp_path(&path).exists(), "tmp file left behind");
+        let missing = dir.join("no-such-dir").join("out.txt");
+        match write_atomic(&missing, b"x") {
+            Err(PersistError::Io { path, .. }) => assert_eq!(path, tmp_path(&missing)),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

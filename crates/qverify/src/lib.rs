@@ -428,7 +428,6 @@ impl fmt::Display for Report {
 #[derive(Debug, Clone)]
 pub struct Verifier {
     trials: u64,
-    threads: usize,
     seed: u64,
 }
 
@@ -436,7 +435,6 @@ impl Default for Verifier {
     fn default() -> Self {
         Verifier {
             trials: 8,
-            threads: 0,
             seed: 0x7e7_1257,
         }
     }
@@ -452,13 +450,6 @@ impl Verifier {
     /// Sets the number of randomized stimulus trials.
     pub fn with_trials(mut self, trials: u64) -> Self {
         self.trials = trials;
-        self
-    }
-
-    /// Sets the stimulus worker-thread count (`0` = derive from
-    /// available parallelism, capped by a per-register memory budget).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -686,7 +677,7 @@ impl Verifier {
         if original.num_qubits() != candidate.num_qubits() {
             return Ok(mismatch_report(original, candidate));
         }
-        stimulus::check(original, candidate, self.trials, self.threads, self.seed)
+        stimulus::check(original, candidate, self.trials, self.seed)
     }
 }
 

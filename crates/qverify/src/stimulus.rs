@@ -22,13 +22,24 @@ use rand::{Rng, SeedableRng};
 use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Runs `trials` randomized miter trials over `threads` workers
-/// (`0` = auto).
+/// Runs `trials` randomized miter trials over the derived worker count
+/// (see [`effective_workers`]).
 pub(crate) fn check(
     original: &Circuit,
     candidate: &Circuit,
     trials: u64,
-    threads: usize,
+    seed: u64,
+) -> Result<Report, SimError> {
+    let workers = effective_workers(trials, original.num_qubits());
+    run(original, candidate, trials, workers, seed)
+}
+
+/// Runs `trials` randomized miter trials over `workers` threads.
+fn run(
+    original: &Circuit,
+    candidate: &Circuit,
+    trials: u64,
+    workers: usize,
     seed: u64,
 ) -> Result<Report, SimError> {
     let n = original.num_qubits();
@@ -40,7 +51,6 @@ pub(crate) fn check(
         });
     }
     let candidate_inverse = candidate.inverse();
-    let workers = effective_workers(threads, trials, n);
     let stop = AtomicBool::new(false);
 
     let worker_results: Vec<Result<Option<Witness>, SimError>> = std::thread::scope(|scope| {
@@ -112,28 +122,24 @@ pub(crate) fn check(
     })
 }
 
-/// Worker count: requested (or available parallelism), capped by the
+/// Worker count: available parallelism (at most 8), capped by the
 /// trial count and by a per-register memory budget — each worker owns
 /// two `2ⁿ`-amplitude statevectors, so wide registers get fewer
 /// threads; at the `qsim::statevector::MAX_QUBITS` cap (28 qubits,
 /// 4 GiB per state) a single worker runs, and the parallelism moves
 /// *inside* each gate application via qsim's chunked kernels instead.
-fn effective_workers(threads: usize, trials: u64, num_qubits: u32) -> usize {
-    let requested = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(8)
-    } else {
-        threads
-    };
+fn effective_workers(trials: u64, num_qubits: u32) -> usize {
+    let available = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .min(8);
     let memory_cap = match num_qubits {
         0..=19 => 8,
         20..=22 => 4,
         23..=24 => 2,
         _ => 1,
     };
-    requested.min(memory_cap).min(trials.max(1) as usize).max(1)
+    available.min(memory_cap).min(trials.max(1) as usize).max(1)
 }
 
 /// SplitMix64-style mixing of the base seed with the trial index, so
@@ -170,7 +176,7 @@ mod tests {
     fn equivalent_circuits_pass_all_trials() {
         let mut a = Circuit::new(4);
         a.h(0).cx(0, 1).t(2).ccx(1, 2, 3);
-        let report = check(&a, &a.clone(), 6, 2, 11).unwrap();
+        let report = run(&a, &a.clone(), 6, 2, 11).unwrap();
         assert!(report.verdict.is_equivalent());
         assert_eq!(report.tier, Tier::Stimulus);
         assert_eq!(report.trials, 6);
@@ -183,7 +189,7 @@ mod tests {
         a.h(0).cx(0, 1).ccx(1, 2, 3);
         let mut b = a.clone();
         b.x(2);
-        let report = check(&a, &b, 8, 3, 11).unwrap();
+        let report = run(&a, &b, 8, 3, 11).unwrap();
         let Verdict::Inequivalent {
             witness:
                 Witness::Stimulus {
@@ -214,8 +220,8 @@ mod tests {
         a.h(0).cx(0, 1).t(1).cx(1, 2).ccx(2, 3, 4);
         let mut b = a.clone();
         b.z(3);
-        let one = check(&a, &b, 8, 1, 5).unwrap();
-        let four = check(&a, &b, 8, 4, 5).unwrap();
+        let one = run(&a, &b, 8, 1, 5).unwrap();
+        let four = run(&a, &b, 8, 4, 5).unwrap();
         // Early exit may surface different trials, but the verdict kind
         // and the smallest failing trial must match.
         assert_eq!(
@@ -231,26 +237,24 @@ mod tests {
         a.rz(1.1, 0).cx(0, 1);
         let mut b = Circuit::new(2);
         b.p(1.1, 0).cx(0, 1);
-        assert!(check(&a, &b, 4, 2, 3).unwrap().verdict.is_equivalent());
+        assert!(run(&a, &b, 4, 2, 3).unwrap().verdict.is_equivalent());
     }
 
     #[test]
     fn zero_trials_inconclusive() {
         let a = Circuit::new(2);
-        let report = check(&a, &a.clone(), 0, 0, 1).unwrap();
+        let report = check(&a, &a.clone(), 0, 1).unwrap();
         assert!(matches!(report.verdict, Verdict::Inconclusive { .. }));
         assert_eq!(report.confidence(), 0.0);
     }
 
     #[test]
     fn worker_budget_respects_register_width() {
-        assert_eq!(
-            effective_workers(0, 100, 24).max(1),
-            effective_workers(0, 100, 24)
-        );
-        assert!(effective_workers(8, 100, 24) <= 2);
-        assert!(effective_workers(8, 100, 10) <= 8);
-        assert_eq!(effective_workers(4, 1, 5), 1);
-        assert_eq!(effective_workers(0, 0, 5), 1);
+        assert!(effective_workers(100, 24) >= 1);
+        assert!(effective_workers(100, 24) <= 2);
+        assert!(effective_workers(100, 10) <= 8);
+        assert_eq!(effective_workers(1, 5), 1);
+        assert_eq!(effective_workers(0, 5), 1);
+        assert_eq!(effective_workers(100, 28), 1);
     }
 }

@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policy: GatePolicy::Hadamard,
         gate_limit: 4,
         seed: 5,
-        ..Default::default()
     });
     let obf = obfuscator.obfuscate(&circuit);
     println!(

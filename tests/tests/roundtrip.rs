@@ -308,7 +308,6 @@ fn insertion_and_first_draw_split_are_pinned() {
                         gate_limit,
                         policy,
                         seed,
-                        ..Default::default()
                     };
                     let obf = Obfuscator::new()
                         .with_config(config)

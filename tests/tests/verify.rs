@@ -247,7 +247,7 @@ fn twenty_qubit_wrong_key_rejected_exactly_by_zx_witness() {
     let c = random_reversible(&RandomCircuitConfig::new(20, 40, 9));
     let obf = Obfuscator::new().with_seed(4).obfuscate(&c);
     let split = obf.split(21);
-    let verifier = Verifier::new().with_trials(4).with_threads(2).with_seed(77);
+    let verifier = Verifier::new().with_trials(4).with_seed(77);
 
     // Correct key: the 20-qubit register is past both the classical
     // exhaustive cap and the dense cap.
@@ -334,7 +334,7 @@ fn twenty_eight_qubit_wrong_key_rejected_at_the_raised_stimulus_cap() {
     );
     // The dispatch decides exactly, via the ZX tier's confirmed basis
     // witness — no 4 GiB statevector is even allocated.
-    let verifier = Verifier::new().with_trials(2).with_threads(1).with_seed(41);
+    let verifier = Verifier::new().with_trials(2).with_seed(41);
     let report = verifier.check_report(&c, &bad);
     assert_eq!(report.tier, Tier::Zx, "{report}");
     assert!(report.verdict.is_inequivalent(), "{report}");
@@ -537,7 +537,6 @@ proptest! {
         let restored = recombine(&split).unwrap();
         let verifier = Verifier::new()
             .with_trials(2)
-            .with_threads(1)
             .with_seed(seed);
         let report: Report = verifier.check_stimulus(&circuit, &restored).unwrap();
         prop_assert_eq!(report.tier, Tier::Stimulus);
@@ -565,7 +564,6 @@ proptest! {
         }
         let verifier = Verifier::new()
             .with_trials(2)
-            .with_threads(1)
             .with_seed(seed);
         let report = verifier.check_stimulus(&circuit, &bad).unwrap();
         prop_assert!(
