@@ -171,42 +171,32 @@ pub fn insert_random_pairs(circuit: &Circuit, config: &InsertionConfig) -> Inser
     let mut planned: Vec<(Gate, Vec<Qubit>, usize, usize)> = Vec::new();
 
     while (planned.len() + 1) * 2 <= config.gate_limit {
-        // Single-wire and pair candidates: wires (and their common
-        // leading run `[0, e)`) with room for both halves.
+        // Single-wire candidates: wires whose leading run `[0, e)` has
+        // room for both halves; pair candidates: ordered pairs of them,
+        // on their common run.
         let single_candidates: Vec<(u32, usize)> = (0..n)
             .map(|w| (w, lead[w as usize]))
             .filter(|&(_, e)| e >= 2)
             .collect();
-        let mut pair_candidates: Vec<(u32, u32, usize)> = Vec::new();
-        for a in 0..n {
-            for b in 0..n {
-                let e = lead[a as usize].min(lead[b as usize]);
-                if a != b && e >= 2 {
-                    pair_candidates.push((a, b, e));
-                }
-            }
-        }
-        if single_candidates.is_empty() && pair_candidates.is_empty() {
+        if single_candidates.is_empty() {
             break;
         }
+        let pair_candidates: Vec<(u32, u32, usize)> = single_candidates
+            .iter()
+            .flat_map(|&(a, ea)| {
+                single_candidates
+                    .iter()
+                    .filter(move |&&(b, _)| b != a)
+                    .map(move |&(b, eb)| (a, b, ea.min(eb)))
+            })
+            .collect();
 
-        let drawn = config.policy.draw(!pair_candidates.is_empty(), &mut rng);
-        let (gate, wires, e) = match drawn {
-            DrawnGate::TwoQubit(g) if !pair_candidates.is_empty() => {
-                let &(a, b, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
-                (g, vec![a, b], e)
-            }
-            DrawnGate::TwoQubit(_) | DrawnGate::Single(_) if single_candidates.is_empty() => {
-                // Policy wanted a single but none fit; fall back to a pair.
-                let &(a, b, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
-                (Gate::CX, vec![a, b], e)
-            }
+        let (gate, wires, e) = match config.policy.draw(!pair_candidates.is_empty(), &mut rng) {
             DrawnGate::Single(g) => {
                 let &(w, e) = &single_candidates[rng.gen_range(0..single_candidates.len())];
                 (g, vec![w], e)
             }
             DrawnGate::TwoQubit(g) => {
-                // Unreachable (guarded above) but harmless.
                 let &(a, b, e) = &pair_candidates[rng.gen_range(0..pair_candidates.len())];
                 (g, vec![a, b], e)
             }
