@@ -187,7 +187,7 @@ commands:
             [--segments K --out-prefix P]   (k-way split: writes P0.qasm…)
   recombine <seg> <seg> [<seg>…] --meta F --out F [--verify <original>]
   verify    <a> <b> [--trials N] [--seed N]        tiered equivalence check
-            (classical / tableau / zx-calculus / dense-unitary / stimulus;
+            (classical / tableau / dense-unitary / zx-calculus / stimulus;
              `verify --help` explains tier selection)
   compile   <circuit> --out F [--device valencia|ideal|linear:<n>]
   batch     <circuit>… --out-dir D [--jobs-dir D] [--workers N] [--resume]
@@ -441,7 +441,9 @@ Decides whether two circuits implement the same unitary (up to global
 phase). If the registers differ, the smaller circuit is padded with
 identity wires onto the larger register.
 
-Tier selection — the cheapest applicable decision procedure wins:
+Tier selection — tiers run in order of cost and the first verdict
+wins (classical, tableau, dense-unitary on sparse columns, zx-calculus,
+dense-unitary with statevectors, stimulus):
 
   classical      both circuits classical reversible (X/CX/CCX/MCX/SWAP/
                  CSWAP) and <= {classical} qubits. Exact: every basis input is
@@ -449,6 +451,19 @@ Tier selection — the cheapest applicable decision procedure wins:
   tableau        both circuits Clifford (H/S/CX and gates reducible to
                  them, incl. right-angle rotations). Exact at hundreds
                  of qubits via stabilizer conjugation of the miter.
+  dense-unitary  <= {dense} qubits. Exact check of every diagonal entry
+                 <x|C2^dag*C1|x> of one miter column, run on a sparse
+                 support map (cost 2^n * gates * support): one miter
+                 column, one rule, one tolerance (EPS = {eps:e}), the same
+                 column and rule the zx-calculus witness replay uses.
+                 Pruned amplitudes are an explicit error bound charged
+                 against EPS. Runs twice: first on sparse columns only,
+                 passing to zx-calculus on the first entry that bound
+                 could flip or the first column past the support budget,
+                 before any statevector is built; then, once zx-calculus
+                 falls through, again in full, switching to statevectors
+                 at that entry. Produces a concrete witness (basis
+                 column or relative phase) on failure.
   zx-calculus    any gate set, any register size. The miter C2^dag*C1 is
                  reduced by ZX graph rewriting over exact phases (no
                  float tolerance); full reduction to bare wires is an
@@ -464,16 +479,6 @@ Tier selection — the cheapest applicable decision procedure wins:
                  a relative-phase witness (the diagonal-residue shape,
                  e.g. T vs Tdg). With no confirmed witness the stall
                  proves nothing and falls through.
-  dense-unitary  <= {dense} qubits. Exact check of every diagonal entry
-                 <x|C2^dag*C1|x> of one miter column, run on a sparse
-                 support map (cost 2^n * gates * support): one miter
-                 column, one rule, one tolerance (EPS = {eps:e}), the same
-                 column and rule the zx-calculus witness replay uses.
-                 Pruned amplitudes are an explicit error bound charged
-                 against EPS; an entry that bound could flip, or one past
-                 the support budget, switches the check to statevectors.
-                 Produces a concrete witness (basis column or relative
-                 phase) on failure.
   stimulus       <= {stimulus} qubits. Statistical: the miter runs on --trials
                  random product states (default 16), in parallel. A
                  failed trial is a concrete, reproducible witness; a

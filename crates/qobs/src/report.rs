@@ -14,9 +14,10 @@ struct SpanAgg {
 }
 
 /// Validate `text` as a qobs trace and render a human-readable summary:
-/// run metadata, per-stage span aggregates (spans carrying a `tier`
-/// attribute are broken out per tier, with the deciding tier marked),
-/// counters, histograms, and event counts.
+/// run metadata, per-stage span aggregates (spans carrying a `tier` or
+/// `stage` attribute are broken out per value, as `verify.tier[zx]` or
+/// `job.stage[verify]`, with the deciding tier marked), counters,
+/// histograms, and event counts.
 ///
 /// Returns the schema validation error unchanged when the trace is
 /// invalid, so callers get validation for free.
@@ -51,8 +52,8 @@ pub fn summarize(text: &str) -> Result<String, String> {
             }
             Some("span") => {
                 let name = obj.get_str("name").unwrap_or("?");
-                let key = match obj.get_str("tier") {
-                    Some(tier) => format!("{name}[{tier}]"),
+                let key = match obj.get_str("tier").or_else(|| obj.get_str("stage")) {
+                    Some(part) => format!("{name}[{part}]"),
                     None => name.to_string(),
                 };
                 let agg = spans.entry(key).or_default();
@@ -241,6 +242,26 @@ mod tests {
             .find(|l| l.contains("verify.tier[tableau]"))
             .unwrap();
         assert!(!tableau_row.contains("<- decided"), "{report}");
+    }
+
+    #[test]
+    fn breaks_job_stages_out_by_stage() {
+        let trace = "\
+{\"type\":\"meta\",\"schema_version\":1,\"level\":\"spans\"}\n\
+{\"type\":\"span\",\"name\":\"job.stage\",\"id\":1,\"thread\":0,\"start_us\":0,\"elapsed_us\":30,\"job\":\"rd53\",\"stage\":\"compile_left\",\"step\":2}\n\
+{\"type\":\"span\",\"name\":\"job.stage\",\"id\":2,\"thread\":0,\"start_us\":40,\"elapsed_us\":900,\"job\":\"rd53\",\"stage\":\"verify\",\"step\":5}\n\
+{\"type\":\"span\",\"name\":\"job.stage\",\"id\":3,\"thread\":0,\"start_us\":950,\"elapsed_us\":700,\"job\":\"rd73\",\"stage\":\"verify\",\"step\":5}\n";
+        let report = summarize(trace).unwrap();
+        let row = |key: &str| {
+            report
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(key))
+                .unwrap_or_else(|| panic!("no {key} row in:\n{report}"))
+        };
+        let verify: Vec<&str> = row("job.stage[verify]").split_whitespace().collect();
+        assert_eq!(verify[1..3], ["2", "1.600"], "{report}");
+        assert!(row("job.stage[compile_left]").contains("0.030"), "{report}");
+        assert!(!report.contains("job.stage "), "{report}");
     }
 
     #[test]

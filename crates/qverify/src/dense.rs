@@ -11,7 +11,7 @@
 //! [`judge`] is the one rule that turns an entry into a verdict.
 //!
 //! The **dense tier** ([`check`], the exhaustive ≤
-//! [`MAX_UNITARY_QUBITS`]-qubit fallback) walks every `x ∈ 0..2ⁿ` and
+//! [`MAX_UNITARY_QUBITS`]-qubit check) walks every `x ∈ 0..2ⁿ` and
 //! exits on the first diverging entry with a witness — a basis input
 //! that leaves its own ray, or a pair of inputs acquiring different
 //! phases. The ZX tier judges the few candidates its stalled residue
@@ -19,10 +19,12 @@
 //!
 //! Each sparse entry carries the column's pruning error bound, which
 //! [`judge`] charges against [`EPS`]. When the bound could flip a
-//! decision, or a column trips the support budget, the dense tier
-//! switches the replay to a statevector for the rest of the run and
-//! re-measures the reference entry exactly, so every verdict is one the
-//! statevector path would also reach.
+//! decision, or a column trips the support budget, [`check`] switches
+//! the replay to a statevector for the rest of the run and re-measures
+//! the reference entry exactly, so every verdict is one the statevector
+//! path would also reach. [`check_sparse`] gives up there instead,
+//! before building any statevector: the tier cascade runs it ahead of
+//! ZX and keeps the statevector pass for after ZX falls through.
 
 use crate::{Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
 use qcir::Circuit;
@@ -90,9 +92,10 @@ pub(crate) fn judge(x: u64, entry: Entry, reference: Option<(u64, Entry)>) -> Ju
 /// Diagonal entries `⟨x|M|x⟩` of one miter `M`, lowered once. Each
 /// input runs through a sparse column at any width up to
 /// [`qsim::MAX_COLUMN_QUBITS`], so cost scales with amplitude support,
-/// not `2ⁿ`. Once a column trips the support budget, or the caller asks
-/// for exact entries, this and every later input replay through a
-/// statevector within [`MAX_STIMULUS_QUBITS`].
+/// not `2ⁿ`. A column that trips the support budget is an error; the
+/// caller decides whether to [switch](MiterReplay::switch_to_statevector)
+/// this and every later input to a statevector replay within
+/// [`MAX_STIMULUS_QUBITS`].
 pub(crate) struct MiterReplay<'a> {
     miter: &'a Circuit,
     program: ColumnProgram,
@@ -120,35 +123,50 @@ impl<'a> MiterReplay<'a> {
     ///
     /// # Errors
     ///
-    /// [`SimError::SupportBudgetExceeded`] when the miter is too branchy
-    /// for the column and too wide for a statevector.
+    /// [`SimError::SupportBudgetExceeded`] when a sparse column trips
+    /// its support budget; the replay stays sparse.
     pub(crate) fn entry(&mut self, input: u64) -> Result<Entry, SimError> {
-        let n = self.miter.num_qubits();
-        if !self.statevector {
-            match self.column.run(&self.program, input) {
-                Ok(()) => {
-                    return Ok(Entry {
-                        value: self.column.amplitude(input),
-                        err: self.column.error_bound(),
-                    });
-                }
-                Err(SimError::SupportBudgetExceeded { .. }) if n <= MAX_STIMULUS_QUBITS => {
-                    self.statevector = true;
-                }
-                Err(e) => return Err(e),
-            }
+        if self.statevector {
+            let mut state = Statevector::basis(self.miter.num_qubits(), input as usize)?;
+            state.apply_circuit(self.miter)?;
+            return Ok(Entry {
+                value: state.amplitudes()[input as usize],
+                err: 0.0,
+            });
         }
-        let mut state = Statevector::basis(n, input as usize)?;
-        state.apply_circuit(self.miter)?;
+        self.column.run(&self.program, input)?;
         Ok(Entry {
-            value: state.amplitudes()[input as usize],
-            err: 0.0,
+            value: self.column.amplitude(input),
+            err: self.column.error_bound(),
         })
+    }
+
+    /// Replays this and every later input through a statevector, exact
+    /// and budget-free, if the miter fits one ([`MAX_STIMULUS_QUBITS`]).
+    /// Returns whether the replay is now a statevector replay.
+    pub(crate) fn switch_to_statevector(&mut self) -> bool {
+        self.statevector = self.miter.num_qubits() <= MAX_STIMULUS_QUBITS;
+        self.statevector
     }
 }
 
 /// Dense equivalence check with witness extraction and early exit.
 pub(crate) fn check(a: &Circuit, b: &Circuit) -> Result<Report, SimError> {
+    let miter = miter(a, b)?;
+    let report = walk(&mut MiterReplay::new(&miter)?, true)?;
+    Ok(report.expect("the statevector fallback decides every entry"))
+}
+
+/// [`check`] on sparse columns only: `None` the moment a column trips
+/// its support budget or an entry's error bound could flip a decision,
+/// before any statevector is built.
+pub(crate) fn check_sparse(a: &Circuit, b: &Circuit) -> Result<Option<Report>, SimError> {
+    let miter = miter(a, b)?;
+    walk(&mut MiterReplay::new(&miter)?, false)
+}
+
+/// The miter `C₁ ; C₂†` of a pair within the dense cap.
+fn miter(a: &Circuit, b: &Circuit) -> Result<Circuit, SimError> {
     let n = a.num_qubits();
     if n > MAX_UNITARY_QUBITS {
         return Err(SimError::TooManyQubits {
@@ -156,32 +174,46 @@ pub(crate) fn check(a: &Circuit, b: &Circuit) -> Result<Report, SimError> {
             max: MAX_UNITARY_QUBITS,
         });
     }
-    let miter = a.then(&b.inverse()).expect("equal registers concatenate");
-    let mut replay = MiterReplay::new(&miter)?;
+    Ok(a.then(&b.inverse()).expect("equal registers concatenate"))
+}
+
+/// Judges every diagonal entry of `replay`'s miter in input order. An
+/// entry the sparse column cannot decide (a budget trip, or
+/// [`Judgement::Unsure`]) switches the replay to a statevector when
+/// `fallback` is set, and otherwise ends the walk with `None`.
+fn walk(replay: &mut MiterReplay, fallback: bool) -> Result<Option<Report>, SimError> {
     let mut reference: Option<(u64, Entry)> = None;
-    for x in 0..1u64 << n {
-        let sparse = !replay.statevector;
-        let mut entry = replay.entry(x)?;
-        let mut judgement = judge(x, entry, reference);
-        if sparse && (replay.statevector || matches!(judgement, Judgement::Unsure)) {
-            // Sticky: the reference entry, this one and every later one
-            // are measured exactly from here on.
-            replay.statevector = true;
-            STATEVECTOR_FALLBACKS.incr();
-            if let Some((first, _)) = reference {
-                reference = Some((first, replay.entry(first)?));
+    for x in 0..1u64 << replay.miter.num_qubits() {
+        let sparse = replay
+            .entry(x)
+            .map(|entry| (entry, judge(x, entry, reference)));
+        let (entry, judgement) = match sparse {
+            Ok((_, Judgement::Unsure)) | Err(SimError::SupportBudgetExceeded { .. }) => {
+                if !fallback {
+                    return Ok(None);
+                }
+                // Sticky: the reference entry, this one and every later
+                // one are measured exactly from here on.
+                replay.switch_to_statevector();
+                STATEVECTOR_FALLBACKS.incr();
+                if let Some((first, _)) = reference {
+                    reference = Some((first, replay.entry(first)?));
+                }
+                let entry = replay.entry(x)?;
+                (entry, judge(x, entry, reference))
             }
-            entry = replay.entry(x)?;
-            judgement = judge(x, entry, reference);
-        }
+            other => other?,
+        };
         match judgement {
             Judgement::Consistent => {}
-            Judgement::Diverges(witness) => return Ok(report(Verdict::Inequivalent { witness })),
+            Judgement::Diverges(witness) => {
+                return Ok(Some(report(Verdict::Inequivalent { witness })))
+            }
             Judgement::Unsure => unreachable!("exact entries carry no error bound"),
         }
         reference.get_or_insert((x, entry));
     }
-    Ok(report(Verdict::Equivalent))
+    Ok(Some(report(Verdict::Equivalent)))
 }
 
 fn report(verdict: Verdict) -> Report {
@@ -292,6 +324,7 @@ mod tests {
         let entry = MiterReplay::new(&miter).unwrap().entry(0).unwrap();
         assert!(entry.err > EPS, "bound {}", entry.err);
         assert!(matches!(judge(0, entry, None), Judgement::Unsure));
+        assert!(check_sparse(&a, &b).unwrap().is_none());
         assert!(check(&a, &b).unwrap().verdict.is_equivalent());
     }
 
@@ -324,18 +357,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn budget_trip_falls_back_to_a_sticky_statevector_replay() {
-        // H on all 12 wires passes the 2⁸ budget; the replay switches
-        // to the statevector for this and every later input.
+    /// H on all 12 wires passes the 2⁸ support budget on every column.
+    fn budget_trip_miter() -> Circuit {
         let mut m = Circuit::new(12);
         for q in 0..12 {
             m.h(q);
         }
         m.t(3);
+        m
+    }
+
+    #[test]
+    fn budget_trip_falls_back_to_a_sticky_statevector_replay() {
+        // The trip is the caller's to see: the replay stays sparse until
+        // it is switched, then replays this and every later input
+        // through the statevector.
+        let m = budget_trip_miter();
         let mut replay = MiterReplay::new(&m).unwrap();
+        assert!(matches!(
+            replay.entry(0),
+            Err(SimError::SupportBudgetExceeded { .. })
+        ));
+        assert!(!replay.statevector);
+        assert!(replay.switch_to_statevector());
         let entry = replay.entry(0).unwrap();
-        assert!(replay.statevector);
         assert_eq!(entry.err, 0.0);
         assert!(
             (entry.value.abs() - 1.0 / 64.0).abs() < 1e-12,
@@ -344,6 +389,23 @@ mod tests {
         );
         replay.entry(1).unwrap();
         assert!(replay.statevector);
+    }
+
+    #[test]
+    fn sparse_only_walk_gives_up_on_a_budget_trip_without_a_statevector() {
+        let m = budget_trip_miter();
+        let mut replay = MiterReplay::new(&m).unwrap();
+        assert!(walk(&mut replay, false).unwrap().is_none());
+        assert!(!replay.statevector);
+        let identity = Circuit::new(12);
+        assert!(check_sparse(&m, &identity).unwrap().is_none());
+        // The full pass decides the same pair on statevector columns.
+        assert!(matches!(
+            check(&m, &identity).unwrap().verdict,
+            Verdict::Inequivalent {
+                witness: Witness::BasisColumn { input: 0, .. }
+            }
+        ));
     }
 
     #[test]
@@ -360,5 +422,6 @@ mod tests {
             replay.entry(0),
             Err(SimError::SupportBudgetExceeded { .. })
         ));
+        assert!(!replay.switch_to_statevector());
     }
 }

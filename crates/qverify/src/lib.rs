@@ -13,9 +13,19 @@
 //! |---|---|---|---|
 //! | [`Tier::Classical`] | both circuits are classical reversible, ≤ [`CLASSICAL_EXHAUSTIVE_MAX_QUBITS`] qubits | `O(2ⁿ·gates)` bit ops | exact (exhaustive) |
 //! | [`Tier::Tableau`] | both circuits are Clifford | `O(n·gates)` words | exact (stabilizer) |
-//! | [`Tier::Zx`] | the miter diagram reduces to the identity, or its residue yields a replay-confirmed witness | `O(gates²)` graph rewriting (+ a few replays) | exact, two-sided |
 //! | [`Tier::Dense`] | ≤ [`MAX_UNITARY_QUBITS`] qubits | `O(2ⁿ·gates·support)` (one sparse miter column per input) | exact (every miter diagonal entry; pruned norm charged against [`EPS`]) |
+//! | [`Tier::Zx`] | the miter diagram reduces to the identity, or its residue yields a replay-confirmed witness | `O(gates²)` graph rewriting (+ a few replays) | exact, two-sided |
 //! | [`Tier::Stimulus`] | ≤ [`MAX_STIMULUS_QUBITS`] qubits | `O(trials·2ⁿ·gates)`, parallel | statistical (miter) |
+//!
+//! [`Verifier::check_report`] tries them in that order of cost:
+//! classical → tableau → dense on sparse columns only → ZX → dense with
+//! the statevector fallback → stimulus. Within the dense cap the first
+//! dense pass gives up — before it builds any statevector — on the
+//! first column that trips its support budget or whose error bound
+//! could flip the decision; ZX runs next, and the full dense pass only
+//! after ZX falls through. A miter with sparse columns is thus decided
+//! without a ZX stall, and a branchy one still reaches ZX before any
+//! `2ⁿ` statevector sweep.
 //!
 //! The **tableau** tier is an Aaronson–Gottesman stabilizer engine: it
 //! conjugates the `2n` Pauli generators through `C₂†C₁` in `O(n)` per
@@ -53,7 +63,8 @@
 //! than `EPS + b`, and as matching only if it is within `EPS − b`
 //! (likewise for the phase against the first entry). An entry in
 //! between, or one that trips the support budget, switches the rest of
-//! the check to exact statevector columns.
+//! a full dense pass to exact statevector columns, and ends the
+//! cascade's sparse-only first pass.
 //!
 //! # Example
 //!
@@ -201,9 +212,9 @@ pub enum Tier {
     /// residue can certify [`Verdict::Inequivalent`], but only through
     /// a replay-confirmed basis witness.
     Zx,
-    /// Exhaustive check of every miter diagonal entry (the ≤
-    /// [`MAX_UNITARY_QUBITS`]-qubit fallback), on one sparse miter column
-    /// with a statevector fallback.
+    /// Exhaustive check of every miter diagonal entry (≤
+    /// [`MAX_UNITARY_QUBITS`] qubits), on one sparse miter column with a
+    /// statevector fallback.
     Dense,
     /// Randomized product-state miter, parallel across threads.
     Stimulus,
@@ -537,6 +548,13 @@ impl Verifier {
 
     /// Like [`Verifier::check`], but also reports which tier decided and
     /// how many stimulus trials ran.
+    ///
+    /// Tiers run in order of cost: classical, tableau, then — within
+    /// [`MAX_UNITARY_QUBITS`] — the dense check on sparse columns only,
+    /// then ZX, then the full dense check with its statevector
+    /// fallback, and last the stimulus tier. Every tier attempt is a
+    /// `verify.tier` span, so a pair whose sparse columns trip shows two
+    /// dense spans around the ZX one.
     pub fn check_report(&self, original: &Circuit, candidate: &Circuit) -> Report {
         let span = qobs::span("verify.check")
             .attr("circuit", original.name())
@@ -583,10 +601,21 @@ impl Verifier {
         {
             return report;
         }
+        // Within the dense cap the sparse columns usually decide at a
+        // fraction of a ZX stall's cost, so they go first; the
+        // statevector fallback waits until ZX has fallen through.
+        let dense = n <= MAX_UNITARY_QUBITS;
+        if dense {
+            if let Some(report) = tier_attempt(Tier::Dense, || {
+                dense::check_sparse(original, candidate).ok().flatten()
+            }) {
+                return report;
+            }
+        }
         if let Some(report) = tier_attempt(Tier::Zx, || self.check_zx(original, candidate)) {
             return report;
         }
-        if n <= MAX_UNITARY_QUBITS {
+        if dense {
             if let Some(report) =
                 tier_attempt(Tier::Dense, || self.check_dense(original, candidate).ok())
             {
@@ -644,7 +673,7 @@ impl Verifier {
     }
 
     /// Forces the dense-unitary tier (the exhaustive ≤
-    /// [`MAX_UNITARY_QUBITS`]-qubit fallback): every miter diagonal
+    /// [`MAX_UNITARY_QUBITS`]-qubit check): every miter diagonal
     /// entry, each from a sparse column with its pruned norm charged
     /// against [`EPS`], or from a statevector once that bound could flip
     /// a decision or the support budget trips.
@@ -749,15 +778,18 @@ mod tests {
     #[test]
     fn zx_tier_selected_for_non_clifford_identity_pair() {
         // Non-Clifford (T, CCX) and syntactically different: tableau
-        // refuses, ZX reduces the miter and decides before dense.
-        let mut a = Circuit::new(3);
-        a.h(0).t(1).ccx(0, 1, 2);
-        let mut b = a.clone();
-        b.s(2).sdg(2);
-        let report = Verifier::new().check_report(&a, &b);
-        assert_eq!(report.tier, Tier::Zx);
-        assert!(report.verdict.is_equivalent());
-        assert_eq!(report.confidence(), 1.0);
+        // refuses. Past the dense cap ZX reduces the miter and decides;
+        // within it the sparse dense columns decide first, alike.
+        for (n, tier) in [(MAX_UNITARY_QUBITS + 1, Tier::Zx), (3, Tier::Dense)] {
+            let mut a = Circuit::new(n);
+            a.h(0).t(1).ccx(0, 1, 2);
+            let mut b = a.clone();
+            b.s(2).sdg(2);
+            let report = Verifier::new().check_report(&a, &b);
+            assert_eq!(report.tier, tier, "{n} wires: {report}");
+            assert!(report.verdict.is_equivalent());
+            assert_eq!(report.confidence(), 1.0);
+        }
     }
 
     #[test]
@@ -843,27 +875,30 @@ mod tests {
         // A genuinely different pair whose residue is purely diagonal:
         // no single basis input can see it (every basis ray is fixed),
         // but two basis eigenvectors pick up *different* phases, and
-        // the phase replay certifies exactly that. Historically this
-        // shape fell through to the dense tier; now ZX decides it.
-        let mut a = Circuit::new(2);
-        a.t(0);
-        let mut b = Circuit::new(2);
-        b.t(1);
-        let report = Verifier::new().check_report(&a, &b);
-        assert_eq!(report.tier, Tier::Zx, "{report}");
-        assert!(
-            matches!(
-                report.verdict,
-                Verdict::Inequivalent {
-                    witness: Witness::RelativePhase {
-                        input_a: 0,
-                        input_b: 0b01
+        // the phase replay certifies exactly that. Past the dense cap ZX
+        // decides it; within the cap the sparse dense columns decide
+        // first, with the same witness.
+        for (n, tier) in [(MAX_UNITARY_QUBITS + 1, Tier::Zx), (2, Tier::Dense)] {
+            let mut a = Circuit::new(n);
+            a.t(0);
+            let mut b = Circuit::new(n);
+            b.t(1);
+            let report = Verifier::new().check_report(&a, &b);
+            assert_eq!(report.tier, tier, "{n} wires: {report}");
+            assert!(
+                matches!(
+                    report.verdict,
+                    Verdict::Inequivalent {
+                        witness: Witness::RelativePhase {
+                            input_a: 0,
+                            input_b: 0b01
+                        }
                     }
-                }
-            ),
-            "{report}"
-        );
-        assert_eq!(report.confidence(), 1.0);
+                ),
+                "{report}"
+            );
+            assert_eq!(report.confidence(), 1.0);
+        }
     }
 
     #[test]

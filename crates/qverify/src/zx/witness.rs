@@ -45,6 +45,7 @@ use crate::dense::{judge, Judgement, MiterReplay};
 use crate::stimulus::mix;
 use crate::Witness;
 use qcir::{BasisBits, Circuit};
+use qsim::SimError;
 use revlib::classical_eval_bits;
 
 /// Most miter basis replays attempted per stalled diagram: enough for
@@ -162,7 +163,13 @@ fn extract_quantum(miter: &Circuit, active: &[u32], n: u32) -> Option<Witness> {
     let mut reference = None;
     for x in candidates {
         WITNESS_BASIS_REPLAYS.incr();
-        let Ok(entry) = replay.entry(x) else {
+        let entry = match replay.entry(x) {
+            Err(SimError::SupportBudgetExceeded { .. }) if replay.switch_to_statevector() => {
+                replay.entry(x)
+            }
+            sparse => sparse,
+        };
+        let Ok(entry) = entry else {
             // Replay infeasible for this miter: no candidate can be
             // certified, so the whole quantum path falls through.
             break;

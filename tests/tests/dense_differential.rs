@@ -21,6 +21,13 @@
 //! basis-column or relative-phase witness, the exact columns must show
 //! the overlap deficit at `input`, or the phase mismatch between
 //! `input_a` and `input_b`.
+//!
+//! Last, the default cascade (sparse dense columns before ZX within the
+//! dense cap) against the ZX-first order it replaced (a forced
+//! `check_zx`, falling back to `check_dense`): on the restored and
+//! `x(0)`-corrupted pairs of every RevLib benchmark up to 10 qubits,
+//! under two insertion seeds, both orders reach the same verdict and
+//! every witness either returns holds on the exact columns.
 
 use qcir::Circuit;
 use qsim::unitary::circuit_unitary;
@@ -132,9 +139,14 @@ fn pad(c: &Circuit, n: u32) -> Circuit {
     out
 }
 
-/// The (original, restored) pair a default-config job verifies.
-fn restored_pair(name: &str, circuit: &Circuit) -> (Circuit, Circuit) {
-    let mut job = JobState::new(name, circuit.clone(), JobConfig::default());
+/// The (original, restored) pair a job with insertion seed `seed` (and
+/// the default config otherwise) verifies.
+fn restored_pair(name: &str, circuit: &Circuit, seed: u64) -> (Circuit, Circuit) {
+    let config = JobConfig {
+        seed,
+        ..JobConfig::default()
+    };
+    let mut job = JobState::new(name, circuit.clone(), config);
     while job.stage != JobStage::Verify {
         job.advance(&std::env::temp_dir()).unwrap();
     }
@@ -164,7 +176,7 @@ fn table1_restored_and_stripped_key_pairs_match_unitary_columns() {
     let mut diverging = 0;
     for bench in revlib::table1_benchmarks() {
         let name = bench.name();
-        let (a, restored) = restored_pair(name, bench.circuit());
+        let (a, restored) = restored_pair(name, bench.circuit(), 0);
         let (_, wrong) = stripped_key_pair(bench.circuit(), 1);
         if a.num_qubits() <= MATRIX_MAX_QUBITS {
             assert_eq!(
@@ -331,4 +343,84 @@ fn zx_column_witnesses_hold_on_unitary_columns() {
         kinds.iter().all(|&k| k > 0),
         "both column witness kinds covered: {kinds:?}"
     );
+}
+
+/// Re-checks an inequivalence witness for `(a, b)` on exact unitary
+/// columns.
+fn assert_witness_holds(label: &str, a: &Circuit, b: &Circuit, witness: &Witness) {
+    let overlap = |col| column_overlap(a, b, col);
+    match witness {
+        &Witness::BasisColumn { input, overlap: o } => {
+            assert!(o < 1.0 - EPS, "{label}: overlap {o}");
+            let got = decide([input].into_iter(), overlap);
+            assert_eq!(got, Expected::BasisColumn(input), "{label}");
+        }
+        &Witness::RelativePhase { input_a, input_b } => {
+            let got = decide([input_a, input_b].into_iter(), overlap);
+            assert_eq!(got, Expected::RelativePhase(input_a, input_b), "{label}");
+        }
+        Witness::BasisInput {
+            input,
+            left_output,
+            right_output,
+        } => {
+            let bits = |x: &qcir::BasisBits| x.to_u64().expect("narrow register") as usize;
+            let x = bits(input) as u64;
+            assert_ne!(left_output, right_output, "{label}");
+            assert!((unitary_column(a, x)[bits(left_output)].abs() - 1.0).abs() < EPS);
+            assert!((unitary_column(b, x)[bits(right_output)].abs() - 1.0).abs() < EPS);
+        }
+        other => panic!("{label}: unexpected witness {other}"),
+    }
+}
+
+/// Both orders on the restored and `x(0)`-corrupted pairs of every
+/// RevLib benchmark up to [`MATRIX_MAX_QUBITS`] under insertion seed
+/// `seed`. Returns the number of pairs checked.
+fn compare_orders(seed: u64) -> usize {
+    let verifier = Verifier::new();
+    let mut cases = 0;
+    let small = revlib::all_benchmarks()
+        .into_iter()
+        .filter(|bench| bench.circuit().num_qubits() <= MATRIX_MAX_QUBITS);
+    for bench in small {
+        let (a, restored) = restored_pair(bench.name(), bench.circuit(), seed);
+        let mut corrupted = restored.clone();
+        corrupted.x(0);
+        for (kind, b) in [("restored", restored), ("x(0)-corrupted", corrupted)] {
+            let label = format!("{} seed {seed} {kind}", bench.name());
+            let new = verifier.check_report(&a, &b);
+            let old = verifier
+                .check_zx(&a, &b)
+                .unwrap_or_else(|| verifier.check_dense(&a, &b).unwrap());
+            assert_eq!(
+                new.verdict.is_equivalent(),
+                kind == "restored",
+                "{label}: {new}"
+            );
+            assert_eq!(
+                new.verdict.is_equivalent(),
+                old.verdict.is_equivalent(),
+                "{label}: {new} vs {old}"
+            );
+            for report in [&new, &old] {
+                if let Verdict::Inequivalent { witness } = &report.verdict {
+                    assert_witness_holds(&label, &a, &b, witness);
+                }
+            }
+            cases += 1;
+        }
+    }
+    cases
+}
+
+#[test]
+fn default_cascade_agrees_with_the_zx_first_order() {
+    // The ZX-first order stalls for about a second on each rd53 pair,
+    // so the two seeds run side by side.
+    let cases: usize = std::thread::scope(|scope| {
+        let runs = [0, 1].map(|seed| scope.spawn(move || compare_orders(seed)));
+        runs.into_iter().map(|run| run.join().unwrap()).sum()
+    });
+    assert!(cases >= 40, "only {cases} cases");
 }

@@ -54,15 +54,23 @@ fn full_pipeline_trace_is_schema_valid_and_parseable() {
     let report = qverify::Verifier::new().check_report(&circuit, &restored);
     assert!(report.verdict.is_equivalent());
 
-    // A phase-only inequivalent pair: the ZX tier certifies it through
-    // the phase replay, so the witness counters land in this trace.
-    let mut t = Circuit::new(2);
-    t.t(0);
-    let mut tdg = Circuit::new(2);
-    tdg.tdg(0);
-    let phase = qverify::Verifier::new().check_report(&t, &tdg);
+    // A phase-only inequivalent pair past the dense cap: the ZX tier
+    // certifies it through the phase replay, so the witness counters
+    // land in this trace. Within the cap the sparse dense columns
+    // decide the same pair first, with the same witness.
+    let phase_pair = |n: u32| {
+        let mut t = Circuit::new(n);
+        t.t(0);
+        let mut tdg = Circuit::new(n);
+        tdg.tdg(0);
+        qverify::Verifier::new().check_report(&t, &tdg)
+    };
+    let phase = phase_pair(qverify::MAX_UNITARY_QUBITS + 1);
     assert_eq!(phase.tier, qverify::Tier::Zx);
     assert!(phase.verdict.is_inequivalent());
+    let small = phase_pair(2);
+    assert_eq!(small.tier, qverify::Tier::Dense);
+    assert_eq!(small.verdict, phase.verdict);
 
     // A deliberately inequivalent dense-tier check so the column engine
     // and the statevector kernels run inside this same trace: the

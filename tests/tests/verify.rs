@@ -401,30 +401,32 @@ fn thirty_qubit_wrong_key_rejected_past_every_simulation_cap() {
 #[test]
 fn t_versus_tdg_certified_with_relative_phase_witness() {
     // The tier cascade's canonical blind spot, closed: T vs T† leaves a
-    // purely diagonal miter residue that no single basis input can see,
-    // so for four issues this pair documented an honest fall-through.
-    // The phase replay now certifies it at the ZX tier itself: basis
-    // eigenvectors |0⟩ and |1⟩ acquire different phases through the
-    // miter, and that disagreement is the witness.
-    let mut a = Circuit::new(1);
-    a.t(0);
-    let mut b = Circuit::new(1);
-    b.tdg(0);
-    let report = Verifier::new().check_report(&a, &b);
-    assert_eq!(report.tier, Tier::Zx, "{report}");
-    assert_eq!(report.confidence(), 1.0);
-    assert!(
-        matches!(
-            report.verdict,
-            Verdict::Inequivalent {
-                witness: Witness::RelativePhase {
-                    input_a: 0,
-                    input_b: 1
+    // purely diagonal miter residue that no single basis input can see.
+    // Past the dense cap the phase replay certifies it at the ZX tier
+    // itself: basis eigenvectors |0⟩ and |1⟩ acquire different phases
+    // through the miter, and that disagreement is the witness. Within
+    // the cap the sparse dense columns reach the same witness first.
+    for (n, tier) in [(MAX_UNITARY_QUBITS + 1, Tier::Zx), (1, Tier::Dense)] {
+        let mut a = Circuit::new(n);
+        a.t(0);
+        let mut b = Circuit::new(n);
+        b.tdg(0);
+        let report = Verifier::new().check_report(&a, &b);
+        assert_eq!(report.tier, tier, "{n} wires: {report}");
+        assert_eq!(report.confidence(), 1.0);
+        assert!(
+            matches!(
+                report.verdict,
+                Verdict::Inequivalent {
+                    witness: Witness::RelativePhase {
+                        input_a: 0,
+                        input_b: 1
+                    }
                 }
-            }
-        ),
-        "{report}"
-    );
+            ),
+            "{report}"
+        );
+    }
 }
 
 #[test]
