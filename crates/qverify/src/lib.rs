@@ -604,8 +604,8 @@ impl Verifier {
         // Within the dense cap the sparse columns usually decide at a
         // fraction of a ZX stall's cost, so they go first; the
         // statevector fallback waits until ZX has fallen through.
-        let dense = n <= MAX_UNITARY_QUBITS;
-        if dense {
+        let within_dense_cap = n <= MAX_UNITARY_QUBITS;
+        if within_dense_cap {
             if let Some(report) = tier_attempt(Tier::Dense, || {
                 dense::check_sparse(original, candidate).ok().flatten()
             }) {
@@ -615,7 +615,7 @@ impl Verifier {
         if let Some(report) = tier_attempt(Tier::Zx, || self.check_zx(original, candidate)) {
             return report;
         }
-        if dense {
+        if within_dense_cap {
             if let Some(report) =
                 tier_attempt(Tier::Dense, || self.check_dense(original, candidate).ok())
             {
@@ -806,9 +806,8 @@ mod tests {
 
     #[test]
     fn dense_tier_selected_for_small_non_clifford() {
-        // ZX stalls on this pair (the miter never translates), so the
-        // dense tier decides it — with a concrete witness ZX could
-        // never produce here.
+        // The sparse dense columns decide this pair ahead of ZX, which
+        // could not: the miter never translates to a diagram.
         let (a, b) = zx_stalling_pair(9);
         let report = Verifier::new().check_report(&a, &b);
         assert_eq!(report.tier, Tier::Dense);

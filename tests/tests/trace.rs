@@ -77,7 +77,8 @@ fn full_pipeline_trace_is_schema_valid_and_parseable() {
     // 8-control mcx refuses ZX translation, so the miter never becomes
     // a diagram and the dense tier decides. Six leading Hadamards give
     // each column 64 live amplitudes, past the 9-qubit support budget,
-    // so the sparse column trips and the statevector fallback decides.
+    // so the sparse-only pass gives up, ZX cannot translate the miter,
+    // and the dense pass with the statevector fallback decides.
     let mut wide = Circuit::new(9);
     let mut wide_bad = Circuit::new(9);
     for q in 0..6 {
