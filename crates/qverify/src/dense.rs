@@ -27,7 +27,7 @@
 //! ZX and keeps the statevector pass for after ZX falls through.
 
 use crate::{Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
-use qcir::Circuit;
+use qcir::{Circuit, Instruction};
 use qsim::column::{support_budget, ColumnProgram, SparseColumn};
 use qsim::complex::C64;
 use qsim::unitary::MAX_UNITARY_QUBITS;
@@ -96,24 +96,25 @@ pub(crate) fn judge(x: u64, entry: Entry, reference: Option<(u64, Entry)>) -> Ju
 /// caller decides whether to [switch](MiterReplay::switch_to_statevector)
 /// this and every later input to a statevector replay within
 /// [`MAX_STIMULUS_QUBITS`].
-pub(crate) struct MiterReplay<'a> {
-    miter: &'a Circuit,
+pub(crate) struct MiterReplay {
+    miter: Circuit,
     program: ColumnProgram,
     column: SparseColumn,
     statevector: bool,
 }
 
-impl<'a> MiterReplay<'a> {
-    /// Lowers `miter` for replay.
+impl MiterReplay {
+    /// Lowers `miter` for replay. Callers build it through
+    /// [`cancel_inverse_pairs`], so replays skip every cancelling pair.
     ///
     /// # Errors
     ///
     /// [`SimError::TooManyQubits`] past [`qsim::MAX_COLUMN_QUBITS`].
-    pub(crate) fn new(miter: &'a Circuit) -> Result<Self, SimError> {
+    pub(crate) fn new(miter: Circuit) -> Result<Self, SimError> {
         Ok(MiterReplay {
-            miter,
-            program: ColumnProgram::new(miter)?,
+            program: ColumnProgram::new(&miter)?,
             column: SparseColumn::new(support_budget(miter.num_qubits())),
+            miter,
             statevector: false,
         })
     }
@@ -128,7 +129,7 @@ impl<'a> MiterReplay<'a> {
     pub(crate) fn entry(&mut self, input: u64) -> Result<Entry, SimError> {
         if self.statevector {
             let mut state = Statevector::basis(self.miter.num_qubits(), input as usize)?;
-            state.apply_circuit(self.miter)?;
+            state.apply_circuit(&self.miter)?;
             return Ok(Entry {
                 value: state.amplitudes()[input as usize],
                 err: 0.0,
@@ -150,10 +151,47 @@ impl<'a> MiterReplay<'a> {
     }
 }
 
+/// The `n`-qubit circuit of `gates` without its adjacent inverse pairs:
+/// a gate cancels against the one before it on its wires when that is
+/// a single instruction on the same wires, in the same order, and
+/// exactly its adjoint. Each cancellation exposes the next pair, so the
+/// miter of `C` against a masked copy with its key `R` stripped — `R`
+/// sits in `C`'s leading idle slots and runs first — shrinks to `R†`
+/// alone. The operator is unchanged; replays just skip the cancelled
+/// gates, which on a branchy `C` are what trip the column budget and
+/// force a `2ⁿ` statevector.
+pub(crate) fn cancel_inverse_pairs(n: u32, gates: impl Iterator<Item = Instruction>) -> Circuit {
+    let mut kept: Vec<Option<Instruction>> = Vec::with_capacity(gates.size_hint().0);
+    // Indices into `kept` of the live gates on each wire, latest last.
+    let mut wires: Vec<Vec<usize>> = vec![Vec::new(); n as usize];
+    for inst in gates {
+        let qubits = inst.qubits();
+        let partner = wires[qubits[0].index()].last().copied().filter(|&j| {
+            let prev = kept[j].as_ref().expect("wire stacks hold live gates");
+            prev.qubits() == qubits
+                && qubits.iter().all(|q| wires[q.index()].last() == Some(&j))
+                && prev.gate().adjoint() == *inst.gate()
+        });
+        if let Some(j) = partner {
+            for q in qubits {
+                wires[q.index()].pop();
+            }
+            kept[j] = None;
+        } else {
+            for q in qubits {
+                wires[q.index()].push(kept.len());
+            }
+            kept.push(Some(inst));
+        }
+    }
+    let mut out = Circuit::new(n);
+    out.extend(kept.into_iter().flatten());
+    out
+}
+
 /// Dense equivalence check with witness extraction and early exit.
 pub(crate) fn check(a: &Circuit, b: &Circuit) -> Result<Report, SimError> {
-    let miter = miter(a, b)?;
-    let report = walk(&mut MiterReplay::new(&miter)?, true)?;
+    let report = walk(&mut MiterReplay::new(miter(a, b)?)?, true)?;
     Ok(report.expect("the statevector fallback decides every entry"))
 }
 
@@ -161,11 +199,11 @@ pub(crate) fn check(a: &Circuit, b: &Circuit) -> Result<Report, SimError> {
 /// its support budget or an entry's error bound could flip a decision,
 /// before any statevector is built.
 pub(crate) fn check_sparse(a: &Circuit, b: &Circuit) -> Result<Option<Report>, SimError> {
-    let miter = miter(a, b)?;
-    walk(&mut MiterReplay::new(&miter)?, false)
+    walk(&mut MiterReplay::new(miter(a, b)?)?, false)
 }
 
-/// The miter `C₁ ; C₂†` of a pair within the dense cap.
+/// The miter `C₁ ; C₂†` of a pair within the dense cap, built with its
+/// adjacent inverse pairs cancelled.
 fn miter(a: &Circuit, b: &Circuit) -> Result<Circuit, SimError> {
     let n = a.num_qubits();
     if n > MAX_UNITARY_QUBITS {
@@ -174,7 +212,11 @@ fn miter(a: &Circuit, b: &Circuit) -> Result<Circuit, SimError> {
             max: MAX_UNITARY_QUBITS,
         });
     }
-    Ok(a.then(&b.inverse()).expect("equal registers concatenate"))
+    let inverse = b.iter().rev().map(Instruction::adjoint);
+    Ok(cancel_inverse_pairs(
+        n.max(b.num_qubits()),
+        a.iter().cloned().chain(inverse),
+    ))
 }
 
 /// Judges every diagonal entry of `replay`'s miter in input order. An
@@ -291,7 +333,7 @@ mod tests {
         let mut b = a.clone();
         b.h(1).h(1);
         let miter = a.then(&b.inverse()).unwrap();
-        let mut replay = MiterReplay::new(&miter).unwrap();
+        let mut replay = MiterReplay::new(miter).unwrap();
         for x in 0..8 {
             let entry = replay.entry(x).unwrap();
             assert!(!replay.statevector);
@@ -321,7 +363,7 @@ mod tests {
         }
         let b = Circuit::new(1);
         let miter = a.then(&b.inverse()).unwrap();
-        let entry = MiterReplay::new(&miter).unwrap().entry(0).unwrap();
+        let entry = MiterReplay::new(miter).unwrap().entry(0).unwrap();
         assert!(entry.err > EPS, "bound {}", entry.err);
         assert!(matches!(judge(0, entry, None), Judgement::Unsure));
         assert!(check_sparse(&a, &b).unwrap().is_none());
@@ -341,7 +383,7 @@ mod tests {
     fn miter_amplitude_column_path_matches_dense_replay() {
         let mut m = Circuit::new(6);
         m.h(0).t(1).cx(1, 2).swap(2, 5).tdg(3);
-        let mut replay = MiterReplay::new(&m).unwrap();
+        let mut replay = MiterReplay::new(m.clone()).unwrap();
         for input in [0u64, 0b100110, 0b111111] {
             let entry = replay.entry(input).unwrap();
             assert!(!replay.statevector, "a 2-amplitude column fits the budget");
@@ -372,8 +414,7 @@ mod tests {
         // The trip is the caller's to see: the replay stays sparse until
         // it is switched, then replays this and every later input
         // through the statevector.
-        let m = budget_trip_miter();
-        let mut replay = MiterReplay::new(&m).unwrap();
+        let mut replay = MiterReplay::new(budget_trip_miter()).unwrap();
         assert!(matches!(
             replay.entry(0),
             Err(SimError::SupportBudgetExceeded { .. })
@@ -394,7 +435,7 @@ mod tests {
     #[test]
     fn sparse_only_walk_gives_up_on_a_budget_trip_without_a_statevector() {
         let m = budget_trip_miter();
-        let mut replay = MiterReplay::new(&m).unwrap();
+        let mut replay = MiterReplay::new(m.clone()).unwrap();
         assert!(walk(&mut replay, false).unwrap().is_none());
         assert!(!replay.statevector);
         let identity = Circuit::new(12);
@@ -409,6 +450,45 @@ mod tests {
     }
 
     #[test]
+    fn stripped_key_miter_cancels_down_to_the_key() {
+        // A branchy circuit against a copy with an X key in wire 2's
+        // leading idle slot: everything but the key cancels.
+        let mut c = Circuit::new(3);
+        c.h(0).h(1).t(1).cx(0, 1).ccx(0, 1, 2).rz(0.3, 2);
+        let mut keyed = Circuit::new(3);
+        keyed.x(2);
+        keyed.extend(c.iter().cloned());
+        let mut key = Circuit::new(3);
+        key.x(2);
+        assert_eq!(
+            miter(&c, &keyed).unwrap().instructions(),
+            key.instructions()
+        );
+        assert!(miter(&c, &c).unwrap().is_empty());
+    }
+
+    #[test]
+    fn only_adjacent_exact_adjoints_cancel() {
+        let kept = |c: &Circuit| cancel_inverse_pairs(c.num_qubits(), c.iter().cloned());
+        let mut blocked = Circuit::new(2);
+        blocked.t(0).cx(0, 1).tdg(0);
+        let mut reversed = Circuit::new(2);
+        reversed.cx(0, 1).cx(1, 0);
+        let mut not_adjoint = Circuit::new(1);
+        not_adjoint.rz(0.3, 0).rz(0.3, 0);
+        for c in [&blocked, &reversed, &not_adjoint] {
+            assert_eq!(kept(c).instructions(), c.instructions());
+        }
+        // A cancellation exposes the pair around it; a gate on another
+        // wire does not separate a pair.
+        let mut nested = Circuit::new(3);
+        nested.s(0).cx(0, 1).h(2).cx(0, 1).sdg(0);
+        let mut h = Circuit::new(3);
+        h.h(2);
+        assert_eq!(kept(&nested).instructions(), h.instructions());
+    }
+
+    #[test]
     fn branchy_wide_miter_is_replay_infeasible() {
         // Too branchy for the column budget AND too wide for a
         // statevector: the replay must refuse with a typed error, never
@@ -417,7 +497,7 @@ mod tests {
         for q in 0..=16 {
             m.h(q);
         }
-        let mut replay = MiterReplay::new(&m).unwrap();
+        let mut replay = MiterReplay::new(m).unwrap();
         assert!(matches!(
             replay.entry(0),
             Err(SimError::SupportBudgetExceeded { .. })

@@ -58,6 +58,10 @@
 //! reversible column keeps one amplitude, so it costs `O(gates)`). One
 //! column, one rule, one tolerance: the ZX tier's witness replay runs
 //! the same miter column and judges its candidates with the same rule.
+//! Both replay the miter with its adjacent inverse pairs (`G` then
+//! exactly `G†` on the same wires) cancelled, the same operator: a
+//! stripped-key miter shrinks to its key, so its columns stay sparse
+//! however branchy the circuit around the key is.
 //! Pruned amplitudes are tracked as an error bound `b` per column: an
 //! entry counts as diverging only if its magnitude misses 1 by more
 //! than `EPS + b`, and as matching only if it is within `EPS − b`
@@ -802,6 +806,36 @@ mod tests {
         let report = Verifier::new().check_report(&a, &a.clone());
         assert_eq!(report.tier, Tier::Zx);
         assert!(report.verdict.is_equivalent());
+    }
+
+    #[test]
+    fn zx_refutes_a_stripped_key_past_the_statevector_cap() {
+        // Every column of `c` spreads over 2ⁿ amplitudes and no
+        // statevector fits 30 wires, so the witness replay is feasible
+        // only on the miter with its cancelling pairs dropped: `X` on
+        // wire 29, which moves |0…0⟩ off its own ray.
+        let n = MAX_STIMULUS_QUBITS + 2;
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q).t(q);
+        }
+        for q in 1..n {
+            c.cx(q - 1, q);
+        }
+        let mut keyed = Circuit::new(n);
+        keyed.x(n - 1);
+        keyed.extend(c.iter().cloned());
+        let report = Verifier::new().check_report(&c, &keyed);
+        assert_eq!(report.tier, Tier::Zx, "{report}");
+        assert!(
+            matches!(
+                report.verdict,
+                Verdict::Inequivalent {
+                    witness: Witness::BasisColumn { input: 0, .. }
+                }
+            ),
+            "{report}"
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! caller can re-run.
 
 use super::graph::{Diagram, EdgeKind};
-use crate::dense::{judge, Judgement, MiterReplay};
+use crate::dense::{cancel_inverse_pairs, judge, Judgement, MiterReplay};
 use crate::stimulus::mix;
 use crate::Witness;
 use qcir::{BasisBits, Circuit};
@@ -159,7 +159,10 @@ fn extract_quantum(miter: &Circuit, active: &[u32], n: u32) -> Option<Witness> {
         .filter_map(BasisBits::to_u64)
         .collect();
     WITNESS_CANDIDATES.add(candidates.len() as u64);
-    let mut replay = MiterReplay::new(miter).ok()?;
+    // The diagram keeps the whole miter; the replay drops its
+    // cancelling pairs, which can leave a column that fits the budget.
+    let replay_miter = cancel_inverse_pairs(n, miter.iter().cloned());
+    let mut replay = MiterReplay::new(replay_miter).ok()?;
     let mut reference = None;
     for x in candidates {
         WITNESS_BASIS_REPLAYS.incr();

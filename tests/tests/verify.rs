@@ -6,9 +6,10 @@
 //!   tableau** tier, far beyond dense-unitary reach;
 //! * a 34-qubit Clifford+T restore round-trip — past the statevector
 //!   cap, where no tier could previously give an exact answer — is
-//!   certified by the **ZX-calculus** tier, while a corrupted restore
-//!   whose miter is too *branchy* for any replay backend honestly
-//!   stays `Inconclusive` (ZX never guesses);
+//!   certified by the **ZX-calculus** tier, a restore corrupted by one
+//!   trailing `T` is refuted by it with a replay-confirmed witness, and
+//!   an unrelated circuit whose miter is too *branchy* for any replay
+//!   backend honestly stays `Inconclusive` (ZX never guesses);
 //! * the tier's historical blind spots are closed: `T` vs `T†` is
 //!   rejected with a **relative-phase** witness, and a 30-qubit
 //!   diagonal-plus-permutation residue — past the statevector cap — is
@@ -184,17 +185,34 @@ fn thirty_four_qubit_clifford_t_roundtrip_certified_by_zx_tier() {
     assert!(report.verdict.is_equivalent(), "{report}");
     assert_eq!(report.confidence(), 1.0);
 
-    // A corrupted restore cannot be *witnessed* at this size: the
-    // miter carries dozens of Hadamards, so every basis column's
-    // support passes the sparse column's budget, the register is past
-    // the statevector cap (no dense replay), and the circuits are not
-    // classical (no bit replay) — so the witness extension has nothing
-    // sound to offer and the dispatch honestly reports Inconclusive
-    // rather than guessing.
+    // A restore corrupted by one trailing T is witnessed at this size:
+    // the replay drops the miter's cancelling pairs, which leaves the
+    // corruption's light cone, and its |0…0⟩ column keeps only
+    // cos(π/8) of its own ray.
     let mut corrupted = restored.clone();
     corrupted.t(5);
-    assert!(verifier.check_zx(&c, &corrupted).is_none());
     let report = verifier.check_report(&c, &corrupted);
+    assert_eq!(report.tier, Tier::Zx, "{report}");
+    match report.verdict {
+        Verdict::Inequivalent {
+            witness: Witness::BasisColumn { input: 0, overlap },
+        } => assert!(
+            (overlap - (std::f64::consts::PI / 8.0).cos()).abs() < 1e-9,
+            "{report}"
+        ),
+        _ => panic!("expected a basis-column witness: {report}"),
+    }
+
+    // An unrelated circuit cannot be *witnessed* at this size: nothing
+    // cancels, the miter carries dozens of Hadamards, so every basis
+    // column's support passes the sparse column's budget, the register
+    // is past the statevector cap (no dense replay), and the circuits
+    // are not classical (no bit replay) — so the witness extension has
+    // nothing sound to offer and the dispatch honestly reports
+    // Inconclusive rather than guessing.
+    let unrelated = random_clifford_t(n, 240, 8);
+    assert!(verifier.check_zx(&c, &unrelated).is_none());
+    let report = verifier.check_report(&c, &unrelated);
     assert!(
         matches!(report.verdict, Verdict::Inconclusive { .. }),
         "{report}"
