@@ -159,7 +159,9 @@ impl MiterReplay {
 /// sits in `C`'s leading idle slots and runs first — shrinks to `R†`
 /// alone. The operator is unchanged; replays just skip the cancelled
 /// gates, which on a branchy `C` are what trip the column budget and
-/// force a `2ⁿ` statevector.
+/// force a `2ⁿ` statevector. Unlike the compiler's peephole pass
+/// (`qcompile::optimize::cancel_inverse_pairs`), gates must be exact
+/// adjoints: no verdict may rest on a cancellation within a tolerance.
 pub(crate) fn cancel_inverse_pairs(n: u32, gates: impl Iterator<Item = Instruction>) -> Circuit {
     let mut kept: Vec<Option<Instruction>> = Vec::with_capacity(gates.size_hint().0);
     // Indices into `kept` of the live gates on each wire, latest last.
