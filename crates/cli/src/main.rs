@@ -621,12 +621,14 @@ tetrislock batch <circuit>… --out-dir D [options]
 
 Runs the full protection pipeline ({stages})
 over many input circuits as a pool of crash-safe jobs. Each job
-checkpoints its complete state to <jobs-dir>/<id>.job after every stage
-(format version {version}, versioned + checksummed + atomically written;
-the previous generation is kept as <id>.job.prev). Killing the process
-at ANY instant — including `kill -9` — loses at most one stage per
-in-flight job; re-running with --resume finishes every job with output
-byte-identical to an uninterrupted run, regardless of --workers.
+checkpoints its complete state to <jobs-dir>/<id>.job after verify and
+when done (format version {version}, versioned + checksummed + atomically
+written; the previous generation is kept as <id>.job.prev). Killing the
+process at ANY instant — including `kill -9` — is safe: a job killed
+before its verify checkpoint reruns its cheap stages from the pinned
+seeds, one killed after it redoes at most the emit. Re-running with
+--resume finishes every job with output byte-identical to an
+uninterrupted run, regardless of --workers.
 
 Inputs: positional circuit files (.qasm/.real; the job id is the file
 stem), and/or a built-in RevLib suite via --suite.
@@ -766,9 +768,11 @@ tetrislock serve --watch D --out-dir D [options]
 Long-running protection daemon over the crash-safe batch machinery.
 Drop .qasm/.real circuit files into the watch directory; each is run
 through the full pipeline and emitted as <out-dir>/<id>.restored.qasm,
-with the input moved to <watch>/{done}/ on success. Every stage is
-checkpointed, so `kill -9` at any instant resumes to byte-identical
-output on the next start.
+with the input moved to <watch>/{done}/ on success. Each job is
+checkpointed after verify and when done, so `kill -9` at any instant
+resumes to byte-identical output on the next start: a job killed before
+its verify checkpoint reruns its cheap stages from the pinned seeds,
+one killed after it redoes at most the emit.
 
 Intake contract:
   - a file is admitted only once its length and mtime have been stable

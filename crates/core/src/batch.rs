@@ -3,13 +3,14 @@
 //!
 //! [`run_batch`] runs one `job::Driver` per input circuit over
 //! a fixed-size worker pool, inline on the worker threads. Each job
-//! checkpoints after every stage transition through
-//! [`crate::job::save_checkpoint`], so a crash — including the
-//! deliberate aborts injected via
-//! [`crate::job::KILL_AFTER_CHECKPOINTS_ENV`] — loses at most one
-//! stage of one job per worker. Re-running with `resume: true` picks
-//! every job up from its last good checkpoint (or its `.prev`
-//! fallback) and finishes it; a job whose input changed starts fresh.
+//! checkpoints through [`crate::job::save_checkpoint`] after verify and
+//! at `Done`. After a crash — including the deliberate aborts injected
+//! via [`crate::job::KILL_AFTER_CHECKPOINTS_ENV`] — a job killed before
+//! its verify checkpoint reruns its cheap stages from the pinned seeds,
+//! and one killed after it redoes at most the emit. Re-running with
+//! `resume: true` picks every job up from its last good checkpoint (or
+//! its `.prev` fallback) and finishes it; a job whose input changed
+//! starts fresh.
 //!
 //! **Determinism contract**: per-job outputs and the manifest are
 //! byte-identical regardless of worker count, scheduling order, or how
@@ -353,6 +354,7 @@ impl Manifest {
         for (id, [status, tier, output]) in &self.rows {
             text.push_str(&format!("{id}\t{status}\t{tier}\t{output}\n"));
         }
+        let _span = qobs::span("persist.write").attr("stage", "manifest");
         persist::write_atomic(path, text.as_bytes())
     }
 }
@@ -360,6 +362,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{checkpoint_path, prev_checkpoint_path, save_checkpoint, JobState};
 
     fn inputs() -> Vec<(String, Circuit)> {
         let mut a = Circuit::with_name(4, "alpha");
@@ -440,10 +443,15 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that set [`crate::job::PANIC_JOB_ENV`], so
+    /// one cannot clear the variable while another's job reads it.
+    static PANIC_ENV: Mutex<()> = Mutex::new(());
+
     #[test]
     fn panicking_job_records_panicked_manifest_state() {
         // The hook matches by exact id, so a unique id keeps this safe
         // alongside the other (parallel) tests in this binary.
+        let _env = PANIC_ENV.lock().unwrap_or_else(|e| e.into_inner());
         std::env::set_var(crate::job::PANIC_JOB_ENV, "panicky_zeta");
         let mut c = Circuit::with_name(3, "panicky");
         c.x(0).cx(0, 1);
@@ -460,6 +468,74 @@ mod tests {
             manifest.contains("panicky_zeta\tPANICKED\t-\t"),
             "{manifest}"
         );
+    }
+
+    /// Restored circuits and manifest of a finished batch, by file name.
+    fn outputs(cfg: &BatchConfig) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(&cfg.out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.is_file())
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&p).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resume_finishes_a_mid_pipeline_checkpoint_byte_identically() {
+        let reference = config("midref", 1);
+        run_batch(inputs(), &reference).unwrap();
+        // Older binaries checkpointed after every stage; resume must
+        // still accept such a checkpoint and finish it.
+        let mut cfg = config("mid", 1);
+        std::fs::create_dir_all(&cfg.jobs_dir).unwrap();
+        let (id, circuit) = inputs().remove(1);
+        let mut state = JobState::new(id.as_str(), circuit, cfg.job.clone());
+        while state.stage != JobStage::CompileRight {
+            state.advance(&cfg.out_dir).unwrap();
+        }
+        save_checkpoint(&cfg.jobs_dir, &state).unwrap();
+        cfg.resume = true;
+        let report = run_batch(inputs(), &cfg).unwrap();
+        assert!(report.all_equivalent(), "{:?}", report.outcomes);
+        let beta = report.outcomes.iter().find(|o| o.id == id).unwrap();
+        assert!(beta.resumed);
+        assert_eq!(beta.steps_done, JobStage::COUNT);
+        assert_eq!(outputs(&cfg), outputs(&reference));
+    }
+
+    #[test]
+    fn fresh_start_discards_a_stale_checkpoint() {
+        let id = "stale_eta";
+        let mut c = Circuit::with_name(4, "stale");
+        c.h(0).cx(0, 1).ccx(0, 1, 2).x(3).cx(3, 2);
+        let input = || vec![(id.to_string(), c.clone())];
+        let mut cfg = config("stale", 1);
+        run_batch(input(), &cfg).unwrap();
+        assert!(checkpoint_path(&cfg.jobs_dir, id).exists());
+
+        // A fresh run under another configuration fails in its first
+        // stage, before any checkpoint of its own.
+        cfg.job.seed = 7;
+        let report = {
+            let _env = PANIC_ENV.lock().unwrap_or_else(|e| e.into_inner());
+            std::env::set_var(crate::job::PANIC_JOB_ENV, id);
+            let report = run_batch(input(), &cfg);
+            std::env::remove_var(crate::job::PANIC_JOB_ENV);
+            report.unwrap()
+        };
+        assert_eq!(report.failed(), 1);
+        assert!(!checkpoint_path(&cfg.jobs_dir, id).exists());
+        assert!(!prev_checkpoint_path(&cfg.jobs_dir, id).exists());
+
+        // So resuming under that configuration is not a mismatch.
+        cfg.resume = true;
+        let report = run_batch(input(), &cfg).unwrap();
+        assert!(report.all_equivalent(), "{:?}", report.outcomes);
+        let manifest = std::fs::read_to_string(&report.manifest_path).unwrap();
+        assert!(manifest.contains("stale_eta\tequivalent\t"), "{manifest}");
     }
 
     #[test]

@@ -9,20 +9,26 @@
 //! Every stage transition is a pure function of the [`JobState`] — all
 //! randomness flows from seeds stored in the [`JobConfig`] — so a job
 //! killed at any instant and resumed from its last checkpoint produces
-//! **bit-identical** output to an uninterrupted run. Checkpoints are
-//! written through [`qcir::persist`] (versioned, checksummed, atomic)
-//! with one level of rotation: the previous checkpoint survives as
-//! `<id>.job.prev`, so even a checkpoint file destroyed *after* being
-//! written (disk corruption, manual truncation) only costs one stage of
-//! recomputation.
+//! **bit-identical** output to an uninterrupted run. A job is
+//! checkpointed only where that saves work: once `Verify` has set the
+//! verdict (state at `Emit`) and at `Done`. The stages before verify
+//! cost about as much as one fsynced write each, so a kill before a
+//! job's verify checkpoint reruns them from the pinned seeds, and a kill
+//! after it redoes at most the emit. Checkpoints are written through
+//! [`qcir::persist`] (versioned, checksummed, atomic) with one level of
+//! rotation: the previous checkpoint survives as `<id>.job.prev`, so a
+//! `Done` checkpoint destroyed *after* being written (disk corruption,
+//! manual truncation) only costs the emit. [`load_checkpoint`] accepts a
+//! checkpoint at any stage, as older binaries wrote one per stage.
 //!
 //! `Driver::drive` owns one job's whole life: it acquires the state
-//! (resumed checkpoint or fresh), loops `advance` → checkpoint until
-//! `Done`, counts every failure as a strike with backoff, checks a
-//! cancel flag between stages, and returns a typed `JobEnd`. The
-//! batch runner ([`crate::batch`]) and the serve daemon
-//! ([`crate::serve`]) are thin front ends over it: each only schedules
-//! jobs and maps the end to its own manifest rows and counters.
+//! (resumed checkpoint or fresh), loops `advance` until `Done`,
+//! checkpointing after verify and emit, counts every failure as a
+//! strike with backoff, checks a cancel flag between stages, and
+//! returns a typed `JobEnd`. The batch runner ([`crate::batch`]) and
+//! the serve daemon ([`crate::serve`]) are thin front ends over it:
+//! each only schedules jobs and maps the end to its own manifest rows
+//! and counters.
 
 use crate::insertion::{Insertion, InsertionConfig};
 use crate::interlock::SplitPair;
@@ -67,7 +73,9 @@ pub const PANIC_JOB_ENV: &str = "TLK_BATCH_PANIC_JOB";
 static CHECKPOINT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Pipeline position of a job. Stages advance strictly left to right;
-/// each arrow is one [`JobState::advance`] call and one checkpoint.
+/// each arrow is one [`JobState::advance`] call. The job driver
+/// checkpoints the state only on reaching `Emit` (after verify) and
+/// `Done`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobStage {
     /// Run Algorithm 1 (random-pair insertion) on the original circuit.
@@ -268,9 +276,9 @@ impl JobState {
         out_dir.join(format!("{}.restored.qasm", self.id))
     }
 
-    /// Runs exactly one stage transition. Idempotent per stage: killing
-    /// the process after the checkpoint and re-running `advance` from
-    /// the previous checkpoint recomputes the same products bit for bit.
+    /// Runs exactly one stage transition. Idempotent per stage:
+    /// re-running `advance` from an earlier state (a checkpoint, or a
+    /// fresh start) recomputes the same products bit for bit.
     ///
     /// # Errors
     ///
@@ -433,6 +441,7 @@ impl JobState {
             .ok_or_else(|| self.stage_err("missing restored circuit"))?;
         let path = self.output_path(out_dir);
         let text = qcir::qasm::to_qasm(restored);
+        let _span = qobs::span("persist.write").attr("stage", "output");
         persist::write_atomic(&path, text.as_bytes())
             .map_err(|e| self.stage_err(format!("cannot write {}: {e}", path.display())))
     }
@@ -497,6 +506,7 @@ pub fn prev_checkpoint_path(jobs_dir: &Path, id: &str) -> PathBuf {
 ///
 /// [`JobError::Persist`] if rotation or the write fails.
 pub fn save_checkpoint(jobs_dir: &Path, state: &JobState) -> Result<(), JobError> {
+    let _span = qobs::span("persist.write").attr("stage", state.stage.name());
     let path = checkpoint_path(jobs_dir, &state.id);
     let prev = prev_checkpoint_path(jobs_dir, &state.id);
     if path.exists() {
@@ -515,6 +525,17 @@ pub fn save_checkpoint(jobs_dir: &Path, state: &JobState) -> Result<(), JobError
     CHECKPOINTS_WRITTEN.incr();
     fault_injection_tick();
     Ok(())
+}
+
+/// Removes job `id`'s checkpoint and its `.prev` generation, if any.
+/// Plain unlinks: a fresh start recomputes everything they held.
+fn discard_checkpoints(jobs_dir: &Path, id: &str) {
+    for path in [
+        checkpoint_path(jobs_dir, id),
+        prev_checkpoint_path(jobs_dir, id),
+    ] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// Loads a job's checkpoint, falling back to the rotated `.prev`
@@ -696,14 +717,19 @@ impl Driver<'_> {
     /// With `resume`, a loadable checkpoint (current or `.prev`) written
     /// for the same circuit continues where it stopped; one written
     /// under a different [`JobConfig`] ends the job
-    /// [`FailureKind::ConfigMismatch`]. Otherwise the job starts fresh
-    /// and checkpoints its fresh state before the first stage. A `Done`
-    /// checkpoint whose output is missing goes back to `Emit`.
+    /// [`FailureKind::ConfigMismatch`]. Otherwise the job starts fresh,
+    /// first removing any checkpoint an earlier run left for `id`. A
+    /// `Done` checkpoint whose output is missing goes back to `Emit`.
+    ///
+    /// Stages run in memory. The state is checkpointed only after
+    /// `Verify` (at `Emit`, verdict set) and after `Emit` (at `Done`):
+    /// the stages before verify are recomputed from the pinned seeds
+    /// for about what writing them would cost.
     ///
     /// Every stage error, panic, failed checkpoint write or timeout is a
     /// strike: it backs off by [`RetryPolicy::delay_ms`] and reloads the
-    /// last checkpoint, and the job fails once the strikes reach
-    /// `max_strikes`.
+    /// last checkpoint (or starts fresh when there is none), and the job
+    /// fails once the strikes reach `max_strikes`.
     pub(crate) fn drive(&self, id: &str, circuit: Circuit, config: &JobConfig) -> JobEnd {
         let inject_panic = std::env::var(PANIC_JOB_ENV).as_deref() == Ok(id);
         let loaded = if self.resume {
@@ -722,21 +748,21 @@ impl Driver<'_> {
         };
         let resumed = loaded.is_some();
         let skipped = loaded.as_ref().is_some_and(JobState::is_done);
-        // `saved` is false while the state is not on disk: a fresh
-        // state's first "attempt" is its checkpoint write, so a kill
-        // during the first stage resumes.
-        let start = |loaded: Option<JobState>| match loaded {
-            Some(state) => (state, true),
-            None => (JobState::new(id, circuit.clone(), config.clone()), false),
+        let start = |loaded: Option<JobState>| {
+            loaded.unwrap_or_else(|| {
+                discard_checkpoints(self.jobs_dir, id);
+                JobState::new(id, circuit.clone(), config.clone())
+            })
         };
-        let (mut state, mut saved) = start(loaded);
+        let mut state = start(loaded);
         let jitter_seed = persist::fnv1a64(id.as_bytes()) ^ config.seed;
         let mut attempts: Vec<AttemptRecord> = Vec::new();
         loop {
             if self.cancel.load(Ordering::SeqCst) {
                 return JobEnd::Cancelled;
             }
-            if let (true, Some(verdict)) = (saved && state.is_done(), &state.verdict) {
+            // A `Done` state here is on disk: loaded, or just saved.
+            if let (true, Some(verdict)) = (state.is_done(), &state.verdict) {
                 return JobEnd::Done {
                     verdict: verdict.clone(),
                     steps_done: state.steps_done,
@@ -745,19 +771,15 @@ impl Driver<'_> {
                 };
             }
             let stage = state.stage;
-            let attempt = if saved {
-                self.attempt(&mut state, inject_panic)
-            } else {
-                Ok(())
-            };
-            let save = |state: &JobState| {
-                save_checkpoint(self.jobs_dir, state).map_err(|e| Strike::Error(e.to_string()))
-            };
-            let (message, kind, panicked) = match attempt.and_then(|()| save(&state)) {
-                Ok(()) => {
-                    saved = true;
-                    continue;
+            let attempt = self.attempt(&mut state, inject_panic).and_then(|()| {
+                if matches!(stage, JobStage::Verify | JobStage::Emit) {
+                    save_checkpoint(self.jobs_dir, &state).map_err(|e| Strike::Error(e.to_string()))
+                } else {
+                    Ok(())
                 }
+            });
+            let (message, kind, panicked) = match attempt {
+                Ok(()) => continue,
                 Err(Strike::Error(m)) => (m, FailureKind::CrashLoop, false),
                 Err(Strike::Panic(m)) => (m, FailureKind::CrashLoop, true),
                 Err(Strike::Timeout(budget)) => (
@@ -788,7 +810,7 @@ impl Driver<'_> {
                 return JobEnd::Failed { report, panicked };
             }
             std::thread::sleep(Duration::from_millis(backoff_ms));
-            (state, saved) = start(self.usable_checkpoint(id, &circuit, config).unwrap_or(None));
+            state = start(self.usable_checkpoint(id, &circuit, config).unwrap_or(None));
         }
     }
 
@@ -974,6 +996,50 @@ mod tests {
             Err(JobError::Persist { .. }) => {}
             other => panic!("expected Persist error, got {other:?}"),
         }
+    }
+
+    fn driver<'a>(jobs: &'a Path, out: &'a Path, retry: &'a RetryPolicy) -> Driver<'a> {
+        Driver {
+            jobs_dir: jobs,
+            out_dir: out,
+            resume: false,
+            retry,
+            stage_timeout: None,
+            cancel: &NEVER_CANCELLED,
+            on_strike: &|_, _| {},
+        }
+    }
+
+    static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
+
+    #[test]
+    fn driver_checkpoints_only_after_verify_and_at_done() {
+        let (jobs, out) = tmp_dirs("two_writes");
+        let retry = RetryPolicy::default();
+        let end = driver(&jobs, &out, &retry).drive("two", sample(), &JobConfig::default());
+        assert!(matches!(end, JobEnd::Done { steps_done: 7, .. }), "{end:?}");
+        // Rotation keeps the last two writes: the verify checkpoint and
+        // the `Done` one.
+        let prev = persist::load::<JobState>(&prev_checkpoint_path(&jobs, "two")).unwrap();
+        assert_eq!(prev.stage, JobStage::Emit);
+        assert_eq!(prev.steps_done, 6);
+        assert!(prev.verdict.as_ref().is_some_and(|v| v.equivalent));
+        let done = persist::load::<JobState>(&checkpoint_path(&jobs, "two")).unwrap();
+        assert_eq!(done.stage, JobStage::Done);
+        assert_eq!(done.verdict, prev.verdict);
+
+        // A job that fails before verify leaves no checkpoint at all.
+        let config = JobConfig {
+            device: "linear:1".to_string(),
+            ..JobConfig::default()
+        };
+        let retry = RetryPolicy {
+            max_strikes: 1,
+            ..RetryPolicy::default()
+        };
+        let end = driver(&jobs, &out, &retry).drive("early", sample(), &config);
+        assert!(matches!(end, JobEnd::Failed { .. }), "{end:?}");
+        assert!(load_checkpoint(&jobs, "early").unwrap().is_none());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!
 //! For many circuits at once, [`batch`] runs the whole pipeline as a
 //! pool of crash-safe jobs: each [`job::JobState`] checkpoints to disk
-//! after every stage (via `qcir::persist`), so a killed batch resumes
+//! after verify and at `Done` (via `qcir::persist`), and the stages
+//! before verify recompute from pinned seeds, so a killed batch resumes
 //! to bit-identical output. [`serve`] turns that machinery into a
 //! long-running daemon: a watched intake directory, a priority queue
 //! with cancellation, [`retry`]-governed backoff with a crash-loop

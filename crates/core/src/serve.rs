@@ -27,12 +27,14 @@
 //!   dropping `<id>.cancel` into the watch directory cancels the job
 //!   whether it is queued or in flight.
 //! - **Graceful drain** — dropping a file named
-//!   [`SHUTDOWN_SENTINEL`] stops admission, lets in-flight jobs finish
-//!   (every stage is checkpointed regardless), writes a final manifest
-//!   and status, and returns. A `kill -9` at any instant instead
-//!   resumes through the PR 8 checkpoint path on the next start:
-//!   inputs stay in the watch directory until their job reaches a
-//!   terminal state, so nothing is ever lost or duplicated.
+//!   [`SHUTDOWN_SENTINEL`] stops admission, lets in-flight jobs finish,
+//!   writes a final manifest and status, and returns. A `kill -9` at
+//!   any instant instead resumes through the job checkpoints on the
+//!   next start: a job killed before its verify checkpoint reruns its
+//!   cheap stages from the pinned seeds, and one killed after it
+//!   redoes at most the emit. Inputs stay in the watch directory until
+//!   their job reaches a terminal state, so nothing is ever lost or
+//!   duplicated.
 //! - **Observable health** — every poll emits a `serve.heartbeat`
 //!   qobs event and atomically rewrites `status.json` (one flat JSON
 //!   object; see `docs/observability.md`), rendered by
@@ -642,7 +644,10 @@ fn run_serve_job(config: &ServeConfig, shared: &Shared, manifest_path: &Path, jo
 /// the manifest row, and counts it.
 fn quarantine(config: &ServeConfig, shared: &Shared, input_path: &Path, report: FailureReport) {
     let id = report.id.as_str();
-    let _ = persist::save(&failure_report_path(&config.watch_dir, id), &report);
+    {
+        let _span = qobs::span("persist.write").attr("stage", "failure");
+        let _ = persist::save(&failure_report_path(&config.watch_dir, id), &report);
+    }
     move_into(input_path, &config.watch_dir.join(FAILED_DIR));
     SERVE_QUARANTINED.incr();
     shared.summary().quarantined += 1;

@@ -42,7 +42,7 @@ mod translate;
 mod witness;
 
 use crate::{Report, Tier, Verdict};
-use qcir::Circuit;
+use qcir::{Circuit, Instruction};
 
 pub use translate::MAX_MCX_CONTROLS;
 
@@ -62,7 +62,7 @@ pub(crate) fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
     if original.num_qubits() != candidate.num_qubits() {
         return None;
     }
-    let miter = original.then(&candidate.inverse()).ok()?;
+    let miter = miter(original, candidate);
     let mut diagram = translate::diagram_of(&miter)?;
     rewrite::simplify(&mut diagram);
     if diagram.is_identity() {
@@ -80,12 +80,38 @@ pub(crate) fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
     })
 }
 
+/// The miter `C₂† · C₁` in one pass: `original`'s gates, then
+/// `candidate`'s reversed and adjointed. Unlike the dense tier's miter
+/// it cancels no inverse pairs, so the diagram sees every gate.
+fn miter(original: &Circuit, candidate: &Circuit) -> Circuit {
+    let mut miter = Circuit::with_name(original.num_qubits(), original.name());
+    miter.extend(
+        original
+            .iter()
+            .cloned()
+            .chain(candidate.iter().rev().map(Instruction::adjoint)),
+    );
+    miter
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Witness, EPS};
     use qcir::random::{random_unitary_circuit, RandomCircuitConfig};
     use qsim::unitary::equivalent_up_to_phase;
+
+    #[test]
+    fn one_pass_miter_equals_original_then_inverse() {
+        for seed in 0..5u64 {
+            let a = random_unitary_circuit(&RandomCircuitConfig::new(5, 40, seed));
+            let b = random_unitary_circuit(&RandomCircuitConfig::new(5, 40, seed + 100));
+            for (x, y) in [(&a, &b), (&a, &a)] {
+                let want = x.then(&y.inverse()).unwrap();
+                assert_eq!(miter(x, y), want, "seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn self_miter_of_random_unitary_circuits_reduces() {

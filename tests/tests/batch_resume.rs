@@ -99,10 +99,13 @@ fn kill_resume_outputs_byte_identical_to_uninterrupted_run() {
     let mut kills = 0u32;
     let mut completed = false;
     for round in 0..40 {
-        // Kill after 3..=16 checkpoint writes: early enough to strike
-        // mid-pipeline (each job checkpoints 8 times), late enough that
-        // every round makes progress.
-        let kill_after = 3 + rng.next() % 14;
+        // Kill after 1..=5 checkpoint writes. Each job checkpoints
+        // twice, after verify and at `Done`, so the batch writes 16:
+        // every write is progress, at least 3 rounds abort before it
+        // completes, and a kill lands between a job's verify and `Done`
+        // checkpoints or right after its `Done` one, while the other
+        // worker's job is anywhere in its pipeline.
+        let kill_after = 1 + rng.next() % 5;
         let status = batch_cmd(&bin, &fault_dir, "2")
             .env("TLK_BATCH_KILL_AFTER_CHECKPOINTS", kill_after.to_string())
             .status()

@@ -258,11 +258,14 @@ fn seeded_kill9_cycles_resume_to_byte_identical_outputs() {
         .unwrap_or(0x5EED_5EED_0001);
     let mut rng = KillRng(seed);
     let mut cycles = 0u32;
+    let mut kills = 0u32;
     loop {
         cycles += 1;
         assert!(cycles <= 30, "kill/resume did not converge in 30 cycles");
         // Abort the daemon after 1..=6 checkpoint writes (process-wide
-        // count; abort == kill -9: no destructors, no flushes).
+        // count; abort == kill -9: no destructors, no flushes). The
+        // three jobs write 6 in total (after verify and at `Done`), so
+        // the first cycle always aborts.
         let budget = (rng.next() % 6 + 1).to_string();
         let mut child = spawn_serve(
             &sb,
@@ -292,7 +295,9 @@ fn seeded_kill9_cycles_resume_to_byte_identical_outputs() {
         }
         let status = child.wait().expect("wait aborted serve");
         assert!(!status.success(), "expected the injected abort");
+        kills += 1;
     }
+    assert!(kills >= 1, "the kill hook never fired");
 
     assert_eq!(
         read_outputs(&sb.out),
