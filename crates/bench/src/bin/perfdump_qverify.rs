@@ -8,7 +8,9 @@
 //! and 30 qubits — the latter past the statevector cap) — plus the
 //! restored pairs of `tetrislock batch --suite table1` (default job
 //! config) for rd53/rd73/rd84, timed through the forced dense tier and
-//! through the full tier cascade, and stripped-key refutations of the
+//! through the full tier cascade, the same pairs corrupted by an `x(0)`
+//! (refuted at column 0) or a trailing `t` on the top wire (refuted
+//! later; rd84's at column 255), and stripped-key refutations of the
 //! 18- and 20-qubit Clifford+T circuits (`check_report`: a ZX stall,
 //! then witness replay on a sparse column or a statevector). It writes
 //! `BENCH_qverify.json` with the median wall-clock per case and a
@@ -223,6 +225,29 @@ fn main() {
             median_ms: ms,
             outcome: "equivalent",
         });
+        // Corrupted restores through the full cascade: `x(0)` is refuted
+        // at column 0, before the dense walk fuses its program; a
+        // trailing `t` on the top wire diverges later (rd84: at column
+        // 255, past the fusion point).
+        let (mut x0, mut t_top) = (restored.clone(), restored.clone());
+        x0.x(0);
+        t_top.t(orig.num_qubits() - 1);
+        for (label, corrupted) in [("x0", x0), ("t_top", t_top)] {
+            let name = format!("report_{label}_{}", bench.name());
+            eprintln!("timing {name}…");
+            let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, reps, || {
+                let report = job_verifier.check_report(&orig, &corrupted);
+                assert!(report.verdict.is_inequivalent(), "{report}");
+            });
+            cases.push(CaseResult {
+                name,
+                qubits: orig.num_qubits(),
+                gates: orig.gate_count() + corrupted.gate_count(),
+                reps,
+                median_ms: ms,
+                outcome: "inequivalent",
+            });
+        }
     }
 
     // wrong key: a Clifford+T circuit against its obfuscation with the

@@ -276,14 +276,17 @@ fn git(args: &[&str]) -> Option<String> {
 
 /// The `provenance` block of the `BENCH_*.json` files: the checked-out
 /// commit (and whether the tree had uncommitted changes), the host's
-/// cores, and the qsim worker count every statevector replay resolved
-/// to.
+/// cores, the qsim worker count every statevector replay resolved to,
+/// and the `QSIM_WORKERS` value it resolved from (`"unset"` without
+/// one).
 pub fn provenance_json() -> String {
     let commit = git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
     let dirty = git(&["status", "--porcelain", "--untracked-files=no"]).map(|s| !s.is_empty());
     let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
+    let workers_env = std::env::var("QSIM_WORKERS").unwrap_or_else(|_| "unset".to_string());
     format!(
-        "{{\"commit\": \"{commit}\", \"dirty\": {}, \"nproc\": {nproc}, \"resolved_workers\": {}}}",
+        "{{\"commit\": \"{commit}\", \"dirty\": {}, \"nproc\": {nproc}, \"resolved_workers\": {}, \
+         \"qsim_workers_env\": {workers_env:?}}}",
         dirty.map_or("null".to_string(), |d| d.to_string()),
         qsim::resolved_workers(),
     )
@@ -313,7 +316,7 @@ pub mod schema {
     /// Checks that `json` has the `BENCH_qsim.json` schema-version-1
     /// shape: the suite/header fields, a `provenance` block (see
     /// [`crate::provenance_json`]) whose `resolved_workers` is at least
-    /// 1, an `engine` block whose
+    /// 1 and which names its `qsim_workers_env`, an `engine` block whose
     /// `detected_workers` is at least 1, and a non-empty case list in
     /// which every case carries all eight per-case keys and a numeric
     /// `fused_ms`.
@@ -327,7 +330,7 @@ pub mod schema {
     ///     "{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n",
     ///     "  \"smoke\": true,\n",
     ///     "  \"provenance\": {\"commit\": \"unknown\", \"dirty\": null, ",
-    ///     "\"nproc\": 4, \"resolved_workers\": 4},\n",
+    ///     "\"nproc\": 4, \"resolved_workers\": 4, \"qsim_workers_env\": \"unset\"},\n",
     ///     "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
     ///     "\"detected_workers\": 4},\n  \"cases\": [\n",
     ///     "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
@@ -347,6 +350,7 @@ pub mod schema {
         if uint_field(json, "resolved_workers")? == 0 {
             return Err("\"resolved_workers\" must be at least 1".into());
         }
+        require(json, "\"qsim_workers_env\": \"")?;
         let max_qubits = uint_field(json, "max_qubits")?;
         let parallel_min = uint_field(json, "parallel_min_qubits")?;
         let workers = uint_field(json, "detected_workers")?;
@@ -412,7 +416,7 @@ pub mod schema {
                 "{\n  \"suite\": \"qsim_statevector\",\n  \"schema_version\": 1,\n",
                 "  \"smoke\": false,\n",
                 "  \"provenance\": {\"commit\": \"0123abc\", \"dirty\": false, ",
-                "\"nproc\": 2, \"resolved_workers\": 2},\n",
+                "\"nproc\": 2, \"resolved_workers\": 2, \"qsim_workers_env\": \"2\"},\n",
                 "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
                 "\"detected_workers\": 4},\n  \"cases\": [\n",
                 "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
@@ -464,6 +468,10 @@ pub mod schema {
             assert!(validate_qsim_bench_json(&doc)
                 .unwrap_err()
                 .contains("resolved_workers"));
+            let doc = valid_doc().replace(", \"qsim_workers_env\": \"2\"", "");
+            assert!(validate_qsim_bench_json(&doc)
+                .unwrap_err()
+                .contains("qsim_workers_env"));
         }
 
         #[test]

@@ -29,6 +29,24 @@
 //!   growing without bound; the caller falls back to a statevector or
 //!   reports the replay as infeasible.
 //!
+//! # Blocks
+//!
+//! A check that runs many columns can [fuse](ColumnProgram::fuse) its
+//! program: consecutive ops are grouped, in program order, into blocks
+//! of at most [`fusion_width`] wires (`min(5, n − 3)`, so only registers
+//! of 6 or more wires fuse), and each block is stored as the sparse
+//! columns of its exact `2ᵏ×2ᵏ` local matrix. The build simulates the
+//! block's ops on each of the `2ᵏ` local inputs and drops only exact
+//! zeros. A run then groups the column's entries by their bits outside
+//! the block and multiplies each group by the block's columns, so
+//! rd84's restored miter (2,306 ops) runs as 15 block steps. An op on
+//! more wires than the block width stays a single per-op step between
+//! blocks.
+//! The rules above move to block boundaries: a block prunes its outputs
+//! once, by the same rule, and adds its dropped norm to the bound once
+//! (the block is the unitary step of the orthogonality argument), and
+//! the budget is checked after every block.
+//!
 //! The width cap is [`MAX_COLUMN_QUBITS`] = 63: the only hard limit is
 //! `u64` basis-index addressing, not memory.
 //!
@@ -42,24 +60,30 @@
 //! // amplitude.
 //! let mut m = Circuit::new(40);
 //! m.x(35).cx(35, 7).x(35).t(7);
-//! let program = ColumnProgram::new(&m)?;
+//! let mut program = ColumnProgram::new(&m)?;
 //! let mut column = SparseColumn::new(16);
 //! column.run(&program, 0)?;
 //! assert_eq!(column.support(), 1);
 //! assert!(column.amplitude(0).abs() < 1e-12); // |0…0⟩ maps to |1₇⟩
 //! assert!((column.amplitude(1 << 7).arg() - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
 //! assert_eq!(column.error_bound(), 0.0);
+//! // The fused program runs the same column as two blocks.
+//! assert!(program.fuse());
+//! column.run(&program, 0)?;
+//! assert!((column.amplitude(1 << 7).arg() - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
 //! # Ok::<(), qsim::SimError>(())
 //! ```
 
 use crate::complex::C64;
 use crate::error::SimError;
-use crate::matrix::gate_matrix;
+use crate::matrix::single_qubit_matrix;
 use qcir::{Circuit, Gate, Instruction};
 
 static COLUMN_RUNS: qobs::Counter = qobs::Counter::new("qsim.column.runs");
 static COLUMN_OPS: qobs::Counter = qobs::Counter::new("qsim.column.ops");
 static COLUMN_BUDGET_TRIPS: qobs::Counter = qobs::Counter::new("qsim.column.budget_trips");
+static COLUMN_FUSIONS: qobs::Counter = qobs::Counter::new("qsim.column.fusions");
+static COLUMN_BLOCKS: qobs::Counter = qobs::Counter::new("qsim.column.blocks");
 
 /// Hard width cap for sparse columns: `u64` basis indices address at
 /// most 63-qubit registers (the dense pairing key shifts an index left
@@ -72,6 +96,10 @@ pub const MAX_COLUMN_QUBITS: u32 = 63;
 /// small could not move any verdict at the verifier's `ε = 10⁻⁹`, and
 /// the pruned norm is tracked anyway.
 const PRUNE_NORM_SQR: f64 = 1e-26;
+
+/// Widest block a fused program builds: a block's local matrix has at
+/// most `2⁵ = 32` columns.
+const MAX_BLOCK_WIRES: u32 = 5;
 
 /// Largest support budget [`support_budget`] hands out: 2¹⁶ entries
 /// (1.5 MiB), the bound for registers past every statevector.
@@ -90,6 +118,17 @@ pub const MAX_SUPPORT_BUDGET: usize = 1 << 16;
 /// gates cost the map less than this mix, which moves the crossover up.
 pub fn support_budget(num_qubits: u32) -> usize {
     (1usize << num_qubits.saturating_sub(4).max(4)).min(MAX_SUPPORT_BUDGET)
+}
+
+/// The block width `w = min(5, n − 3)` of a fused `n`-qubit program, or
+/// `None` when `w < 3` (fewer than 6 wires): such a register does not
+/// fuse. Building a block simulates its `2ʷ` local columns, and
+/// `2ʷ ≤ 2ⁿ/8` keeps that small next to the `2ⁿ`-column walk it
+/// shortens; a caller that fuses after `2ʷ` columns pays at most about
+/// what it has already spent.
+pub fn fusion_width(num_qubits: u32) -> Option<u32> {
+    let w = MAX_BLOCK_WIRES.min(num_qubits.saturating_sub(3));
+    (w >= 3).then_some(w)
 }
 
 /// The 2×2 action class of a lowered gate on its target qubit.
@@ -111,11 +150,15 @@ struct Op {
     kind: Kind,
 }
 
+impl Op {
+    /// The bits of every wire the op reads or writes.
+    fn wires(&self) -> u64 {
+        self.ctrl | 1u64 << self.target
+    }
+}
+
 fn classify(gate: &Gate) -> Kind {
-    let m = gate_matrix(gate);
-    debug_assert_eq!(m.dim(), 2, "classify is for single-qubit gates");
-    let (a, b) = (m.get(0, 0), m.get(0, 1));
-    let (c, d) = (m.get(1, 0), m.get(1, 1));
+    let [[a, b], [c, d]] = single_qubit_matrix(gate).expect("classify is for single-qubit gates");
     if b == C64::ZERO && c == C64::ZERO {
         Kind::Diag([a, d])
     } else if a == C64::ZERO && d == C64::ZERO {
@@ -125,81 +168,165 @@ fn classify(gate: &Gate) -> Kind {
     }
 }
 
-fn cx_op(control: u32, target: u32) -> Op {
+/// An X on `target` under the control mask `ctrl`.
+fn x_op(ctrl: u64, target: u32) -> Op {
     Op {
-        ctrl: 1u64 << control,
+        ctrl,
         target,
         kind: Kind::Anti([C64::ONE, C64::ONE]),
     }
 }
 
-/// Lowers one instruction to a sequence of [`Op`]s. Multi-target gates
-/// decompose into CX conjugations so every op has exactly one target.
-fn lower(inst: &Instruction) -> Vec<Op> {
+/// Lowers one instruction onto `ops`. Multi-target gates decompose into
+/// CX conjugations so every op has exactly one target.
+fn lower(inst: &Instruction, ops: &mut Vec<Op>) {
     let q = |k: usize| inst.qubits()[k].index() as u32;
+    let controlled = |gate: &Gate| Op {
+        ctrl: 1u64 << q(0),
+        target: q(1),
+        kind: classify(gate),
+    };
     match inst.gate() {
-        Gate::I => vec![],
+        Gate::I => {}
         // SWAP(a,b) = CX(a,b)·CX(b,a)·CX(a,b).
-        Gate::Swap => vec![cx_op(q(0), q(1)), cx_op(q(1), q(0)), cx_op(q(0), q(1))],
+        Gate::Swap => {
+            let (a, b) = (q(0), q(1));
+            ops.extend([x_op(1 << a, b), x_op(1 << b, a), x_op(1 << a, b)]);
+        }
         // Fredkin(c; a,b) = CX(b,a)·CCX(c,a,b)·CX(b,a).
-        Gate::CSwap => vec![
-            cx_op(q(2), q(1)),
-            Op {
-                ctrl: (1u64 << q(0)) | (1u64 << q(1)),
-                target: q(2),
-                kind: Kind::Anti([C64::ONE, C64::ONE]),
-            },
-            cx_op(q(2), q(1)),
-        ],
-        Gate::CCX => vec![Op {
-            ctrl: (1u64 << q(0)) | (1u64 << q(1)),
-            target: q(2),
-            kind: Kind::Anti([C64::ONE, C64::ONE]),
-        }],
-        Gate::Mcx(_) => {
+        Gate::CSwap => {
+            let (c, a, b) = (q(0), q(1), q(2));
+            ops.extend([x_op(1 << b, a), x_op(1 << c | 1 << a, b), x_op(1 << b, a)]);
+        }
+        Gate::CX | Gate::CCX | Gate::Mcx(_) => {
             let qs = inst.qubits();
             let (controls, target) = qs.split_at(qs.len() - 1);
             let ctrl = controls
                 .iter()
                 .fold(0u64, |m, qubit| m | (1u64 << qubit.index()));
-            vec![Op {
-                ctrl,
-                target: target[0].index() as u32,
-                kind: Kind::Anti([C64::ONE, C64::ONE]),
-            }]
+            ops.push(x_op(ctrl, target[0].index() as u32));
         }
-        Gate::CX => vec![cx_op(q(0), q(1))],
-        Gate::CY => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::Y),
-        }],
-        Gate::CZ => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::Z),
-        }],
-        Gate::CH => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::H),
-        }],
-        Gate::CP(a) => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::P(*a)),
-        }],
-        Gate::CRz(a) => vec![Op {
-            ctrl: 1u64 << q(0),
-            target: q(1),
-            kind: classify(&Gate::Rz(*a)),
-        }],
-        single => vec![Op {
+        Gate::CY => ops.push(controlled(&Gate::Y)),
+        Gate::CZ => ops.push(controlled(&Gate::Z)),
+        Gate::CH => ops.push(controlled(&Gate::H)),
+        Gate::CP(a) => ops.push(controlled(&Gate::P(*a))),
+        Gate::CRz(a) => ops.push(controlled(&Gate::Rz(*a))),
+        single => ops.push(Op {
             ctrl: 0,
             target: q(0),
             kind: classify(single),
-        }],
+        }),
     }
+}
+
+/// A run of consecutive ops on at most [`MAX_BLOCK_WIRES`] wires, stored
+/// as the sparse columns of its exact local matrix.
+struct Block {
+    /// The block's wires as global index bits.
+    mask: u64,
+    /// The block's wires in ascending order: local bit `j` is global
+    /// bit `wires[j]`.
+    wires: Vec<u32>,
+    /// `spread[row]`: the global index bits of local index `row`.
+    spread: Vec<u64>,
+    /// Column `l` of the local matrix is `entries[starts[l]..starts[l + 1]]`.
+    starts: Vec<usize>,
+    /// `(local row, value)`, exact zeros dropped.
+    entries: Vec<(u32, C64)>,
+}
+
+impl Block {
+    /// The local matrix of `ops`, which touch only the wires in `mask`.
+    /// Column `l` is a run of `ops` from the basis input whose block
+    /// wires spell `l` and whose other bits are clear, on a column that
+    /// prunes nothing; only exact zeros are dropped.
+    fn new(ops: &[Op], mask: u64) -> Block {
+        let wires: Vec<u32> = (0..64).filter(|&q| mask >> q & 1 == 1).collect();
+        let spread: Vec<u64> = (0..1u64 << wires.len())
+            .map(|row| {
+                (0..)
+                    .zip(&wires)
+                    .fold(0, |bits, (j, &q)| bits | (row >> j & 1) << q)
+            })
+            .collect();
+        let mut column = SparseColumn {
+            prune_below: 0.0,
+            ..SparseColumn::new(spread.len())
+        };
+        let mut starts = Vec::with_capacity(spread.len() + 1);
+        let mut entries = Vec::new();
+        for &input in &spread {
+            starts.push(entries.len());
+            column.entries.clear();
+            column.entries.push((input, C64::ONE));
+            for op in ops {
+                column
+                    .apply(op)
+                    .expect("a block column has at most one entry per local row");
+            }
+            entries.extend(
+                column
+                    .entries
+                    .iter()
+                    .filter(|&&(_, a)| a != C64::ZERO)
+                    .map(|&(index, a)| (gather(index, &wires) as u32, a)),
+            );
+        }
+        starts.push(entries.len());
+        Block {
+            mask,
+            wires,
+            spread,
+            starts,
+            entries,
+        }
+    }
+
+    /// The local column the global basis index `index` selects.
+    fn column(&self, index: u64) -> &[(u32, C64)] {
+        let l = gather(index, &self.wires);
+        &self.entries[self.starts[l]..self.starts[l + 1]]
+    }
+}
+
+/// The local index of `index` on `wires`: bit `j` is `index`'s bit
+/// `wires[j]`.
+fn gather(index: u64, wires: &[u32]) -> usize {
+    (0..)
+        .zip(wires)
+        .fold(0, |l, (j, &q)| l | ((index >> q & 1) as usize) << j)
+}
+
+/// One step of a fused program.
+enum Step {
+    /// `ops[k]`, wider than the block width, applied on its own.
+    Op(usize),
+    Block(Block),
+}
+
+/// Groups `ops` in program order into blocks of at most `width` wires.
+fn fuse_ops(ops: &[Op], width: u32) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let (mut start, mut mask) = (0, 0u64);
+    for (k, op) in ops.iter().enumerate() {
+        if (mask | op.wires()).count_ones() <= width {
+            mask |= op.wires();
+            continue;
+        }
+        if start < k {
+            steps.push(Step::Block(Block::new(&ops[start..k], mask)));
+        }
+        if op.wires().count_ones() > width {
+            steps.push(Step::Op(k));
+            (start, mask) = (k + 1, 0);
+        } else {
+            (start, mask) = (k, op.wires());
+        }
+    }
+    if start < ops.len() {
+        steps.push(Step::Block(Block::new(&ops[start..], mask)));
+    }
+    steps
 }
 
 /// A circuit lowered once to single-target ops over `u64` basis
@@ -207,6 +334,8 @@ fn lower(inst: &Instruction) -> Vec<Op> {
 pub struct ColumnProgram {
     num_qubits: u32,
     ops: Vec<Op>,
+    /// The fused form of `ops`, once [`ColumnProgram::fuse`] built it.
+    fused: Option<Vec<Step>>,
 }
 
 impl ColumnProgram {
@@ -223,10 +352,41 @@ impl ColumnProgram {
                 max: MAX_COLUMN_QUBITS,
             });
         }
+        let mut ops = Vec::with_capacity(circuit.gate_count());
+        for inst in circuit.iter() {
+            lower(inst, &mut ops);
+        }
         Ok(ColumnProgram {
             num_qubits,
-            ops: circuit.iter().flat_map(lower).collect(),
+            ops,
+            fused: None,
         })
+    }
+
+    /// Switches later runs to blocks of at most
+    /// [`fusion_width`] wires (see the module docs), building them on
+    /// the first call. Returns whether the program is fused: a register
+    /// of fewer than 6 wires never is.
+    pub fn fuse(&mut self) -> bool {
+        let Some(width) = fusion_width(self.num_qubits) else {
+            return false;
+        };
+        if self.fused.is_none() {
+            let span = qobs::span("qsim.column.fuse")
+                .attr("wires", u64::from(width))
+                .attr("ops", self.ops.len() as u64);
+            let steps = fuse_ops(&self.ops, width);
+            let blocks = steps.iter().filter(|s| matches!(s, Step::Block(_))).count();
+            let _span = span.attr("blocks", blocks as u64);
+            COLUMN_FUSIONS.incr();
+            self.fused = Some(steps);
+        }
+        true
+    }
+
+    /// Whether [`ColumnProgram::fuse`] has built the fused form.
+    pub fn is_fused(&self) -> bool {
+        self.fused.is_some()
     }
 }
 
@@ -236,6 +396,10 @@ impl ColumnProgram {
 #[derive(Debug)]
 pub struct SparseColumn {
     max_support: usize,
+    /// Amplitudes with `|a|²` below this are dropped after a
+    /// support-changing step: [`PRUNE_NORM_SQR`], or `0` while a block
+    /// builds its exact local columns.
+    prune_below: f64,
     /// `(basis index, amplitude)`, sorted by index after every run.
     entries: Vec<(u64, C64)>,
     scratch: Vec<(u64, C64)>,
@@ -248,13 +412,15 @@ impl SparseColumn {
     pub fn new(max_support: usize) -> Self {
         SparseColumn {
             max_support: max_support.max(1),
+            prune_below: PRUNE_NORM_SQR,
             entries: Vec::new(),
             scratch: Vec::new(),
             error_bound: 0.0,
         }
     }
 
-    /// Resets the column to `|input⟩` and applies `program`.
+    /// Resets the column to `|input⟩` and applies `program`, block by
+    /// block once it is fused.
     ///
     /// # Errors
     ///
@@ -273,8 +439,23 @@ impl SparseColumn {
         self.entries.clear();
         self.entries.push((input, C64::ONE));
         self.error_bound = 0.0;
-        for op in &program.ops {
-            self.apply(op)?;
+        match &program.fused {
+            None => {
+                for op in &program.ops {
+                    self.apply(op)?;
+                }
+            }
+            Some(steps) => {
+                for step in steps {
+                    match step {
+                        Step::Op(k) => self.apply(&program.ops[*k])?,
+                        Step::Block(block) => {
+                            COLUMN_BLOCKS.incr();
+                            self.apply_block(block)?;
+                        }
+                    }
+                }
+            }
         }
         self.entries.sort_unstable_by_key(|&(index, _)| index);
         Ok(())
@@ -289,7 +470,7 @@ impl SparseColumn {
     }
 
     /// Upper bound on `‖exact column − kept column‖₂` from pruning: the
-    /// sum over ops of the `ℓ₂` norm each op dropped.
+    /// sum over ops (or blocks) of the `ℓ₂` norm each one dropped.
     pub fn error_bound(&self) -> f64 {
         self.error_bound
     }
@@ -359,13 +540,57 @@ impl SparseColumn {
                 (low | bit, m[1][0] * x + m[1][1] * y),
             ] {
                 let p = a.norm_sqr();
-                if p < PRUNE_NORM_SQR {
+                if p < self.prune_below {
                     dropped += p;
                 } else {
                     out.push((i, a));
                 }
             }
         }
+        self.settle(dropped)
+    }
+
+    /// Applies a block: entries that differ only on the block's wires
+    /// form one group, each group is multiplied by the block's local
+    /// columns, and the outputs are pruned once.
+    fn apply_block(&mut self, block: &Block) -> Result<(), SimError> {
+        let outer = |index: u64| index & !block.mask;
+        if self.entries.len() > 1 {
+            self.entries
+                .sort_unstable_by_key(|&(index, _)| outer(index));
+        }
+        let out = &mut self.scratch;
+        out.clear();
+        let mut sums = [C64::ZERO; 1 << MAX_BLOCK_WIRES];
+        let mut dropped = 0.0;
+        for group in self.entries.chunk_by(|a, b| outer(a.0) == outer(b.0)) {
+            // Bit `row` is set once local row `row` has a sum.
+            let mut rows = 0u32;
+            for &(index, amp) in group {
+                for &(row, value) in block.column(index) {
+                    sums[row as usize] += value * amp;
+                    rows |= 1 << row;
+                }
+            }
+            let base = outer(group[0].0);
+            while rows != 0 {
+                let row = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                let a = std::mem::replace(&mut sums[row], C64::ZERO);
+                let p = a.norm_sqr();
+                if p < self.prune_below {
+                    dropped += p;
+                } else {
+                    out.push((base | block.spread[row], a));
+                }
+            }
+        }
+        self.settle(dropped)
+    }
+
+    /// Ends a support-changing step whose output is in `scratch`:
+    /// charges the norm it pruned to the bound and checks the budget.
+    fn settle(&mut self, dropped: f64) -> Result<(), SimError> {
         std::mem::swap(&mut self.entries, &mut self.scratch);
         if dropped > 0.0 {
             self.error_bound += dropped.sqrt();
@@ -613,6 +838,111 @@ mod tests {
         let column = run(&c, 0);
         assert!(column.amplitude(0).abs() < 1e-12);
         assert!((column.amplitude(1 | 1 << 62).abs() - 0.5f64.sqrt()).abs() < 1e-12);
+    }
+
+    /// `mixed_circuit` plus the lowering classes it lacks: controlled
+    /// diagonals, Y/CY, CCX, CSWAP and, from 8 wires on, an MCX with 7
+    /// controls, wider than any block.
+    fn fusion_circuit(n: u32, seed: u64) -> Circuit {
+        let mut c = mixed_circuit(n, seed);
+        let w = |k: u32| (seed as u32 + k) % n;
+        c.cz(w(0), w(3))
+            .crz(0.7, w(5), w(1))
+            .y(w(2))
+            .cy(w(4), w(0))
+            .ccx(w(3), w(0), w(4))
+            .cswap(w(1), w(2), w(5))
+            .cp(1.1, w(2), w(4));
+        if n >= 8 {
+            c.mcx(&(0..7).map(w).collect::<Vec<_>>(), w(7));
+        }
+        c.extend(mixed_circuit(n, seed ^ 0x51).iter().cloned());
+        c
+    }
+
+    #[test]
+    fn fused_program_matches_the_per_op_program() {
+        for n in [6u32, 7, 9, 12, 14] {
+            for seed in 0..3u64 {
+                let c = fusion_circuit(n, seed);
+                let per_op = ColumnProgram::new(&c).unwrap();
+                let mut fused = ColumnProgram::new(&c).unwrap();
+                assert!(fused.fuse() && fused.is_fused() && !per_op.is_fused());
+                let steps = fused.fused.as_ref().unwrap();
+                assert_eq!(
+                    steps.iter().any(|s| matches!(s, Step::Op(_))),
+                    n >= 8,
+                    "only the 8-wire MCX is wider than a block"
+                );
+                let (mut a, mut b) = (
+                    SparseColumn::new(MAX_SUPPORT_BUDGET),
+                    SparseColumn::new(MAX_SUPPORT_BUDGET),
+                );
+                for input in [0, 1, (1 << n) - 1, seed.wrapping_mul(0x9E37) % (1 << n)] {
+                    a.run(&per_op, input).unwrap();
+                    b.run(&fused, input).unwrap();
+                    assert_eq!(a.support(), b.support(), "n={n} seed={seed} input={input}");
+                    for &(index, amp) in &a.entries {
+                        assert!(
+                            amp.approx_eq(b.amplitude(index), 1e-12),
+                            "n={n} seed={seed} input={input} index={index}"
+                        );
+                    }
+                    assert!(b.error_bound() <= 1e-12, "{}", b.error_bound());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_blocks_prune_cancelled_branches_into_the_error_bound() {
+        // The cancelling H·Rz·H pairs of the per-op test, split over
+        // several blocks by CX gates to far wires.
+        let mut c = Circuit::new(10);
+        c.h(1).rz(0.3, 1).h(1);
+        for q in [9, 8, 7, 6, 5, 5, 6, 7, 8, 9] {
+            c.cx(1, q);
+        }
+        c.h(1).rz(-0.3, 1).h(1);
+        let mut program = ColumnProgram::new(&c).unwrap();
+        assert!(program.fuse());
+        assert!(program.fused.as_ref().unwrap().len() > 1);
+        let mut column = SparseColumn::new(MAX_SUPPORT_BUDGET);
+        column.run(&program, 0).unwrap();
+        assert_eq!(column.support(), 1);
+        assert!(column.amplitude(0).approx_eq(C64::ONE, 1e-12));
+        assert!(column.error_bound() <= 1e-12, "{}", column.error_bound());
+    }
+
+    #[test]
+    fn fused_budget_trip_is_the_same_typed_error() {
+        let mut c = Circuit::new(30);
+        for q in 15..25 {
+            c.h(q);
+        }
+        let mut program = ColumnProgram::new(&c).unwrap();
+        assert!(program.fuse());
+        // The first 5-wire block already holds 2⁵ amplitudes.
+        let err = SparseColumn::new(8).run(&program, 0).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SupportBudgetExceeded {
+                support: 32,
+                max: 8
+            }
+        );
+    }
+
+    #[test]
+    fn only_registers_of_six_wires_or_more_fuse() {
+        assert_eq!(fusion_width(5), None);
+        assert_eq!(fusion_width(6), Some(3));
+        assert_eq!(fusion_width(7), Some(4));
+        assert_eq!(fusion_width(12), Some(5));
+        assert_eq!(fusion_width(MAX_COLUMN_QUBITS), Some(5));
+        let mut narrow = ColumnProgram::new(&mixed_circuit(5, 1)).unwrap();
+        assert!(!narrow.fuse());
+        assert!(!narrow.is_fused());
     }
 
     #[test]

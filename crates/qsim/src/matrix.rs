@@ -171,56 +171,10 @@ impl Matrix {
 /// assert_eq!(ccx.dim(), 8);
 /// ```
 pub fn gate_matrix(gate: &Gate) -> Matrix {
-    let h = C64::real(FRAC_1_SQRT_2);
+    if let Some([row0, row1]) = single_qubit_matrix(gate) {
+        return Matrix::from_rows(&[&row0, &row1]);
+    }
     match gate {
-        Gate::I => Matrix::identity(2),
-        Gate::X => Matrix::from_rows(&[&[C64::ZERO, C64::ONE], &[C64::ONE, C64::ZERO]]),
-        Gate::Y => Matrix::from_rows(&[&[C64::ZERO, -C64::I], &[C64::I, C64::ZERO]]),
-        Gate::Z => Matrix::from_rows(&[&[C64::ONE, C64::ZERO], &[C64::ZERO, -C64::ONE]]),
-        Gate::H => Matrix::from_rows(&[&[h, h], &[h, -h]]),
-        Gate::S => Matrix::from_rows(&[&[C64::ONE, C64::ZERO], &[C64::ZERO, C64::I]]),
-        Gate::Sdg => Matrix::from_rows(&[&[C64::ONE, C64::ZERO], &[C64::ZERO, -C64::I]]),
-        Gate::T => Matrix::from_rows(&[
-            &[C64::ONE, C64::ZERO],
-            &[C64::ZERO, C64::cis(std::f64::consts::FRAC_PI_4)],
-        ]),
-        Gate::Tdg => Matrix::from_rows(&[
-            &[C64::ONE, C64::ZERO],
-            &[C64::ZERO, C64::cis(-std::f64::consts::FRAC_PI_4)],
-        ]),
-        Gate::Sx => {
-            let p = C64::new(0.5, 0.5);
-            let m = C64::new(0.5, -0.5);
-            Matrix::from_rows(&[&[p, m], &[m, p]])
-        }
-        Gate::Sxdg => {
-            let p = C64::new(0.5, 0.5);
-            let m = C64::new(0.5, -0.5);
-            Matrix::from_rows(&[&[m, p], &[p, m]])
-        }
-        Gate::Rx(a) => {
-            let c = C64::real((a / 2.0).cos());
-            let s = C64::new(0.0, -(a / 2.0).sin());
-            Matrix::from_rows(&[&[c, s], &[s, c]])
-        }
-        Gate::Ry(a) => {
-            let c = C64::real((a / 2.0).cos());
-            let s = (a / 2.0).sin();
-            Matrix::from_rows(&[&[c, C64::real(-s)], &[C64::real(s), c]])
-        }
-        Gate::Rz(a) => Matrix::from_rows(&[
-            &[C64::cis(-a / 2.0), C64::ZERO],
-            &[C64::ZERO, C64::cis(a / 2.0)],
-        ]),
-        Gate::P(a) => Matrix::from_rows(&[&[C64::ONE, C64::ZERO], &[C64::ZERO, C64::cis(*a)]]),
-        Gate::U(theta, phi, lambda) => {
-            let c = (theta / 2.0).cos();
-            let s = (theta / 2.0).sin();
-            Matrix::from_rows(&[
-                &[C64::real(c), C64::cis(*lambda).scale(-s)],
-                &[C64::cis(*phi).scale(s), C64::cis(phi + lambda).scale(c)],
-            ])
-        }
         Gate::CX => controlled(&gate_matrix(&Gate::X)),
         Gate::CY => controlled(&gate_matrix(&Gate::Y)),
         Gate::CZ => controlled(&gate_matrix(&Gate::Z)),
@@ -268,7 +222,76 @@ pub fn gate_matrix(gate: &Gate) -> Matrix {
             m.set(b, a, C64::ONE);
             m
         }
+        single => unreachable!("{single} has a 2×2 matrix"),
     }
+}
+
+/// The row-major 2×2 matrix of a single-qubit gate, `None` for a
+/// multi-qubit one. It needs no heap [`Matrix`], so the sparse column
+/// lowering reads it per gate; [`gate_matrix`] builds its single-qubit
+/// matrices from these same entries.
+pub(crate) fn single_qubit_matrix(gate: &Gate) -> Option<[[C64; 2]; 2]> {
+    let h = C64::real(FRAC_1_SQRT_2);
+    Some(match gate {
+        Gate::I => [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]],
+        Gate::X => [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]],
+        Gate::Y => [[C64::ZERO, -C64::I], [C64::I, C64::ZERO]],
+        Gate::Z => [[C64::ONE, C64::ZERO], [C64::ZERO, -C64::ONE]],
+        Gate::H => [[h, h], [h, -h]],
+        Gate::S => [[C64::ONE, C64::ZERO], [C64::ZERO, C64::I]],
+        Gate::Sdg => [[C64::ONE, C64::ZERO], [C64::ZERO, -C64::I]],
+        Gate::T => [
+            [C64::ONE, C64::ZERO],
+            [C64::ZERO, C64::cis(std::f64::consts::FRAC_PI_4)],
+        ],
+        Gate::Tdg => [
+            [C64::ONE, C64::ZERO],
+            [C64::ZERO, C64::cis(-std::f64::consts::FRAC_PI_4)],
+        ],
+        Gate::Sx => {
+            let p = C64::new(0.5, 0.5);
+            let m = C64::new(0.5, -0.5);
+            [[p, m], [m, p]]
+        }
+        Gate::Sxdg => {
+            let p = C64::new(0.5, 0.5);
+            let m = C64::new(0.5, -0.5);
+            [[m, p], [p, m]]
+        }
+        Gate::Rx(a) => {
+            let c = C64::real((a / 2.0).cos());
+            let s = C64::new(0.0, -(a / 2.0).sin());
+            [[c, s], [s, c]]
+        }
+        Gate::Ry(a) => {
+            let c = C64::real((a / 2.0).cos());
+            let s = (a / 2.0).sin();
+            [[c, C64::real(-s)], [C64::real(s), c]]
+        }
+        Gate::Rz(a) => [
+            [C64::cis(-a / 2.0), C64::ZERO],
+            [C64::ZERO, C64::cis(a / 2.0)],
+        ],
+        Gate::P(a) => [[C64::ONE, C64::ZERO], [C64::ZERO, C64::cis(*a)]],
+        Gate::U(theta, phi, lambda) => {
+            let c = (theta / 2.0).cos();
+            let s = (theta / 2.0).sin();
+            [
+                [C64::real(c), C64::cis(*lambda).scale(-s)],
+                [C64::cis(*phi).scale(s), C64::cis(phi + lambda).scale(c)],
+            ]
+        }
+        Gate::CX
+        | Gate::CY
+        | Gate::CZ
+        | Gate::CH
+        | Gate::CP(_)
+        | Gate::CRz(_)
+        | Gate::Swap
+        | Gate::CCX
+        | Gate::CSwap
+        | Gate::Mcx(_) => return None,
+    })
 }
 
 /// Builds the controlled version of a single-qubit matrix with the control

@@ -25,10 +25,21 @@
 //! path would also reach. [`check_sparse`] gives up there instead,
 //! before building any statevector: the tier cascade runs it ahead of
 //! ZX and keeps the statevector pass for after ZX falls through.
+//!
+//! A long walk runs on blocks. After `2ʷ` sparse columns
+//! ([`qsim::column::fusion_width`]: `w = min(5, n − 3)`, registers of 6
+//! or more wires) the replay fuses its program into blocks of at most
+//! `w` wires, each a precomputed sparse local matrix (the gate
+//! clustering of state-vector simulators, Häner & Steiger,
+//! arXiv:1704.01127), which turns rd84's restored miter (2,306 ops once
+//! its inverse pairs cancel) into 15 block steps. Pruning and the error
+//! bound then apply once per block, and the support budget after every
+//! block. A refutation or a ZX witness replay stops within a few
+//! columns and never builds the blocks.
 
 use crate::{Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
 use qcir::{Circuit, Instruction};
-use qsim::column::{support_budget, ColumnProgram, SparseColumn};
+use qsim::column::{fusion_width, support_budget, ColumnProgram, SparseColumn};
 use qsim::complex::C64;
 use qsim::unitary::MAX_UNITARY_QUBITS;
 use qsim::{SimError, Statevector};
@@ -95,11 +106,16 @@ pub(crate) fn judge(x: u64, entry: Entry, reference: Option<(u64, Entry)>) -> Ju
 /// not `2ⁿ`. A column that trips the support budget is an error; the
 /// caller decides whether to [switch](MiterReplay::switch_to_statevector)
 /// this and every later input to a statevector replay within
-/// [`MAX_STIMULUS_QUBITS`].
+/// [`MAX_STIMULUS_QUBITS`]. After `2ʷ` sparse columns
+/// ([`fusion_width`]) the replay fuses its program into blocks, so a
+/// walk that goes on pays at most about what it has already spent for
+/// the build, and one that stops early never builds them.
 pub(crate) struct MiterReplay {
     miter: Circuit,
     program: ColumnProgram,
     column: SparseColumn,
+    /// Sparse columns run so far.
+    columns: u64,
     statevector: bool,
 }
 
@@ -115,6 +131,7 @@ impl MiterReplay {
             program: ColumnProgram::new(&miter)?,
             column: SparseColumn::new(support_budget(miter.num_qubits())),
             miter,
+            columns: 0,
             statevector: false,
         })
     }
@@ -135,6 +152,10 @@ impl MiterReplay {
                 err: 0.0,
             });
         }
+        if fusion_width(self.miter.num_qubits()).is_some_and(|w| self.columns == 1 << w) {
+            self.program.fuse();
+        }
+        self.columns += 1;
         self.column.run(&self.program, input)?;
         Ok(Entry {
             value: self.column.amplitude(input),
@@ -488,6 +509,105 @@ mod tests {
         let mut h = Circuit::new(3);
         h.h(2);
         assert_eq!(kept(&nested).instructions(), h.instructions());
+    }
+
+    /// The dense rule over exact statevector columns of `m`, walked in
+    /// input order: the first diverging entry's witness, if any.
+    fn exact_walk(m: &Circuit) -> Option<Witness> {
+        let n = m.num_qubits();
+        let mut reference = None;
+        for x in 0..1u64 << n {
+            let mut state = Statevector::basis(n, x as usize).unwrap();
+            state.apply_circuit(m).unwrap();
+            let entry = Entry {
+                value: state.amplitudes()[x as usize],
+                err: 0.0,
+            };
+            match judge(x, entry, reference) {
+                Judgement::Consistent => {
+                    reference.get_or_insert((x, entry));
+                }
+                Judgement::Diverges(witness) => return Some(witness),
+                Judgement::Unsure => unreachable!("exact entries carry no error bound"),
+            }
+        }
+        None
+    }
+
+    /// `P⁻¹·D·P` under a branching frame on 12 wires: the frame puts
+    /// H/T/Sx/CH branches around a reversible `P`, and `D` is `diff`.
+    /// Every entry whose `P`-image misses `diff`'s wires is 1.
+    fn late_divergence_pair(diff: impl Fn(&mut Circuit)) -> Circuit {
+        let mut p = Circuit::new(12);
+        p.cx(0, 6)
+            .ccx(6, 1, 9)
+            .x(2)
+            .cswap(2, 3, 10)
+            .mcx(&[4, 9, 11], 5);
+        p.swap(7, 8).cx(10, 3).ccx(3, 5, 7);
+        let mut frame = Circuit::new(12);
+        frame.h(0).t(0).ch(0, 1).sx(4).crz(0.4, 4, 11);
+        let mut m = frame.then(&p).unwrap();
+        diff(&mut m);
+        m.then(&p.inverse())
+            .unwrap()
+            .then(&frame.inverse())
+            .unwrap()
+    }
+
+    #[test]
+    fn a_divergence_past_the_fusion_point_matches_exact_columns() {
+        let phase = late_divergence_pair(|m| {
+            m.cp(0.5, 7, 8);
+        });
+        let column = late_divergence_pair(|m| {
+            m.ccx(7, 8, 6);
+        });
+        let identity = Circuit::new(12);
+        for m in [phase, column] {
+            let expected = exact_walk(&m).expect("the pair diverges");
+            let first = match expected {
+                Witness::BasisColumn { input, .. } => input,
+                Witness::RelativePhase { input_b, .. } => input_b,
+                ref other => panic!("unexpected witness {other:?}"),
+            };
+            assert!(
+                first > 32,
+                "the divergence must lie past 2⁵ columns: {first}"
+            );
+            let mut replay = MiterReplay::new(miter(&m, &identity).unwrap()).unwrap();
+            let report = walk(&mut replay, false)
+                .unwrap()
+                .expect("sparse columns decide");
+            assert!(replay.program.is_fused());
+            assert!(!replay.statevector);
+            let Verdict::Inequivalent { witness } = report.verdict else {
+                panic!("expected a witness, got {:?}", report.verdict);
+            };
+            match (witness, expected) {
+                (Witness::BasisColumn { input, .. }, Witness::BasisColumn { input: exact, .. }) => {
+                    assert_eq!(input, exact)
+                }
+                (sparse, exact) => assert_eq!(sparse, exact),
+            }
+        }
+    }
+
+    #[test]
+    fn a_refutation_at_column_zero_builds_no_fused_program() {
+        let mut a = Circuit::new(12);
+        a.h(3).x(0).cx(3, 11).h(3);
+        let mut replay = MiterReplay::new(miter(&a, &Circuit::new(12)).unwrap()).unwrap();
+        let report = walk(&mut replay, false)
+            .unwrap()
+            .expect("sparse columns decide");
+        assert!(matches!(
+            report.verdict,
+            Verdict::Inequivalent {
+                witness: Witness::BasisColumn { input: 0, .. }
+            }
+        ));
+        assert!(!replay.program.is_fused());
     }
 
     #[test]
