@@ -229,13 +229,16 @@ fn main() {
         // at column 0, before the dense walk fuses its program; a
         // trailing `t` on the top wire diverges later (rd84: at column
         // 255, past the fusion point).
+        // These take well under a millisecond to a few, so they run 5×
+        // the reps: a median of 5 flips with the host's speed state.
         let (mut x0, mut t_top) = (restored.clone(), restored.clone());
         x0.x(0);
         t_top.t(orig.num_qubits() - 1);
+        let corrupt_reps = 5 * reps;
         for (label, corrupted) in [("x0", x0), ("t_top", t_top)] {
             let name = format!("report_{label}_{}", bench.name());
             eprintln!("timing {name}…");
-            let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, reps, || {
+            let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, corrupt_reps, || {
                 let report = job_verifier.check_report(&orig, &corrupted);
                 assert!(report.verdict.is_inequivalent(), "{report}");
             });
@@ -243,7 +246,7 @@ fn main() {
                 name,
                 qubits: orig.num_qubits(),
                 gates: orig.gate_count() + corrupted.gate_count(),
-                reps,
+                reps: corrupt_reps,
                 median_ms: ms,
                 outcome: "inequivalent",
             });
