@@ -8,7 +8,8 @@
 //! (T, CCX, CH, generic U, …) makes [`compile`] return `None` and the
 //! verifier falls through to the non-Clifford tiers.
 
-use qcir::{Circuit, Gate};
+use qcir::{Gate, Instruction};
+use std::borrow::Borrow;
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// Tolerance when matching rotation angles against right-angle
@@ -26,11 +27,15 @@ pub(crate) enum CliffordOp {
     Cx(usize, usize),
 }
 
-/// Compiles a circuit to Clifford generators, or `None` if any gate is
-/// outside the Clifford group.
-pub(crate) fn compile(circuit: &Circuit) -> Option<Vec<CliffordOp>> {
-    let mut ops = Vec::with_capacity(circuit.gate_count() * 3);
-    for inst in circuit.iter() {
+/// Compiles a gate sequence to Clifford generators, or `None` at the
+/// first gate outside the Clifford group (no later gate is read).
+pub(crate) fn compile(
+    gates: impl IntoIterator<Item = impl Borrow<Instruction>>,
+) -> Option<Vec<CliffordOp>> {
+    let gates = gates.into_iter();
+    let mut ops = Vec::with_capacity(gates.size_hint().0 * 3);
+    for inst in gates {
+        let inst = inst.borrow();
         let q: Vec<usize> = inst.qubits().iter().map(|w| w.index()).collect();
         match inst.gate() {
             Gate::I => {}
@@ -152,6 +157,7 @@ fn turns(theta: f64, unit: f64, period: i64) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcir::Circuit;
     use qsim::unitary::equivalent_up_to_phase;
 
     /// Rebuilds a plain circuit from compiled ops, for dense
@@ -234,7 +240,7 @@ mod tests {
             c.cp(PI, 0, 1);
         }));
         for circuit in gates {
-            let ops = compile(&circuit).unwrap_or_else(|| {
+            let ops = compile(circuit.iter()).unwrap_or_else(|| {
                 panic!("{:?} should compile", circuit.instructions());
             });
             let rebuilt = reconstruct(2, &ops);
@@ -273,7 +279,7 @@ mod tests {
         ] {
             let mut c = Circuit::new(3);
             f(&mut c);
-            assert!(compile(&c).is_none(), "{:?}", c.instructions());
+            assert!(compile(c.iter()).is_none(), "{:?}", c.instructions());
         }
     }
 
@@ -281,17 +287,17 @@ mod tests {
     fn angle_tolerance_accepts_float_noise() {
         let mut c = Circuit::new(1);
         c.rz(FRAC_PI_2 + 1e-13, 0);
-        assert!(compile(&c).is_some());
+        assert!(compile(c.iter()).is_some());
         let mut c = Circuit::new(1);
         c.rz(FRAC_PI_2 + 1e-4, 0);
-        assert!(compile(&c).is_none());
+        assert!(compile(c.iter()).is_none());
     }
 
     #[test]
     fn negative_angles_reduce_correctly() {
         let mut a = Circuit::new(1);
         a.rz(-FRAC_PI_2, 0);
-        let ops = compile(&a).unwrap();
+        let ops = compile(a.iter()).unwrap();
         let rebuilt = reconstruct(1, &ops);
         assert!(equivalent_up_to_phase(&a, &rebuilt, 1e-9).unwrap());
     }

@@ -1,30 +1,36 @@
 //! The exact column check: one miter replay and one decision rule,
-//! shared by the dense tier and the ZX tier's witness replay.
+//! shared by the dense tier, the ZX tier's witness replay and the
+//! stimulus tier.
 //!
-//! Both tiers ask the same question of the miter `M = C₂†C₁`:
+//! Every tier asks the same question of the miter `M = C₂†C₁`:
 //! `C₁ ≃ C₂` up to global phase iff every diagonal entry `⟨x|M|x⟩` has
 //! unit magnitude *and* all entries share one phase (the miter-diagonal
-//! reduction of Burgholzer & Wille, arXiv:2004.08420). [`MiterReplay`]
-//! lowers the miter once and runs each basis input through one sparse
-//! support map ([`qsim::SparseColumn`]), so an entry costs
-//! `O(gates·support)` instead of a `2ⁿ` statevector sweep per gate.
-//! [`judge`] is the one rule that turns an entry into a verdict.
+//! reduction of Burgholzer & Wille, arXiv:2004.08420).
+//! [`MiterReplay::new`] builds the pair's miter once from
+//! [`crate::miter::gates`], with its adjacent inverse pairs cancelled,
+//! and runs each basis input through one sparse support map
+//! ([`qsim::SparseColumn`]), so an entry costs `O(gates·support)`
+//! instead of a `2ⁿ` statevector sweep per gate. [`judge`] is the one
+//! rule that turns an entry into a verdict. Within one check the
+//! cascade builds the replay on first need and hands the same one to
+//! every tier that replays the miter ([`crate::miter::Miter`]).
 //!
-//! The **dense tier** ([`check`], the exhaustive ≤
-//! [`MAX_UNITARY_QUBITS`]-qubit check) walks every `x ∈ 0..2ⁿ` and
-//! exits on the first diverging entry with a witness — a basis input
-//! that leaves its own ray, or a pair of inputs acquiring different
-//! phases. The ZX tier judges the few candidates its stalled residue
-//! proposes with the same rule (`zx::witness`).
+//! The **dense tier** (the exhaustive ≤ [`MAX_UNITARY_QUBITS`]-qubit
+//! check) [walks](walk) every `x ∈ 0..2ⁿ` and exits on the first
+//! diverging entry with a witness — a basis input that leaves its own
+//! ray, or a pair of inputs acquiring different phases. The ZX tier
+//! judges the few candidates its stalled residue proposes with the same
+//! rule (`zx::witness`).
 //!
 //! Each sparse entry carries the column's pruning error bound, which
 //! [`judge`] charges against [`EPS`]. When the bound could flip a
-//! decision, or a column trips the support budget, [`check`] switches
-//! the replay to a statevector for the rest of the run and re-measures
-//! the reference entry exactly, so every verdict is one the statevector
-//! path would also reach. [`check_sparse`] gives up there instead,
-//! before building any statevector: the tier cascade runs it ahead of
-//! ZX and keeps the statevector pass for after ZX falls through.
+//! decision, or a column trips the support budget, a walk with the
+//! statevector fallback switches the replay to a statevector for the
+//! rest of the run and re-measures the reference entry exactly, so
+//! every verdict is one the statevector path would also reach. The
+//! cascade's first, sparse-only walk stops there instead, before
+//! building any statevector; the replay keeps its place, and the full
+//! walk after ZX falls through resumes at that column.
 //!
 //! A long walk runs on blocks. After `2ʷ` sparse columns
 //! ([`qsim::column::fusion_width`]: `w = min(5, n − 3)`, registers of 6
@@ -34,15 +40,16 @@
 //! arXiv:1704.01127), which turns rd84's restored miter (2,306 ops once
 //! its inverse pairs cancel) into 15 block steps. Pruning and the error
 //! bound then apply once per block, and the support budget after every
-//! block. A refutation or a ZX witness replay stops within a few
-//! columns and never builds the blocks.
+//! block. A refutation within the first `2ʷ` columns never builds the
+//! blocks; a ZX witness replay after a longer sparse walk runs on them.
 
-use crate::{Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
+use crate::{miter, Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
 use qcir::{Circuit, Instruction};
 use qsim::column::{fusion_width, support_budget, ColumnProgram, SparseColumn};
 use qsim::complex::C64;
 use qsim::unitary::MAX_UNITARY_QUBITS;
 use qsim::{SimError, Statevector};
+use std::borrow::Cow;
 
 static STATEVECTOR_FALLBACKS: qobs::Counter =
     qobs::Counter::new("qverify.dense.statevector_fallbacks");
@@ -100,8 +107,8 @@ pub(crate) fn judge(x: u64, entry: Entry, reference: Option<(u64, Entry)>) -> Ju
     }
 }
 
-/// Diagonal entries `⟨x|M|x⟩` of one miter `M`, lowered once. Each
-/// input runs through a sparse column at any width up to
+/// Diagonal entries `⟨x|M|x⟩` of one pair's miter `M`, lowered once.
+/// Each input runs through a sparse column at any width up to
 /// [`qsim::MAX_COLUMN_QUBITS`], so cost scales with amplitude support,
 /// not `2ⁿ`. A column that trips the support budget is an error; the
 /// caller decides whether to [switch](MiterReplay::switch_to_statevector)
@@ -110,6 +117,9 @@ pub(crate) fn judge(x: u64, entry: Entry, reference: Option<(u64, Entry)>) -> Ju
 /// ([`fusion_width`]) the replay fuses its program into blocks, so a
 /// walk that goes on pays at most about what it has already spent for
 /// the build, and one that stops early never builds them.
+///
+/// The replay also keeps [`walk`]'s progress, so a walk that stopped on
+/// sparse columns resumes where it stopped.
 pub(crate) struct MiterReplay {
     miter: Circuit,
     program: ColumnProgram,
@@ -117,23 +127,41 @@ pub(crate) struct MiterReplay {
     /// Sparse columns run so far.
     columns: u64,
     statevector: bool,
+    /// The next input [`walk`] judges.
+    next: u64,
+    /// The walk's reference entry: the first consistent one.
+    reference: Option<(u64, Entry)>,
+    /// A sparse-only walk stopped at `next`: its column cannot be
+    /// decided from the sparse map.
+    stalled: bool,
 }
 
 impl MiterReplay {
-    /// Lowers `miter` for replay. Callers build it through
-    /// [`cancel_inverse_pairs`], so replays skip every cancelling pair.
+    /// Builds the miter `C₁ ; C₂†` of `original` and `candidate` with
+    /// its adjacent inverse pairs cancelled ([`cancel_inverse_pairs`])
+    /// and lowers it for replay.
     ///
     /// # Errors
     ///
     /// [`SimError::TooManyQubits`] past [`qsim::MAX_COLUMN_QUBITS`].
-    pub(crate) fn new(miter: Circuit) -> Result<Self, SimError> {
+    pub(crate) fn new(original: &Circuit, candidate: &Circuit) -> Result<Self, SimError> {
+        let n = original.num_qubits().max(candidate.num_qubits());
+        let miter = cancel_inverse_pairs(n, miter::gates(original, candidate));
         Ok(MiterReplay {
             program: ColumnProgram::new(&miter)?,
-            column: SparseColumn::new(support_budget(miter.num_qubits())),
+            column: SparseColumn::new(support_budget(n)),
             miter,
             columns: 0,
             statevector: false,
+            next: 0,
+            reference: None,
+            stalled: false,
         })
+    }
+
+    /// The cancelled miter.
+    pub(crate) fn circuit(&self) -> &Circuit {
+        &self.miter
     }
 
     /// `⟨input|M|input⟩` with an upper bound on its error: the sparse
@@ -183,8 +211,8 @@ impl MiterReplay {
 /// force a `2ⁿ` statevector. Unlike the compiler's peephole pass
 /// (`qcompile::optimize::cancel_inverse_pairs`), gates must be exact
 /// adjoints: no verdict may rest on a cancellation within a tolerance.
-pub(crate) fn cancel_inverse_pairs(n: u32, gates: impl Iterator<Item = Instruction>) -> Circuit {
-    let mut kept: Vec<Option<Instruction>> = Vec::with_capacity(gates.size_hint().0);
+fn cancel_inverse_pairs<'a>(n: u32, gates: impl Iterator<Item = Cow<'a, Instruction>>) -> Circuit {
+    let mut kept: Vec<Option<Cow<'a, Instruction>>> = Vec::with_capacity(gates.size_hint().0);
     // Indices into `kept` of the live gates on each wire, latest last.
     let mut wires: Vec<Vec<usize>> = vec![Vec::new(); n as usize];
     for inst in gates {
@@ -208,26 +236,13 @@ pub(crate) fn cancel_inverse_pairs(n: u32, gates: impl Iterator<Item = Instructi
         }
     }
     let mut out = Circuit::new(n);
-    out.extend(kept.into_iter().flatten());
+    out.extend(kept.into_iter().flatten().map(Cow::into_owned));
     out
 }
 
-/// Dense equivalence check with witness extraction and early exit.
+/// Dense equivalence check with witness extraction and early exit: a
+/// full [`walk`] of a fresh replay.
 pub(crate) fn check(a: &Circuit, b: &Circuit) -> Result<Report, SimError> {
-    let report = walk(&mut MiterReplay::new(miter(a, b)?)?, true)?;
-    Ok(report.expect("the statevector fallback decides every entry"))
-}
-
-/// [`check`] on sparse columns only: `None` the moment a column trips
-/// its support budget or an entry's error bound could flip a decision,
-/// before any statevector is built.
-pub(crate) fn check_sparse(a: &Circuit, b: &Circuit) -> Result<Option<Report>, SimError> {
-    walk(&mut MiterReplay::new(miter(a, b)?)?, false)
-}
-
-/// The miter `C₁ ; C₂†` of a pair within the dense cap, built with its
-/// adjacent inverse pairs cancelled.
-fn miter(a: &Circuit, b: &Circuit) -> Result<Circuit, SimError> {
     let n = a.num_qubits();
     if n > MAX_UNITARY_QUBITS {
         return Err(SimError::TooManyQubits {
@@ -235,39 +250,52 @@ fn miter(a: &Circuit, b: &Circuit) -> Result<Circuit, SimError> {
             max: MAX_UNITARY_QUBITS,
         });
     }
-    let inverse = b.iter().rev().map(Instruction::adjoint);
-    Ok(cancel_inverse_pairs(
-        n.max(b.num_qubits()),
-        a.iter().cloned().chain(inverse),
-    ))
+    let report = walk(&mut MiterReplay::new(a, b)?, true)?;
+    Ok(report.expect("the statevector fallback decides every entry"))
 }
 
-/// Judges every diagonal entry of `replay`'s miter in input order. An
-/// entry the sparse column cannot decide (a budget trip, or
-/// [`Judgement::Unsure`]) switches the replay to a statevector when
-/// `fallback` is set, and otherwise ends the walk with `None`.
-fn walk(replay: &mut MiterReplay, fallback: bool) -> Result<Option<Report>, SimError> {
-    let mut reference: Option<(u64, Entry)> = None;
-    for x in 0..1u64 << replay.miter.num_qubits() {
-        let sparse = replay
-            .entry(x)
-            .map(|entry| (entry, judge(x, entry, reference)));
+/// Judges the diagonal entries of `replay`'s miter in input order,
+/// from where the last walk on it stopped. An entry the sparse column
+/// cannot decide (a budget trip, or [`Judgement::Unsure`]) ends the walk
+/// with `None` unless `fallback` is set; a walk with `fallback` set that
+/// meets such an entry, or resumes at one, switches the replay to a
+/// statevector, re-measures the reference entry exactly and goes on.
+/// Resuming thus reaches the judgements a fresh walk with `fallback`
+/// makes: the entries before the stop are the same sparse columns.
+pub(crate) fn walk(replay: &mut MiterReplay, fallback: bool) -> Result<Option<Report>, SimError> {
+    let end = 1u64 << replay.miter.num_qubits();
+    while replay.next < end {
+        let x = replay.next;
+        let sparse = if replay.stalled {
+            None
+        } else {
+            match replay.entry(x) {
+                Ok(entry) => match judge(x, entry, replay.reference) {
+                    Judgement::Unsure => None,
+                    judgement => Some((entry, judgement)),
+                },
+                Err(SimError::SupportBudgetExceeded { .. }) => None,
+                Err(e) => return Err(e),
+            }
+        };
         let (entry, judgement) = match sparse {
-            Ok((_, Judgement::Unsure)) | Err(SimError::SupportBudgetExceeded { .. }) => {
-                if !fallback {
-                    return Ok(None);
-                }
+            Some(decided) => decided,
+            None if !fallback => {
+                replay.stalled = true;
+                return Ok(None);
+            }
+            None => {
                 // Sticky: the reference entry, this one and every later
                 // one are measured exactly from here on.
+                replay.stalled = false;
                 replay.switch_to_statevector();
                 STATEVECTOR_FALLBACKS.incr();
-                if let Some((first, _)) = reference {
-                    reference = Some((first, replay.entry(first)?));
+                if let Some((first, _)) = replay.reference {
+                    replay.reference = Some((first, replay.entry(first)?));
                 }
                 let entry = replay.entry(x)?;
-                (entry, judge(x, entry, reference))
+                (entry, judge(x, entry, replay.reference))
             }
-            other => other?,
         };
         match judgement {
             Judgement::Consistent => {}
@@ -276,7 +304,8 @@ fn walk(replay: &mut MiterReplay, fallback: bool) -> Result<Option<Report>, SimE
             }
             Judgement::Unsure => unreachable!("exact entries carry no error bound"),
         }
-        reference.get_or_insert((x, entry));
+        replay.reference.get_or_insert((x, entry));
+        replay.next += 1;
     }
     Ok(Some(report(Verdict::Equivalent)))
 }
@@ -292,7 +321,14 @@ fn report(verdict: Verdict) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::miter::Miter;
     use qsim::unitary::equivalent_up_to_phase;
+
+    /// The replay of `m` against the empty circuit: `m` itself, with its
+    /// adjacent inverse pairs cancelled.
+    fn replay_of(m: &Circuit) -> MiterReplay {
+        MiterReplay::new(m, &Circuit::new(m.num_qubits())).unwrap()
+    }
 
     #[test]
     fn agrees_with_qsim_boolean_check() {
@@ -355,8 +391,7 @@ mod tests {
         a.x(0).ccx(0, 1, 2).swap(0, 2);
         let mut b = a.clone();
         b.h(1).h(1);
-        let miter = a.then(&b.inverse()).unwrap();
-        let mut replay = MiterReplay::new(miter).unwrap();
+        let mut replay = MiterReplay::new(&a, &b).unwrap();
         for x in 0..8 {
             let entry = replay.entry(x).unwrap();
             assert!(!replay.statevector);
@@ -385,11 +420,11 @@ mod tests {
             a.ry(1.8e-13, 0);
         }
         let b = Circuit::new(1);
-        let miter = a.then(&b.inverse()).unwrap();
-        let entry = MiterReplay::new(miter).unwrap().entry(0).unwrap();
+        let entry = MiterReplay::new(&a, &b).unwrap().entry(0).unwrap();
         assert!(entry.err > EPS, "bound {}", entry.err);
         assert!(matches!(judge(0, entry, None), Judgement::Unsure));
-        assert!(check_sparse(&a, &b).unwrap().is_none());
+        let mut replay = MiterReplay::new(&a, &b).unwrap();
+        assert!(walk(&mut replay, false).unwrap().is_none());
         assert!(check(&a, &b).unwrap().verdict.is_equivalent());
     }
 
@@ -406,7 +441,7 @@ mod tests {
     fn miter_amplitude_column_path_matches_dense_replay() {
         let mut m = Circuit::new(6);
         m.h(0).t(1).cx(1, 2).swap(2, 5).tdg(3);
-        let mut replay = MiterReplay::new(m.clone()).unwrap();
+        let mut replay = replay_of(&m);
         for input in [0u64, 0b100110, 0b111111] {
             let entry = replay.entry(input).unwrap();
             assert!(!replay.statevector, "a 2-amplitude column fits the budget");
@@ -437,7 +472,7 @@ mod tests {
         // The trip is the caller's to see: the replay stays sparse until
         // it is switched, then replays this and every later input
         // through the statevector.
-        let mut replay = MiterReplay::new(budget_trip_miter()).unwrap();
+        let mut replay = replay_of(&budget_trip_miter());
         assert!(matches!(
             replay.entry(0),
             Err(SimError::SupportBudgetExceeded { .. })
@@ -458,11 +493,10 @@ mod tests {
     #[test]
     fn sparse_only_walk_gives_up_on_a_budget_trip_without_a_statevector() {
         let m = budget_trip_miter();
-        let mut replay = MiterReplay::new(m.clone()).unwrap();
+        let mut replay = replay_of(&m);
         assert!(walk(&mut replay, false).unwrap().is_none());
         assert!(!replay.statevector);
         let identity = Circuit::new(12);
-        assert!(check_sparse(&m, &identity).unwrap().is_none());
         // The full pass decides the same pair on statevector columns.
         assert!(matches!(
             check(&m, &identity).unwrap().verdict,
@@ -470,6 +504,39 @@ mod tests {
                 witness: Witness::BasisColumn { input: 0, .. }
             }
         ));
+    }
+
+    #[test]
+    fn the_cascade_resumes_its_full_pass_where_the_sparse_pass_stopped() {
+        // CH from wire 3 onto the 11 others: columns 0..8 (bit 3 clear)
+        // are the identity, column 8 spreads over 2¹¹ amplitudes and
+        // trips the support budget. The 8-control Mcx cancels out of
+        // the replay but keeps the diagram from translating, so ZX
+        // falls through and the full pass must decide column 8.
+        let k = 8;
+        let mut a = Circuit::new(12);
+        for q in (0..12).filter(|&q| q != 3) {
+            a.ch(3, q);
+        }
+        let mut b = Circuit::new(12);
+        b.mcx(&[0, 1, 2, 4, 5, 6, 7, 9], 8);
+        a.extend(b.iter().cloned());
+        let mut miter = Miter::new(&a, &b);
+        let report = crate::Verifier::new().check_miter(&mut miter);
+        let fresh = crate::Verifier::new().check_dense(&a, &b).unwrap();
+        assert_eq!(report, fresh);
+        assert!(matches!(
+            report.verdict,
+            Verdict::Inequivalent {
+                witness: Witness::BasisColumn { input: 8, .. }
+            }
+        ));
+        // Columns 0..k ran sparse once, plus the trip at k; a fresh
+        // full pass would have re-run the first k.
+        let replay = miter.replay().unwrap();
+        assert_eq!(replay.columns, k + 1);
+        assert_eq!(replay.next, k);
+        assert!(replay.statevector);
     }
 
     #[test]
@@ -484,15 +551,18 @@ mod tests {
         let mut key = Circuit::new(3);
         key.x(2);
         assert_eq!(
-            miter(&c, &keyed).unwrap().instructions(),
+            MiterReplay::new(&c, &keyed)
+                .unwrap()
+                .circuit()
+                .instructions(),
             key.instructions()
         );
-        assert!(miter(&c, &c).unwrap().is_empty());
+        assert!(MiterReplay::new(&c, &c).unwrap().circuit().is_empty());
     }
 
     #[test]
     fn only_adjacent_exact_adjoints_cancel() {
-        let kept = |c: &Circuit| cancel_inverse_pairs(c.num_qubits(), c.iter().cloned());
+        let kept = |c: &Circuit| replay_of(c).miter;
         let mut blocked = Circuit::new(2);
         blocked.t(0).cx(0, 1).tdg(0);
         let mut reversed = Circuit::new(2);
@@ -575,7 +645,7 @@ mod tests {
                 first > 32,
                 "the divergence must lie past 2⁵ columns: {first}"
             );
-            let mut replay = MiterReplay::new(miter(&m, &identity).unwrap()).unwrap();
+            let mut replay = MiterReplay::new(&m, &identity).unwrap();
             let report = walk(&mut replay, false)
                 .unwrap()
                 .expect("sparse columns decide");
@@ -597,7 +667,7 @@ mod tests {
     fn a_refutation_at_column_zero_builds_no_fused_program() {
         let mut a = Circuit::new(12);
         a.h(3).x(0).cx(3, 11).h(3);
-        let mut replay = MiterReplay::new(miter(&a, &Circuit::new(12)).unwrap()).unwrap();
+        let mut replay = MiterReplay::new(&a, &Circuit::new(12)).unwrap();
         let report = walk(&mut replay, false)
             .unwrap()
             .expect("sparse columns decide");
@@ -619,7 +689,7 @@ mod tests {
         for q in 0..=16 {
             m.h(q);
         }
-        let mut replay = MiterReplay::new(m).unwrap();
+        let mut replay = replay_of(&m);
         assert!(matches!(
             replay.entry(0),
             Err(SimError::SupportBudgetExceeded { .. })

@@ -23,15 +23,31 @@
 //! dense pass gives up — before it builds any statevector — on the
 //! first column that trips its support budget or whose error bound
 //! could flip the decision; ZX runs next, and the full dense pass only
-//! after ZX falls through. A miter with sparse columns is thus decided
-//! without a ZX stall, and a branchy one still reaches ZX before any
-//! `2ⁿ` statevector sweep.
+//! after ZX falls through, resuming at the column where the first pass
+//! stopped. A miter with sparse columns is thus decided without a ZX
+//! stall, and a branchy one still reaches ZX before any `2ⁿ`
+//! statevector sweep.
+//!
+//! **One miter per check.** Every tier reads the miter `C₁ ; C₂†`
+//! (`original`'s gates, then `candidate`'s reversed and adjointed) from
+//! one lazy gate sequence. The tableau tier compiles it into one op
+//! list and stops at `original`'s first non-Clifford gate; the ZX tier
+//! translates every gate of it. The tiers that replay it (the dense
+//! passes, the ZX witness replay and the stimulus tier) share one
+//! lowering of it with its adjacent inverse pairs (`G` then exactly
+//! `G†` on the same wires) cancelled, built the first time one of them
+//! needs it, so a check an earlier tier decides builds none. The
+//! cancelled miter is the same operator: a stripped-key miter shrinks to
+//! its key, so its columns stay sparse however branchy the circuit
+//! around the key is. The classical tier and the ZX bit replay read the
+//! pair itself, since their [`Witness::BasisInput`] names each
+//! circuit's output.
 //!
 //! The **tableau** tier is an Aaronson–Gottesman stabilizer engine: it
 //! conjugates the `2n` Pauli generators through `C₂†C₁` in `O(n)` per
 //! gate and accepts iff every generator returns to itself with positive
 //! sign — exact for Clifford circuits at hundreds of qubits. The **ZX**
-//! tier translates the miter `C₂†C₁` into a spider graph — every spider
+//! tier translates the miter into a spider graph — every spider
 //! phase an exact dyadic-plus-symbolic [`Phase`], so no rewrite ever
 //! fires on a float tolerance — and rewrites it with spider fusion,
 //! identity removal, Hadamard-edge cancellation, local complementation,
@@ -47,28 +63,24 @@
 //! **inequivalence** with a concrete [`Witness::BasisInput`] /
 //! [`Witness::BasisColumn`] / [`Witness::RelativePhase`]. With no
 //! confirmed candidate the tier falls through. The **stimulus** tier
-//! builds the same miter but runs it on randomized product-state inputs
+//! runs the cancelled miter on randomized product-state inputs
 //! (seeded, reproducible) in parallel batches across threads; any input
 //! that fails to return to itself is a concrete counterexample
 //! [`Witness::Stimulus`].
 //!
 //! The **dense** tier walks all `2ⁿ` diagonal entries `⟨x|C₂†C₁|x⟩` of
-//! the miter, lowered once per check and run one basis input at a time
-//! on a sparse support map ([`qsim::SparseColumn`]; a classical
-//! reversible column keeps one amplitude, so it costs `O(gates)`). One
-//! column, one rule, one tolerance: the ZX tier's witness replay runs
-//! the same miter column and judges its candidates with the same rule.
-//! Both replay the miter with its adjacent inverse pairs (`G` then
-//! exactly `G†` on the same wires) cancelled, the same operator: a
-//! stripped-key miter shrinks to its key, so its columns stay sparse
-//! however branchy the circuit around the key is.
+//! the cancelled miter, one basis input at a time on a sparse support
+//! map ([`qsim::SparseColumn`]; a classical reversible column keeps one
+//! amplitude, so it costs `O(gates)`). One column, one rule, one
+//! tolerance: the ZX tier's witness replay runs the same miter column
+//! and judges its candidates with the same rule.
 //! Pruned amplitudes are tracked as an error bound `b` per column: an
 //! entry counts as diverging only if its magnitude misses 1 by more
 //! than `EPS + b`, and as matching only if it is within `EPS − b`
 //! (likewise for the phase against the first entry). An entry in
 //! between, or one that trips the support budget, switches the rest of
-//! a full dense pass to exact statevector columns, and ends the
-//! cascade's sparse-only first pass.
+//! a full dense pass to exact statevector columns (the reference entry
+//! re-measured exactly), and ends the cascade's sparse-only first pass.
 //!
 //! # Example
 //!
@@ -96,6 +108,7 @@
 mod classical;
 mod clifford;
 mod dense;
+mod miter;
 mod stimulus;
 mod tableau;
 mod zx;
@@ -103,6 +116,7 @@ mod zx;
 pub use zx::phase::{Phase, DYADIC_GRID_LOG};
 pub use zx::MAX_MCX_CONTROLS;
 
+use miter::Miter;
 use qcir::{BasisBits, Circuit};
 use std::fmt;
 
@@ -556,16 +570,17 @@ impl Verifier {
     /// Tiers run in order of cost: classical, tableau, then — within
     /// [`MAX_UNITARY_QUBITS`] — the dense check on sparse columns only,
     /// then ZX, then the full dense check with its statevector
-    /// fallback, and last the stimulus tier. Every tier attempt is a
-    /// `verify.tier` span, so a pair whose sparse columns trip shows two
-    /// dense spans around the ZX one.
+    /// fallback (resuming where the sparse pass stopped), and last the
+    /// stimulus tier. Every tier attempt is a `verify.tier` span, so a
+    /// pair whose sparse columns trip shows two dense spans around the
+    /// ZX one.
     pub fn check_report(&self, original: &Circuit, candidate: &Circuit) -> Report {
         let span = qobs::span("verify.check")
             .attr("circuit", original.name())
             .attr("wires", original.num_qubits())
             .attr("gates_left", original.gate_count())
             .attr("gates_right", candidate.gate_count());
-        let report = self.check_report_tiers(original, candidate);
+        let report = self.check_miter(&mut Miter::new(original, candidate));
         let _span = span
             .attr("tier", tier_key(report.tier))
             .attr("verdict", verdict_key(&report.verdict))
@@ -574,8 +589,11 @@ impl Verifier {
     }
 
     /// The tier cascade behind [`Verifier::check_report`], with each
-    /// attempt routed through [`tier_attempt`] for telemetry.
-    fn check_report_tiers(&self, original: &Circuit, candidate: &Circuit) -> Report {
+    /// attempt routed through [`tier_attempt`] for telemetry. Every tier
+    /// that replays the miter shares `miter`'s one replay: the full
+    /// dense pass resumes where the sparse-only pass stopped.
+    fn check_miter(&self, miter: &mut Miter) -> Report {
+        let (original, candidate) = (miter.original, miter.candidate);
         let n = original.num_qubits();
         if n != candidate.num_qubits() {
             return Report {
@@ -609,26 +627,27 @@ impl Verifier {
         // fraction of a ZX stall's cost, so they go first; the
         // statevector fallback waits until ZX has fallen through.
         let within_dense_cap = n <= MAX_UNITARY_QUBITS;
+        let dense_pass = |miter: &mut Miter, fallback| {
+            tier_attempt(Tier::Dense, || {
+                dense::walk(miter.replay().ok()?, fallback).ok().flatten()
+            })
+        };
         if within_dense_cap {
-            if let Some(report) = tier_attempt(Tier::Dense, || {
-                dense::check_sparse(original, candidate).ok().flatten()
-            }) {
+            if let Some(report) = dense_pass(miter, false) {
                 return report;
             }
         }
-        if let Some(report) = tier_attempt(Tier::Zx, || self.check_zx(original, candidate)) {
+        if let Some(report) = tier_attempt(Tier::Zx, || zx::check(miter)) {
             return report;
         }
         if within_dense_cap {
-            if let Some(report) =
-                tier_attempt(Tier::Dense, || self.check_dense(original, candidate).ok())
-            {
+            if let Some(report) = dense_pass(miter, true) {
                 return report;
             }
         }
         if n <= MAX_STIMULUS_QUBITS {
             if let Some(report) = tier_attempt(Tier::Stimulus, || {
-                self.check_stimulus(original, candidate).ok()
+                stimulus::check(miter, self.trials, self.seed).ok()
             }) {
                 return report;
             }
@@ -647,9 +666,8 @@ impl Verifier {
         if original.num_qubits() != candidate.num_qubits() {
             return None;
         }
-        let ops_a = clifford::compile(original)?;
-        let ops_b_inv = clifford::compile(&candidate.inverse())?;
-        Some(tableau::check(original.num_qubits(), &ops_a, &ops_b_inv))
+        let ops = clifford::compile(miter::gates(original, candidate))?;
+        Some(tableau::check(original.num_qubits(), &ops))
     }
 
     /// Forces the ZX-calculus graph-rewriting tier.
@@ -673,7 +691,7 @@ impl Verifier {
     /// candidate — a stall alone carries **no** evidence either way, so
     /// an engine bug can cost completeness but never a false verdict.
     pub fn check_zx(&self, original: &Circuit, candidate: &Circuit) -> Option<Report> {
-        zx::check(original, candidate)
+        zx::check(&mut Miter::new(original, candidate))
     }
 
     /// Forces the dense-unitary tier (the exhaustive ≤
@@ -710,7 +728,7 @@ impl Verifier {
         if original.num_qubits() != candidate.num_qubits() {
             return Ok(mismatch_report(original, candidate));
         }
-        stimulus::check(original, candidate, self.trials, self.seed)
+        stimulus::check(&mut Miter::new(original, candidate), self.trials, self.seed)
     }
 }
 

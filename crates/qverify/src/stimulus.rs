@@ -3,18 +3,21 @@
 //!
 //! For each trial a seeded preparation layer puts every qubit in an
 //! independent random pure state (Haar-like `U(θ,φ,λ)` angles), the
-//! miter `C₂†C₁` runs on the product state, and the return fidelity
+//! pair's cancelled miter `C₂†C₁` ([`crate::dense::MiterReplay`], one
+//! circuit apply) runs on the product state, and the return fidelity
 //! `|⟨ψ|C₂†C₁|ψ⟩|²` is compared against 1. Equivalent circuits return
 //! every input exactly; a fidelity deficit beyond tolerance is a
 //! concrete, reproducible counterexample. Trials are distributed over
-//! `std::thread::scope` workers (each owning its statevectors), with an
-//! early-exit flag once any worker finds a witness.
+//! `std::thread::scope` workers (each owning its statevectors), at most
+//! [`qsim::resolved_workers`] of them, with an early-exit flag once any
+//! worker finds a witness.
 //!
 //! A clean pass is *statistical* evidence, not proof: the verdict is
 //! [`Verdict::Equivalent`] with confidence `1 − 2^{−trials}` recorded in
 //! the [`Report`].
 
-use crate::{Report, Tier, Verdict, Witness, EPS};
+use crate::miter::Miter;
+use crate::{Report, Tier, Verdict, Witness, EPS, MAX_STIMULUS_QUBITS};
 use qcir::Circuit;
 use qsim::{SimError, Statevector};
 use rand::rngs::StdRng;
@@ -22,27 +25,11 @@ use rand::{Rng, SeedableRng};
 use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Runs `trials` randomized miter trials over the derived worker count
-/// (see [`effective_workers`]).
-pub(crate) fn check(
-    original: &Circuit,
-    candidate: &Circuit,
-    trials: u64,
-    seed: u64,
-) -> Result<Report, SimError> {
-    let workers = effective_workers(trials, original.num_qubits());
-    run(original, candidate, trials, workers, seed)
-}
-
-/// Runs `trials` randomized miter trials over `workers` threads.
-fn run(
-    original: &Circuit,
-    candidate: &Circuit,
-    trials: u64,
-    workers: usize,
-    seed: u64,
-) -> Result<Report, SimError> {
-    let n = original.num_qubits();
+/// Runs `trials` randomized trials of `miter`'s replay circuit over the
+/// derived worker count (see [`effective_workers`]). Zero trials, or a
+/// register past the statevector cap, build no replay.
+pub(crate) fn check(miter: &mut Miter, trials: u64, seed: u64) -> Result<Report, SimError> {
+    let n = miter.num_qubits();
     if trials == 0 {
         return Ok(Report {
             verdict: Verdict::Inconclusive { confidence: 0.0 },
@@ -50,13 +37,25 @@ fn run(
             trials: 0,
         });
     }
-    let candidate_inverse = candidate.inverse();
+    if n > MAX_STIMULUS_QUBITS {
+        return Err(SimError::TooManyQubits {
+            requested: n,
+            max: MAX_STIMULUS_QUBITS,
+        });
+    }
+    let workers = effective_workers(trials, n);
+    run(miter.replay()?.circuit(), trials, workers, seed)
+}
+
+/// Runs `trials ≥ 1` randomized trials of `miter` over `workers`
+/// threads.
+fn run(miter: &Circuit, trials: u64, workers: usize, seed: u64) -> Result<Report, SimError> {
+    let n = miter.num_qubits();
     let stop = AtomicBool::new(false);
 
     let worker_results: Vec<Result<Option<Witness>, SimError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                let candidate_inverse = &candidate_inverse;
                 let stop = &stop;
                 scope.spawn(move || -> Result<Option<Witness>, SimError> {
                     let mut found: Option<Witness> = None;
@@ -66,8 +65,7 @@ fn run(
                         let prep = product_state_prep(n, trial_seed);
                         let input = Statevector::from_circuit(&prep)?;
                         let mut output = input.clone();
-                        output.apply_circuit(original)?;
-                        output.apply_circuit(candidate_inverse)?;
+                        output.apply_circuit(miter)?;
                         let fidelity = input.fidelity(&output);
                         if fidelity < 1.0 - EPS {
                             found = Some(Witness::Stimulus {
@@ -122,17 +120,15 @@ fn run(
     })
 }
 
-/// Worker count: available parallelism (at most 8), capped by the
-/// trial count and by a per-register memory budget — each worker owns
+/// Worker count: [`qsim::resolved_workers`] (`QSIM_WORKERS` if set,
+/// else the available parallelism, at most 8), capped by the trial
+/// count and by a per-register memory budget — each worker owns
 /// two `2ⁿ`-amplitude statevectors, so wide registers get fewer
 /// threads; at the `qsim::statevector::MAX_QUBITS` cap (28 qubits,
 /// 4 GiB per state) a single worker runs, and the parallelism moves
 /// *inside* each gate application via qsim's chunked kernels instead.
 fn effective_workers(trials: u64, num_qubits: u32) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8);
+    let available = qsim::resolved_workers();
     let memory_cap = match num_qubits {
         0..=19 => 8,
         20..=22 => 4,
@@ -172,11 +168,17 @@ fn product_state_prep(num_qubits: u32, seed: u64) -> Circuit {
 mod tests {
     use super::*;
 
+    /// [`run`] on the cancelled miter of `a` and `b`.
+    fn run_pair(a: &Circuit, b: &Circuit, trials: u64, workers: usize, seed: u64) -> Report {
+        let mut miter = Miter::new(a, b);
+        run(miter.replay().unwrap().circuit(), trials, workers, seed).unwrap()
+    }
+
     #[test]
     fn equivalent_circuits_pass_all_trials() {
         let mut a = Circuit::new(4);
         a.h(0).cx(0, 1).t(2).ccx(1, 2, 3);
-        let report = run(&a, &a.clone(), 6, 2, 11).unwrap();
+        let report = run_pair(&a, &a.clone(), 6, 2, 11);
         assert!(report.verdict.is_equivalent());
         assert_eq!(report.tier, Tier::Stimulus);
         assert_eq!(report.trials, 6);
@@ -189,7 +191,7 @@ mod tests {
         a.h(0).cx(0, 1).ccx(1, 2, 3);
         let mut b = a.clone();
         b.x(2);
-        let report = run(&a, &b, 8, 3, 11).unwrap();
+        let report = run_pair(&a, &b, 8, 3, 11);
         let Verdict::Inequivalent {
             witness:
                 Witness::Stimulus {
@@ -220,8 +222,8 @@ mod tests {
         a.h(0).cx(0, 1).t(1).cx(1, 2).ccx(2, 3, 4);
         let mut b = a.clone();
         b.z(3);
-        let one = run(&a, &b, 8, 1, 5).unwrap();
-        let four = run(&a, &b, 8, 4, 5).unwrap();
+        let one = run_pair(&a, &b, 8, 1, 5);
+        let four = run_pair(&a, &b, 8, 4, 5);
         // Early exit may surface different trials, but the verdict kind
         // and the smallest failing trial must match.
         assert_eq!(
@@ -237,13 +239,13 @@ mod tests {
         a.rz(1.1, 0).cx(0, 1);
         let mut b = Circuit::new(2);
         b.p(1.1, 0).cx(0, 1);
-        assert!(run(&a, &b, 4, 2, 3).unwrap().verdict.is_equivalent());
+        assert!(run_pair(&a, &b, 4, 2, 3).verdict.is_equivalent());
     }
 
     #[test]
     fn zero_trials_inconclusive() {
         let a = Circuit::new(2);
-        let report = check(&a, &a.clone(), 0, 1).unwrap();
+        let report = check(&mut Miter::new(&a, &a), 0, 1).unwrap();
         assert!(matches!(report.verdict, Verdict::Inconclusive { .. }));
         assert_eq!(report.confidence(), 0.0);
     }
@@ -256,5 +258,20 @@ mod tests {
         assert_eq!(effective_workers(1, 5), 1);
         assert_eq!(effective_workers(0, 5), 1);
         assert_eq!(effective_workers(100, 28), 1);
+    }
+
+    #[test]
+    fn worker_count_never_exceeds_the_resolved_simulator_workers() {
+        // `QSIM_WORKERS=1` pins the trial threads as it pins the kernels.
+        for n in [1, 5, 19, 20, 23, 28] {
+            for trials in [0, 1, 3, 8, 100] {
+                let workers = effective_workers(trials, n);
+                assert!(workers >= 1);
+                assert!(
+                    workers <= qsim::resolved_workers(),
+                    "{n} wires, {trials} trials"
+                );
+            }
+        }
     }
 }

@@ -2,10 +2,11 @@
 //! dense state, no qubit cap — and, since the witness extension, no
 //! one-sidedness and no float tolerance.
 //!
-//! The tier builds the miter `C₂† · C₁` as an open ZX diagram — a graph
-//! of phase-carrying Z/X spiders joined by plain and Hadamard edges
-//! ([`graph`]), with every phase an exact [`phase::Phase`] — and
-//! rewrites it toward the bare-wire identity with spider fusion,
+//! The tier translates the miter `C₂† · C₁` (every gate of the check's
+//! one miter sequence, [`crate::miter::gates`], with no inverse pair
+//! cancelled) into an open ZX diagram — a graph of phase-carrying Z/X
+//! spiders joined by plain and Hadamard edges ([`graph`]), with every
+//! phase an exact [`phase::Phase`] — and rewrites it toward the bare-wire identity with spider fusion,
 //! identity removal, Hadamard-edge (Hopf) cancellation, local
 //! complementation, pivoting, phase-gadget moves and phase-polynomial
 //! completion ([`rewrite`]). Translation ([`translate`]) covers the
@@ -24,9 +25,9 @@
 //!   rule set is deliberately incomplete — but it *proposes* candidate
 //!   basis inputs, and a candidate confirmed by an independent replay
 //!   ([`witness`]: limb-backed classical bit evaluation for reversible
-//!   pairs at any width, or the dense tier's miter replay and decision
-//!   rule on the candidate basis columns up to
-//!   [`qsim::MAX_COLUMN_QUBITS`] wires — magnitude deficits certify
+//!   pairs at any width, or the dense tier's decision rule on the
+//!   candidate basis columns of the check's shared, cancelled miter
+//!   replay, up to [`qsim::MAX_COLUMN_QUBITS`] wires — magnitude deficits certify
 //!   basis-column witnesses, and diverging unit phases certify
 //!   relative-phase witnesses) certifies **inequivalence** with a
 //!   concrete witness;
@@ -41,8 +42,8 @@ mod rewrite;
 mod translate;
 mod witness;
 
+use crate::miter::{self, Miter};
 use crate::{Report, Tier, Verdict};
-use qcir::{Circuit, Instruction};
 
 pub use translate::MAX_MCX_CONTROLS;
 
@@ -58,12 +59,16 @@ pub use translate::MAX_MCX_CONTROLS;
 /// * `None` when the circuits do not translate (an `Mcx` beyond
 ///   [`MAX_MCX_CONTROLS`] controls), or rewriting stalls and no
 ///   candidate input survives replay.
-pub(crate) fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
-    if original.num_qubits() != candidate.num_qubits() {
+///
+/// The diagram is translated from every gate of [`miter::gates`]; a
+/// witness replay runs on the pair's shared [`Miter::replay`], whose
+/// adjacent inverse pairs are cancelled.
+pub(crate) fn check(miter: &mut Miter) -> Option<Report> {
+    if miter.original.num_qubits() != miter.candidate.num_qubits() {
         return None;
     }
-    let miter = miter(original, candidate);
-    let mut diagram = translate::diagram_of(&miter)?;
+    let gates = miter::gates(miter.original, miter.candidate);
+    let mut diagram = translate::diagram_of(miter.num_qubits(), gates)?;
     rewrite::simplify(&mut diagram);
     if diagram.is_identity() {
         return Some(Report {
@@ -72,7 +77,7 @@ pub(crate) fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
             trials: 0,
         });
     }
-    let witness = witness::extract(original, candidate, &miter, &diagram)?;
+    let witness = witness::extract(miter, &diagram)?;
     Some(Report {
         verdict: Verdict::Inequivalent { witness },
         tier: Tier::Zx,
@@ -80,26 +85,17 @@ pub(crate) fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
     })
 }
 
-/// The miter `C₂† · C₁` in one pass: `original`'s gates, then
-/// `candidate`'s reversed and adjointed. Unlike the dense tier's miter
-/// it cancels no inverse pairs, so the diagram sees every gate.
-fn miter(original: &Circuit, candidate: &Circuit) -> Circuit {
-    let mut miter = Circuit::with_name(original.num_qubits(), original.name());
-    miter.extend(
-        original
-            .iter()
-            .cloned()
-            .chain(candidate.iter().rev().map(Instruction::adjoint)),
-    );
-    miter
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Witness, EPS};
     use qcir::random::{random_unitary_circuit, RandomCircuitConfig};
+    use qcir::Circuit;
     use qsim::unitary::equivalent_up_to_phase;
+
+    fn check(original: &Circuit, candidate: &Circuit) -> Option<Report> {
+        super::check(&mut Miter::new(original, candidate))
+    }
 
     #[test]
     fn one_pass_miter_equals_original_then_inverse() {
@@ -108,7 +104,8 @@ mod tests {
             let b = random_unitary_circuit(&RandomCircuitConfig::new(5, 40, seed + 100));
             for (x, y) in [(&a, &b), (&a, &a)] {
                 let want = x.then(&y.inverse()).unwrap();
-                assert_eq!(miter(x, y), want, "seed {seed}");
+                let got: Vec<_> = miter::gates(x, y).map(|g| g.into_owned()).collect();
+                assert_eq!(got, want.instructions(), "seed {seed}");
             }
         }
     }

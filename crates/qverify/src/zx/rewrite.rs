@@ -638,7 +638,7 @@ mod tests {
     use qcir::Circuit;
 
     fn reduces(c: &Circuit) -> bool {
-        let mut d = diagram_of(c).expect("translatable");
+        let mut d = diagram_of(c.num_qubits(), c.iter()).expect("translatable");
         simplify(&mut d);
         d.is_identity()
     }

@@ -35,7 +35,8 @@
 
 use super::graph::{Diagram, EdgeKind, VKind};
 use super::phase::Phase;
-use qcir::{Circuit, Gate};
+use qcir::{Gate, Instruction};
+use std::borrow::Borrow;
 
 /// Largest `Mcx` control count the parity-term expansion accepts before
 /// the exponential gate count stops being worth it.
@@ -243,13 +244,17 @@ impl Builder {
     }
 }
 
-/// Translates a circuit into an open ZX diagram. Returns `None` iff the
-/// circuit contains an `Mcx` with more than [`MAX_MCX_CONTROLS`]
-/// controls (the only gate without a polynomial-size exact lowering
-/// here).
-pub(crate) fn diagram_of(circuit: &Circuit) -> Option<Diagram> {
-    let mut b = Builder::new(circuit.num_qubits() as usize);
-    for inst in circuit.iter() {
+/// Translates the `num_qubits`-wire gate sequence `gates` into an open
+/// ZX diagram. Returns `None` iff a gate is an `Mcx` with more than
+/// [`MAX_MCX_CONTROLS`] controls (the only gate without a
+/// polynomial-size exact lowering here).
+pub(crate) fn diagram_of(
+    num_qubits: u32,
+    gates: impl IntoIterator<Item = impl Borrow<Instruction>>,
+) -> Option<Diagram> {
+    let mut b = Builder::new(num_qubits as usize);
+    for inst in gates {
+        let inst = inst.borrow();
         let q: Vec<usize> = inst.qubits().iter().map(|w| w.index()).collect();
         b.gate(inst.gate(), &q)?;
     }
@@ -259,10 +264,11 @@ pub(crate) fn diagram_of(circuit: &Circuit) -> Option<Diagram> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcir::Circuit;
 
     #[test]
     fn empty_circuit_translates_to_identity_wires() {
-        let d = diagram_of(&Circuit::new(3)).unwrap();
+        let d = diagram_of(3, Circuit::new(3).iter()).unwrap();
         assert!(d.is_identity());
     }
 
@@ -270,14 +276,14 @@ mod tests {
     fn double_hadamard_is_identity_without_rewriting() {
         let mut c = Circuit::new(1);
         c.h(0).h(0);
-        assert!(diagram_of(&c).unwrap().is_identity());
+        assert!(diagram_of(c.num_qubits(), c.iter()).unwrap().is_identity());
     }
 
     #[test]
     fn single_hadamard_leaves_a_hadamard_wire() {
         let mut c = Circuit::new(1);
         c.h(0);
-        let d = diagram_of(&c).unwrap();
+        let d = diagram_of(c.num_qubits(), c.iter()).unwrap();
         assert!(!d.is_identity());
         assert_eq!(d.spider_count(), 0);
     }
@@ -286,7 +292,7 @@ mod tests {
     fn cx_builds_connected_spider_pair() {
         let mut c = Circuit::new(2);
         c.cx(0, 1);
-        let d = diagram_of(&c).unwrap();
+        let d = diagram_of(c.num_qubits(), c.iter()).unwrap();
         assert_eq!(d.spider_count(), 2);
     }
 
@@ -294,17 +300,17 @@ mod tests {
     fn wide_mcx_is_refused() {
         let mut c = Circuit::new(9);
         c.mcx(&[0, 1, 2, 3, 4, 5, 6], 8);
-        assert!(diagram_of(&c).is_none());
+        assert!(diagram_of(c.num_qubits(), c.iter()).is_none());
         let mut c = Circuit::new(8);
         c.mcx(&[0, 1, 2, 3, 4, 5], 7);
-        assert!(diagram_of(&c).is_some());
+        assert!(diagram_of(c.num_qubits(), c.iter()).is_some());
     }
 
     #[test]
     fn spider_counts_scale_with_gates() {
         let mut c = Circuit::new(3);
         c.t(0).cx(0, 1).ccx(0, 1, 2);
-        let d = diagram_of(&c).unwrap();
+        let d = diagram_of(c.num_qubits(), c.iter()).unwrap();
         // 1 (T) + 2 (CX) + 19 (CCX: 6 CX + 7 phases; H absorbed into edges).
         assert_eq!(d.spider_count(), 1 + 2 + 19);
     }
@@ -315,7 +321,7 @@ mod tests {
         // eight of them fused would cancel exactly.
         let mut c = Circuit::new(1);
         c.t(0);
-        let d = diagram_of(&c).unwrap();
+        let d = diagram_of(c.num_qubits(), c.iter()).unwrap();
         let spider = (0..d.slots())
             .find(|&v| d.is_alive(v) && d.vkind(v) == VKind::Z)
             .unwrap();
@@ -326,7 +332,7 @@ mod tests {
     fn rotation_parameters_become_symbolic_atoms() {
         let mut c = Circuit::new(1);
         c.rz(0.3, 0);
-        let d = diagram_of(&c).unwrap();
+        let d = diagram_of(c.num_qubits(), c.iter()).unwrap();
         let spider = (0..d.slots())
             .find(|&v| d.is_alive(v) && d.vkind(v) == VKind::Z)
             .unwrap();

@@ -21,9 +21,10 @@
 //!      **any** register width, `O(gates)` per input
 //!      ([`Witness::BasisInput`], outputs compared exactly);
 //!    * otherwise → the miter's diagonal entry `⟨x|C₂†C₁|x⟩` from the
-//!      dense tier's [`MiterReplay`] (a sparse column up to
+//!      check's one [`MiterReplay`], the cancelled miter the dense and
+//!      stimulus tiers also run (a sparse column up to
 //!      [`qsim::MAX_COLUMN_QUBITS`] wires; a statevector replay within
-//!      the statevector cap once the column trips its support budget),
+//!      the statevector cap once a column trips its support budget),
 //!      judged by the dense tier's own rule ([`judge`], error bound
 //!      charged against [`crate::EPS`]). A magnitude deficit certifies
 //!      [`Witness::BasisColumn`]; two unit-magnitude entries with
@@ -41,7 +42,8 @@
 //! caller can re-run.
 
 use super::graph::{Diagram, EdgeKind};
-use crate::dense::{cancel_inverse_pairs, judge, Judgement, MiterReplay};
+use crate::dense::{judge, Judgement, MiterReplay};
+use crate::miter::Miter;
 use crate::stimulus::mix;
 use crate::Witness;
 use qcir::{BasisBits, Circuit};
@@ -78,18 +80,13 @@ static WITNESS_CONFIRMED: qobs::Counter = qobs::Counter::new("qverify.zx.witness
 /// Attempts to turn a reduced-but-non-identity diagram into a
 /// replay-certified witness. `None` means "no confirmed witness" — the
 /// caller falls through, exactly as for a plain stall.
-pub(crate) fn extract(
-    original: &Circuit,
-    candidate: &Circuit,
-    miter: &Circuit,
-    diagram: &Diagram,
-) -> Option<Witness> {
+pub(crate) fn extract(miter: &mut Miter, diagram: &Diagram) -> Option<Witness> {
     if diagram.has_zero_scalar() {
         // The structure is not trustworthy enough even to *propose*
         // candidates from (and it cannot arise from unitary circuits).
         return None;
     }
-    let n = original.num_qubits();
+    let n = miter.num_qubits();
     if n == 0 {
         return None;
     }
@@ -98,8 +95,8 @@ pub(crate) fn extract(
         return None;
     }
     let classical = |c: &Circuit| c.iter().all(|i| i.gate().is_classical());
-    if classical(original) && classical(candidate) {
-        return extract_classical(original, candidate, &active, n);
+    if classical(miter.original) && classical(miter.candidate) {
+        return extract_classical(miter.original, miter.candidate, &active, n);
     }
     if n > qsim::MAX_COLUMN_QUBITS {
         // Quantum certification addresses basis inputs as u64 column
@@ -107,7 +104,7 @@ pub(crate) fn extract(
         // the tier falls through rather than guess.
         return None;
     }
-    extract_quantum(miter, &active, n)
+    extract_quantum(miter.replay().ok()?, &active, n)
 }
 
 /// Bit-level certification for reversible pairs: limb-backed basis
@@ -152,17 +149,13 @@ fn extract_classical(
 /// unsure of certifies nothing, so a witness never rests on pruned
 /// mass. Any replay error (miter too branchy for the column budget, too
 /// wide for a statevector) aborts: soundness over completeness.
-fn extract_quantum(miter: &Circuit, active: &[u32], n: u32) -> Option<Witness> {
+fn extract_quantum(replay: &mut MiterReplay, active: &[u32], n: u32) -> Option<Witness> {
     // Below the column cap every candidate is one u64 column index.
     let candidates: Vec<u64> = structured_candidates_bits(active, n, MAX_BASIS_REPLAYS)
         .iter()
         .filter_map(BasisBits::to_u64)
         .collect();
     WITNESS_CANDIDATES.add(candidates.len() as u64);
-    // The diagram keeps the whole miter; the replay drops its
-    // cancelling pairs, which can leave a column that fits the budget.
-    let replay_miter = cancel_inverse_pairs(n, miter.iter().cloned());
-    let mut replay = MiterReplay::new(replay_miter).ok()?;
     let mut reference = None;
     for x in candidates {
         WITNESS_BASIS_REPLAYS.incr();
