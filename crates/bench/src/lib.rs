@@ -236,10 +236,9 @@ mod tests {
 }
 
 /// A seeded Clifford+T circuit over {H, S, T, X, CX, CZ} at the
-/// canonical per-width seed `0xC0DE + n` — the shared workload
-/// generator for the `perfdump` scaling suite and the Criterion
-/// `statevector_scaling` / `statevector_fusion` groups, so the two
-/// tools time identical circuits.
+/// canonical per-width seed `0xC0DE + n` — the workload generator of
+/// the `perfdump` scaling suite, the `perfdump_qverify` wrong-key rows
+/// and perfbench's Clifford+T wrong-key cases.
 pub fn clifford_t_circuit(n: u32, gates: usize) -> qcir::Circuit {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

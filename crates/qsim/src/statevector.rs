@@ -621,8 +621,8 @@ fn compose_run(gates: &[&Gate]) -> Mat2 {
 /// suites (`cargo test -p qsim -- kernels`, `tests/properties.rs`):
 /// every engine path — stride, fused, threaded — must reproduce these
 /// amplitudes to ≤ 1e-12. They are also the recorded performance
-/// baseline that `perfdump` and the Criterion simulator bench measure
-/// the engine against on every run, so the speedup in
+/// baseline that `perfdump` measures the engine against on every run,
+/// so the speedup in
 /// `BENCH_qsim.json` is measured, not historical.
 pub mod reference {
     use super::*;
