@@ -47,7 +47,7 @@ struct CaseResult {
     outcome: &'static str,
 }
 
-/// A Clifford+T ladder (the certify workload of `benches/qverify.rs`).
+/// A Clifford+T ladder: the certify workload.
 fn clifford_t_ladder(n: u32) -> Circuit {
     let mut c = Circuit::new(n);
     for q in 0..n - 1 {
@@ -77,13 +77,16 @@ fn main() {
     let verifier = Verifier::new();
     let widths: &[u32] = if smoke { &[20] } else { &[20, 30, 40] };
     let reps = if smoke { 2 } else { 5 };
+    // Rows that take well under a millisecond run 5× the reps: a median
+    // of 5 such samples flips with the host's speed state.
+    let fine_reps = 5 * reps;
     let mut cases: Vec<CaseResult> = Vec::new();
 
     for &n in widths {
         // certify: the round-trip miter fully reduces to the identity.
         let (orig, restored) = roundtrip_pair(&clifford_t_ladder(n));
         eprintln!("timing zx_certify_{n}q…");
-        let ms = qobs::time_median_ms(&format!("perfdump.zx_certify_{n}q"), 1, reps, || {
+        let ms = qobs::time_median_ms(&format!("perfdump.zx_certify_{n}q"), 1, fine_reps, || {
             let report = verifier
                 .check_zx(&orig, &restored)
                 .expect("round-trip miter reduces");
@@ -93,7 +96,7 @@ fn main() {
             name: format!("zx_certify_{n}q"),
             qubits: n,
             gates: orig.gate_count() + restored.gate_count(),
-            reps,
+            reps: fine_reps,
             median_ms: ms,
             outcome: "equivalent",
         });
@@ -111,14 +114,14 @@ fn main() {
         corrupted.rz(0.2, 0).rz(-0.1, 0).rz(-0.1, 0);
         corrupted.compose(&restored).expect("same register");
         eprintln!("timing zx_stall_{n}q…");
-        let ms = qobs::time_median_ms(&format!("perfdump.zx_stall_{n}q"), 1, reps, || {
+        let ms = qobs::time_median_ms(&format!("perfdump.zx_stall_{n}q"), 1, fine_reps, || {
             assert!(verifier.check_zx(&orig, &corrupted).is_none());
         });
         cases.push(CaseResult {
             name: format!("zx_stall_{n}q"),
             qubits: n,
             gates: orig.gate_count() + corrupted.gate_count(),
-            reps,
+            reps: fine_reps,
             median_ms: ms,
             outcome: "fall-through",
         });
@@ -163,7 +166,7 @@ fn main() {
         };
         eprintln!("timing zx_witness_{label}_{n}q…");
         let name = format!("perfdump.zx_witness_{label}_{n}q");
-        let ms = qobs::time_median_ms(&name, 1, reps, || {
+        let ms = qobs::time_median_ms(&name, 1, fine_reps, || {
             let report = verifier.check_zx(&orig, &bad).expect("witness confirms");
             assert!(matches!(report.verdict, Verdict::Inequivalent { .. }));
         });
@@ -171,7 +174,7 @@ fn main() {
             name: format!("zx_witness_{label}_{n}q"),
             qubits: n,
             gates: orig.gate_count(),
-            reps,
+            reps: fine_reps,
             median_ms: ms,
             outcome: "inequivalent",
         });
@@ -228,17 +231,15 @@ fn main() {
         // Corrupted restores through the full cascade: `x(0)` is refuted
         // at column 0, before the dense walk fuses its program; a
         // trailing `t` on the top wire diverges later (rd84: at column
-        // 255, past the fusion point).
-        // These take well under a millisecond to a few, so they run 5×
-        // the reps: a median of 5 flips with the host's speed state.
+        // 255, past the fusion point). These take well under a
+        // millisecond to a few, so they run `fine_reps`.
         let (mut x0, mut t_top) = (restored.clone(), restored.clone());
         x0.x(0);
         t_top.t(orig.num_qubits() - 1);
-        let corrupt_reps = 5 * reps;
         for (label, corrupted) in [("x0", x0), ("t_top", t_top)] {
             let name = format!("report_{label}_{}", bench.name());
             eprintln!("timing {name}…");
-            let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, corrupt_reps, || {
+            let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, fine_reps, || {
                 let report = job_verifier.check_report(&orig, &corrupted);
                 assert!(report.verdict.is_inequivalent(), "{report}");
             });
@@ -246,7 +247,7 @@ fn main() {
                 name,
                 qubits: orig.num_qubits(),
                 gates: orig.gate_count() + corrupted.gate_count(),
-                reps: corrupt_reps,
+                reps: fine_reps,
                 median_ms: ms,
                 outcome: "inequivalent",
             });
@@ -261,7 +262,7 @@ fn main() {
         let masked = stripped_key(&orig);
         let name = format!("key_clifford_t_{n}q");
         eprintln!("timing {name}…");
-        let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, reps, || {
+        let ms = qobs::time_median_ms(&format!("perfdump.{name}"), 1, fine_reps, || {
             let report = job_verifier.check_report(&orig, &masked);
             assert!(report.verdict.is_inequivalent(), "{report}");
         });
@@ -269,7 +270,7 @@ fn main() {
             name,
             qubits: n,
             gates: orig.gate_count() + masked.gate_count(),
-            reps,
+            reps: fine_reps,
             median_ms: ms,
             outcome: "inequivalent",
         });
