@@ -98,8 +98,10 @@ fn is_null_rotation(g: &Gate) -> bool {
     }
 }
 
-/// Merges consecutive same-axis rotations on the same wire and deletes
-/// zero rotations. Returns the number of gates eliminated.
+/// Merges same-axis rotations on one wire that are adjacent in the
+/// instruction list and deletes zero rotations. Returns the number of
+/// gates eliminated. Only directly consecutive instructions merge: a
+/// gate on another wire between two rotations keeps them apart.
 pub fn merge_rotations(circuit: &mut Circuit) -> usize {
     let before = circuit.gate_count();
     let insts = circuit.instructions().to_vec();
@@ -110,8 +112,8 @@ pub fn merge_rotations(circuit: &mut Circuit) -> usize {
             continue;
         }
         if inst.gate().arity() == 1 {
-            // Find the last output gate on this wire with nothing after it
-            // on the same wire.
+            // Merge only with the previous output instruction overall
+            // (`out.last()`), not the last one on this wire.
             if let Some(last) = out.last() {
                 if last.qubits() == inst.qubits() {
                     if let Some(merged) = merged_rotation(last.gate(), inst.gate()) {
