@@ -146,7 +146,7 @@ impl MiterReplay {
     /// [`SimError::TooManyQubits`] past [`qsim::MAX_COLUMN_QUBITS`].
     pub(crate) fn new(original: &Circuit, candidate: &Circuit) -> Result<Self, SimError> {
         let n = original.num_qubits().max(candidate.num_qubits());
-        let miter = cancel_inverse_pairs(n, miter::gates(original, candidate));
+        let miter = cancel_inverse_pairs(n, miter::gates(original, candidate).map(Cow::into_owned));
         Ok(MiterReplay {
             program: ColumnProgram::new(&miter)?,
             column: SparseColumn::new(support_budget(n)),
@@ -211,8 +211,8 @@ impl MiterReplay {
 /// force a `2ⁿ` statevector. Unlike the compiler's peephole pass
 /// (`qcompile::optimize::cancel_inverse_pairs`), gates must be exact
 /// adjoints: no verdict may rest on a cancellation within a tolerance.
-fn cancel_inverse_pairs<'a>(n: u32, gates: impl Iterator<Item = Cow<'a, Instruction>>) -> Circuit {
-    let mut kept: Vec<Option<Cow<'a, Instruction>>> = Vec::with_capacity(gates.size_hint().0);
+fn cancel_inverse_pairs(n: u32, gates: impl Iterator<Item = Instruction>) -> Circuit {
+    let mut kept: Vec<Option<Instruction>> = Vec::with_capacity(gates.size_hint().0);
     // Indices into `kept` of the live gates on each wire, latest last.
     let mut wires: Vec<Vec<usize>> = vec![Vec::new(); n as usize];
     for inst in gates {
@@ -236,7 +236,7 @@ fn cancel_inverse_pairs<'a>(n: u32, gates: impl Iterator<Item = Cow<'a, Instruct
         }
     }
     let mut out = Circuit::new(n);
-    out.extend(kept.into_iter().flatten().map(Cow::into_owned));
+    out.extend(kept.into_iter().flatten());
     out
 }
 
