@@ -39,6 +39,7 @@ use crate::retry::RetryPolicy;
 use qcir::persist::{self, PersistError};
 use qcir::{Circuit, Qubit};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -400,22 +401,26 @@ impl JobState {
 
     /// Checks the restored circuit against the original design with the
     /// tiered verifier, padding the smaller register with identity
-    /// wires (compiler ancillas must act as identity).
+    /// wires (compiler ancillas must act as identity). A circuit that
+    /// already spans the register is checked as it is.
     fn verify_stage(&self) -> Result<JobVerdict, JobError> {
         let restored = self
             .restored
             .as_ref()
             .ok_or_else(|| self.stage_err("missing restored circuit"))?;
         let n = self.original.num_qubits().max(restored.num_qubits());
-        let pad = |c: &Circuit| -> Circuit {
+        fn pad(c: &Circuit, n: u32) -> Cow<'_, Circuit> {
+            if c.num_qubits() == n {
+                return Cow::Borrowed(c);
+            }
             let mut out = Circuit::with_name(n, c.name());
             out.compose(c).expect("padding cannot fail");
-            out
-        };
+            Cow::Owned(out)
+        }
         let verifier = qverify::Verifier::new()
             .with_trials(self.config.trials)
             .with_seed(self.config.verify_seed);
-        let report = verifier.check_report(&pad(&self.original), &pad(restored));
+        let report = verifier.check_report(&pad(&self.original, n), &pad(restored, n));
         match report.verdict {
             qverify::Verdict::Equivalent => Ok(JobVerdict {
                 equivalent: true,

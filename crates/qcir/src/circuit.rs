@@ -591,6 +591,52 @@ impl Circuit {
     pub fn iter(&self) -> std::slice::Iter<'_, Instruction> {
         self.instructions.iter()
     }
+
+    /// Removes and returns every instruction, leaving an empty circuit
+    /// with the same register and name, and room for as many
+    /// instructions as it held. A pass that rewrites a circuit takes its
+    /// instructions, moves them through, and pushes the result back, so
+    /// no gate is cloned.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let mut c = qcir::Circuit::with_name(2, "bell");
+    /// c.h(0).cx(0, 1);
+    /// let insts = c.take_instructions();
+    /// assert_eq!(insts.len(), 2);
+    /// assert!(c.is_empty() && c.single_qubit_gate_count() == 0);
+    /// assert_eq!((c.num_qubits(), c.name()), (2, "bell"));
+    /// ```
+    pub fn take_instructions(&mut self) -> Vec<Instruction> {
+        self.oneq_gates = 0;
+        let room = Vec::with_capacity(self.instructions.len());
+        std::mem::replace(&mut self.instructions, room)
+    }
+
+    /// Keeps only the instructions for which `keep` returns `true`,
+    /// visiting each once in program order and removing the rest in
+    /// place.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let mut c = qcir::Circuit::new(2);
+    /// c.h(0).cx(0, 1).h(1);
+    /// c.retain(|inst| inst.gate().arity() == 2);
+    /// assert_eq!(c.gate_count(), 1);
+    /// assert_eq!(c.single_qubit_gate_count(), 0);
+    /// ```
+    pub fn retain(&mut self, mut keep: impl FnMut(&Instruction) -> bool) {
+        let oneq_gates = &mut self.oneq_gates;
+        self.instructions.retain(|inst| {
+            let kept = keep(inst);
+            if !kept && inst.gate().arity() == 1 {
+                *oneq_gates -= 1;
+            }
+            kept
+        });
+    }
 }
 
 impl fmt::Display for Circuit {
@@ -624,9 +670,16 @@ impl<'a> IntoIterator for &'a Circuit {
 }
 
 impl Extend<Instruction> for Circuit {
-    /// Extends the circuit, skipping validation (operands are assumed to be
-    /// in range; out-of-range operands will surface as panics downstream).
+    /// Appends every instruction through [`Circuit::push`], so operands
+    /// are range-checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first instruction with an operand outside the
+    /// register.
     fn extend<T: IntoIterator<Item = Instruction>>(&mut self, iter: T) {
+        let iter = iter.into_iter();
+        self.instructions.reserve(iter.size_hint().0);
         for inst in iter {
             self.push(inst).expect("extended instruction out of range");
         }
@@ -669,6 +722,14 @@ mod tests {
 
         let chained = c.then(&other).unwrap();
         assert_eq!(chained.single_qubit_gate_count(), 5);
+
+        let mut kept = chained.clone();
+        kept.retain(|inst| inst.gate() != &Gate::X);
+        assert_eq!(kept.single_qubit_gate_count(), 3);
+        let taken = kept.take_instructions();
+        assert_eq!(kept.single_qubit_gate_count(), 0);
+        kept.extend(taken);
+        assert_eq!(kept.single_qubit_gate_count(), 3);
 
         // The purely classical RevLib shape: no single-qubit gates.
         let mut classical = Circuit::new(3);

@@ -1,6 +1,6 @@
 //! Peephole optimization passes.
 //!
-//! Three passes, applied to fixpoint by [`optimize`]:
+//! [`optimize`] applies two passes to fixpoint:
 //!
 //! 1. **Inverse cancellation** — adjacent gate pairs `G·G†` on identical
 //!    wires (with nothing between them on those wires) are removed. This is
@@ -9,8 +9,16 @@
 //!    halves.
 //! 2. **Rotation merging** — consecutive `Rz`/`P` (or `Rx`, `Ry`)
 //!    rotations on the same wire merge; zero-angle rotations vanish.
-//! 3. **1q resynthesis** — maximal runs of single-qubit gates on one wire
-//!    collapse into at most 5 native gates via Euler synthesis.
+//!
+//! [`optimize_aggressive`] adds **1q resynthesis** between two
+//! [`optimize`] rounds: maximal runs of single-qubit gates on one wire
+//! collapse into at most 5 native gates via Euler synthesis.
+//!
+//! Every pass rewrites the circuit in place: it removes gates with
+//! [`Circuit::retain`] or moves them out with
+//! [`Circuit::take_instructions`] and back, and clones no gate it keeps.
+//! Inverse cancellation and rotation merging are linear in the gate
+//! count.
 
 use crate::euler;
 use qcir::{Circuit, Gate, Instruction};
@@ -18,49 +26,45 @@ use std::f64::consts::PI;
 
 /// Cancels adjacent inverse pairs on identical wires. Returns the number
 /// of gates removed.
+///
+/// Each wire keeps a stack of its live (not yet cancelled) gates. A gate
+/// cancels against the gate on top of every one of its wires' stacks
+/// when that gate has the same operands and is its adjoint; popping the
+/// pair exposes the gates before it, so `h x x h` cancels fully. This is
+/// the rule `qverify`'s dense tier applies to a miter, with the
+/// adjoint compared up to [`Gate::approx_eq`].
 pub fn cancel_inverse_pairs(circuit: &mut Circuit) -> usize {
-    let insts = circuit.instructions().to_vec();
-    let n_wires = circuit.num_qubits() as usize;
+    let insts = circuit.instructions();
     let mut keep = vec![true; insts.len()];
-    // Stack of visible (not-yet-cancelled) gate indices per wire.
-    let mut frontier: Vec<Option<usize>> = vec![None; n_wires];
+    // Indices of the live gates on each wire, latest last.
+    let mut wires: Vec<Vec<usize>> = vec![Vec::new(); circuit.num_qubits() as usize];
     let mut removed = 0usize;
 
     for (i, inst) in insts.iter().enumerate() {
-        // The candidate predecessor must be the frontier of *all* wires.
-        let wires: Vec<usize> = inst.qubits().iter().map(|q| q.index()).collect();
-        let prev = frontier[wires[0]];
-        let same_prev = prev.is_some() && wires.iter().all(|&w| frontier[w] == prev);
-        if same_prev {
-            let j = prev.expect("checked is_some");
-            let p = &insts[j];
-            if p.qubits() == inst.qubits() && p.gate().adjoint().approx_eq(inst.gate()) {
-                keep[i] = false;
-                keep[j] = false;
-                removed += 2;
-                // Recompute frontier for the affected wires by scanning
-                // back; simple and correct.
-                for &w in &wires {
-                    frontier[w] = (0..j)
-                        .rev()
-                        .find(|&k| keep[k] && insts[k].qubits().iter().any(|q| q.index() == w));
-                }
-                continue;
+        let qubits = inst.qubits();
+        let partner = wires[qubits[0].index()].last().copied().filter(|&j| {
+            let prev = &insts[j];
+            prev.qubits() == qubits
+                && qubits.iter().all(|q| wires[q.index()].last() == Some(&j))
+                && prev.gate().adjoint().approx_eq(inst.gate())
+        });
+        if let Some(j) = partner {
+            for q in qubits {
+                wires[q.index()].pop();
             }
-        }
-        for &w in &wires {
-            frontier[w] = Some(i);
+            keep[i] = false;
+            keep[j] = false;
+            removed += 2;
+        } else {
+            for q in qubits {
+                wires[q.index()].push(i);
+            }
         }
     }
 
     if removed > 0 {
-        let mut out = Circuit::with_name(circuit.num_qubits(), circuit.name());
-        for (i, inst) in insts.into_iter().enumerate() {
-            if keep[i] {
-                out.push(inst).expect("same register");
-            }
-        }
-        *circuit = out;
+        let mut keep = keep.into_iter();
+        circuit.retain(|_| keep.next().expect("one flag per instruction"));
     }
     removed
 }
@@ -103,9 +107,9 @@ fn is_null_rotation(g: &Gate) -> bool {
 /// gates eliminated. Only directly consecutive instructions merge: a
 /// gate on another wire between two rotations keeps them apart.
 pub fn merge_rotations(circuit: &mut Circuit) -> usize {
-    let before = circuit.gate_count();
-    let insts = circuit.instructions().to_vec();
-    let mut out: Vec<Instruction> = Vec::with_capacity(insts.len());
+    let insts = circuit.take_instructions();
+    let before = insts.len();
+    let mut out: Vec<Instruction> = Vec::with_capacity(before);
 
     for inst in insts {
         if inst.gate().arity() == 1 && is_null_rotation(inst.gate()) {
@@ -133,13 +137,7 @@ pub fn merge_rotations(circuit: &mut Circuit) -> usize {
     }
 
     let removed = before - out.len();
-    if removed > 0 {
-        let mut c = Circuit::with_name(circuit.num_qubits(), circuit.name());
-        for inst in out {
-            c.push(inst).expect("same register");
-        }
-        *circuit = c;
-    }
+    circuit.extend(out);
     removed
 }
 
@@ -147,14 +145,13 @@ pub fn merge_rotations(circuit: &mut Circuit) -> usize {
 /// the minimal `RZ·SX·RZ·SX·RZ` sequence. Returns the net gate-count
 /// reduction (can be 0 if runs were already minimal).
 pub fn resynthesize_1q_runs(circuit: &mut Circuit) -> usize {
-    let before = circuit.gate_count();
-    let insts = circuit.instructions().to_vec();
+    let insts = circuit.take_instructions();
+    let before = insts.len();
     let n_wires = circuit.num_qubits() as usize;
-    let mut out: Vec<Instruction> = Vec::with_capacity(insts.len());
     // Pending run of 1q gates per wire.
     let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); n_wires];
 
-    let flush = |wire: usize, pending: &mut Vec<Vec<Gate>>, out: &mut Vec<Instruction>| {
+    let flush = |wire: usize, pending: &mut Vec<Vec<Gate>>, out: &mut Circuit| {
         let run = std::mem::take(&mut pending[wire]);
         if run.is_empty() {
             return;
@@ -166,10 +163,7 @@ pub fn resynthesize_1q_runs(circuit: &mut Circuit) -> usize {
             euler::matrix_to_zsx(&m)
         };
         for g in emit {
-            out.push(
-                Instruction::new(g, vec![qcir::Qubit::new(wire as u32)])
-                    .expect("1q instruction valid"),
-            );
+            out.append(g, &[wire as u32]).expect("1q instruction valid");
         }
     };
 
@@ -178,22 +172,15 @@ pub fn resynthesize_1q_runs(circuit: &mut Circuit) -> usize {
             pending[inst.qubits()[0].index()].push(inst.gate().clone());
         } else {
             for q in inst.qubits() {
-                flush(q.index(), &mut pending, &mut out);
+                flush(q.index(), &mut pending, circuit);
             }
-            out.push(inst);
+            circuit.push(inst).expect("same register");
         }
     }
     for wire in 0..n_wires {
-        flush(wire, &mut pending, &mut out);
+        flush(wire, &mut pending, circuit);
     }
-
-    let mut c = Circuit::with_name(circuit.num_qubits(), circuit.name());
-    for inst in out {
-        c.push(inst).expect("same register");
-    }
-    let after = c.gate_count();
-    *circuit = c;
-    before.saturating_sub(after)
+    before.saturating_sub(circuit.gate_count())
 }
 
 /// `true` if two instructions are *known* to commute (conservative:
@@ -255,7 +242,7 @@ pub fn instructions_commute(a: &Instruction, b: &Instruction) -> bool {
 pub fn cancel_commuting_pairs(circuit: &mut Circuit) -> usize {
     let mut removed_total = 0;
     loop {
-        let insts = circuit.instructions().to_vec();
+        let insts = circuit.instructions();
         let mut removed_this_round = None;
         'outer: for i in 0..insts.len() {
             for j in i + 1..insts.len() {
@@ -278,13 +265,12 @@ pub fn cancel_commuting_pairs(circuit: &mut Circuit) -> usize {
         }
         match removed_this_round {
             Some((i, j)) => {
-                let mut out = Circuit::with_name(circuit.num_qubits(), circuit.name());
-                for (k, inst) in insts.into_iter().enumerate() {
-                    if k != i && k != j {
-                        out.push(inst).expect("same register");
-                    }
-                }
-                *circuit = out;
+                let mut k = 0;
+                circuit.retain(|_| {
+                    let keep = k != i && k != j;
+                    k += 1;
+                    keep
+                });
                 removed_total += 2;
             }
             None => break,

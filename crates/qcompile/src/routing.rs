@@ -5,11 +5,29 @@
 //! in spirit: maintain the front layer of blocked gates, score candidate
 //! SWAPs by the distance reduction over the front layer plus a decayed
 //! lookahead window, commit the best, repeat.
+//!
+//! **Readiness.** Each wire keeps a queue of its unscheduled gates in
+//! program order. A gate is ready iff it heads the queue of every wire
+//! it touches, so the check costs O(arity) and never scans earlier
+//! gates. Committing a gate pops it from its wires' queues; only the new
+//! heads can become ready, and they come later in program order, so one
+//! sweep in program order commits everything executable under the
+//! current layout.
+//!
+//! **Cost.** For `n` gates, `s` inserted SWAPs, `L` logical and `P`
+//! physical wires and the lookahead window `W`, routing costs
+//! `O(n log n + s·(F·P + C·(L + F + W)))`, where `F ≤ L/2` is the front
+//! layer and `C` the candidate SWAPs. Each gate is committed once (a
+//! heap push and pop, O(arity) queue updates); a SWAP decision looks at
+//! the front layer and the window only. An all-to-all device inserts no
+//! SWAP, so its routing is one sweep.
 
 use crate::coupling::DistanceMap;
 use crate::error::CompileError;
 use crate::layout::Layout;
 use qcir::{Circuit, Gate, Instruction, Qubit};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Result of routing: a physical-wire circuit plus the initial and final
 /// layouts (the final layout tells the caller which physical wire holds
@@ -75,83 +93,101 @@ pub fn route(
     let mut layout = layout;
     let mut swaps_inserted = 0usize;
 
-    // Remaining gates in program order; `cursor` advances as gates commit.
-    let gates: Vec<&Instruction> = circuit.iter().collect();
-    let mut scheduled = vec![false; gates.len()];
-    let mut cursor = 0usize;
-
-    // Per-wire program order: gate i blocks gate j>i if they share a wire.
-    // A gate is "ready" when all earlier gates on its wires are scheduled.
-    let last_unscheduled_before = |idx: usize, scheduled: &[bool]| -> bool {
-        let qs = gates[idx].qubits();
-        for j in (0..idx).rev() {
-            if scheduled[j] {
-                continue;
-            }
-            if gates[j].qubits().iter().any(|q| qs.contains(q)) {
-                return true;
-            }
+    let gates = circuit.instructions();
+    // Per-wire queues of the unscheduled gates, in program order.
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); circuit.num_qubits() as usize];
+    for (idx, inst) in gates.iter().enumerate() {
+        for q in inst.qubits() {
+            queues[q.index()].push_back(idx);
         }
-        false
+    }
+    let is_ready = |idx: usize, queues: &[VecDeque<usize>]| {
+        gates[idx]
+            .qubits()
+            .iter()
+            .all(|q| queues[q.index()].front() == Some(&idx))
     };
+    // Ready gates not yet visited by the current sweep, smallest index
+    // first; seeded with each ready gate once, on its first wire.
+    let mut ready: BinaryHeap<Reverse<usize>> = queues
+        .iter()
+        .enumerate()
+        .filter_map(|(w, queue)| queue.front().copied().map(|idx| (w, idx)))
+        .filter(|&(w, idx)| gates[idx].qubits()[0].index() == w && is_ready(idx, &queues))
+        .map(|(_, idx)| Reverse(idx))
+        .collect();
+    // `skip` leads from each gate index to the first unscheduled 2q gate
+    // at or after it (`gates.len()` past the last): such a gate points at
+    // itself, every other one further on. The lookahead window follows
+    // it, so committed gates are stepped over once, not at every SWAP.
+    let mut skip: Vec<usize> = (0..=gates.len())
+        .map(|idx| match gates.get(idx) {
+            Some(inst) if inst.qubits().len() != 2 => idx + 1,
+            _ => idx,
+        })
+        .collect();
+    let mut scheduled = 0usize;
 
     loop {
         // Commit every ready gate that is executable under the current
-        // layout.
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for idx in cursor..gates.len() {
-                if scheduled[idx] || last_unscheduled_before(idx, &scheduled) {
-                    continue;
+        // layout, in program order. The gates a commit unblocks come
+        // later in program order, so this same sweep reaches them.
+        // Ready gates left blocked are the front layer, ascending.
+        let mut front: Vec<usize> = Vec::new();
+        while let Some(Reverse(idx)) = ready.pop() {
+            let inst = &gates[idx];
+            let executable = match inst.qubits() {
+                [a, b] => {
+                    let pa = layout.physical(a.raw());
+                    let pb = layout.physical(b.raw());
+                    distances.distance(pa, pb) == 1
                 }
-                let inst = gates[idx];
-                let executable = match inst.qubits() {
-                    [a, b] => {
-                        let pa = layout.physical(a.raw());
-                        let pb = layout.physical(b.raw());
-                        distances.distance(pa, pb) == 1
-                    }
-                    _ => true, // single-qubit gates always execute
-                };
-                if executable {
-                    let mapped: Vec<Qubit> = inst
-                        .qubits()
-                        .iter()
-                        .map(|q| Qubit::new(layout.physical(q.raw())))
-                        .collect();
-                    out.push(
-                        Instruction::new(inst.gate().clone(), mapped)
-                            .expect("mapped instruction valid"),
-                    )?;
-                    scheduled[idx] = true;
-                    progressed = true;
-                }
+                _ => true, // single-qubit gates always execute
+            };
+            if !executable {
+                front.push(idx);
+                continue;
             }
-            while cursor < gates.len() && scheduled[cursor] {
-                cursor += 1;
+            let mapped: Vec<Qubit> = inst
+                .qubits()
+                .iter()
+                .map(|q| Qubit::new(layout.physical(q.raw())))
+                .collect();
+            out.push(
+                Instruction::new(inst.gate().clone(), mapped).expect("mapped instruction valid"),
+            )?;
+            scheduled += 1;
+            skip[idx] = idx + 1;
+            for q in inst.qubits() {
+                queues[q.index()].pop_front();
+            }
+            for (i, q) in inst.qubits().iter().enumerate() {
+                let Some(&next) = queues[q.index()].front() else {
+                    continue;
+                };
+                // A successor on several of this gate's wires is seen once.
+                let seen = inst.qubits()[..i]
+                    .iter()
+                    .any(|p| queues[p.index()].front() == Some(&next));
+                if !seen && is_ready(next, &queues) {
+                    ready.push(Reverse(next));
+                }
             }
         }
 
-        if cursor >= gates.len() {
+        if scheduled == gates.len() {
             break;
         }
-
-        // Front layer: ready but blocked two-qubit gates.
-        let front: Vec<usize> = (cursor..gates.len())
-            .filter(|&idx| {
-                !scheduled[idx]
-                    && gates[idx].qubits().len() == 2
-                    && !last_unscheduled_before(idx, &scheduled)
-            })
-            .collect();
         debug_assert!(!front.is_empty(), "stalled with no blocked 2q gates");
 
-        // Lookahead window: next unscheduled 2q gates after the front.
-        let lookahead: Vec<usize> = (cursor..gates.len())
-            .filter(|&idx| !scheduled[idx] && gates[idx].qubits().len() == 2)
-            .take(LOOKAHEAD_WINDOW)
-            .collect();
+        // Lookahead window: the next unscheduled 2q gates in program
+        // order (the front layer among them).
+        let mut lookahead: Vec<usize> = Vec::with_capacity(LOOKAHEAD_WINDOW);
+        let mut idx = next_two_qubit(&mut skip, 0);
+        while idx < gates.len() && lookahead.len() < LOOKAHEAD_WINDOW {
+            lookahead.push(idx);
+            idx = next_two_qubit(&mut skip, idx + 1);
+        }
 
         // Candidate SWAPs: physical edges touching a front-layer operand.
         let mut candidates: Vec<(u32, u32)> = Vec::new();
@@ -200,6 +236,9 @@ pub fn route(
         out.append(Gate::Swap, &[a, b])?;
         layout.swap_physical(a, b);
         swaps_inserted += 1;
+        // Nothing was committed since the sweep, so the front layer is
+        // still exactly the set of ready gates.
+        ready.extend(front.into_iter().map(Reverse));
     }
 
     Ok(Routed {
@@ -208,6 +247,17 @@ pub fn route(
         final_layout: layout,
         swaps_inserted,
     })
+}
+
+/// Follows `skip` from `idx` to the first unscheduled 2q gate at or
+/// after it, halving the path on the way (each visited entry then
+/// points two steps on).
+fn next_two_qubit(skip: &mut [usize], mut idx: usize) -> usize {
+    while skip[idx] != idx {
+        skip[idx] = skip[skip[idx]];
+        idx = skip[idx];
+    }
+    idx
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::error::CompileError;
 use crate::euler::u_to_zsx;
 use crate::layout::{greedy_layout, Layout};
 use crate::optimize::{optimize, optimize_aggressive};
-use crate::routing::route;
+use crate::routing::{route, Routed};
 use qcir::{Circuit, Gate, Instruction, Qubit};
 use qsim::Device;
 
@@ -129,10 +129,15 @@ impl Transpiler {
         };
 
         // 3. Route.
-        let routed = route(&lowered, layout, &distances)?;
+        let Routed {
+            circuit: routed,
+            initial_layout,
+            final_layout,
+            swaps_inserted,
+        } = route(&lowered, layout, &distances)?;
 
         // 4. Basis translation (SWAP → 3 CX happens here too).
-        let mut physical = translate_to_basis(&routed.circuit)?;
+        let mut physical = translate_to_basis(routed)?;
 
         // 5. Final cleanup.
         match self.level {
@@ -143,12 +148,12 @@ impl Transpiler {
 
         let _span = span
             .attr("gates_out", physical.gate_count())
-            .attr("swaps", routed.swaps_inserted);
+            .attr("swaps", swaps_inserted);
         Ok(Transpiled {
             circuit: physical,
-            initial_layout: routed.initial_layout,
-            final_layout: routed.final_layout,
-            swaps_inserted: routed.swaps_inserted,
+            initial_layout,
+            final_layout,
+            swaps_inserted,
         })
     }
 }
@@ -166,10 +171,34 @@ impl Transpiled {
     /// first `n_logical` wires (others starting in `|0⟩` and returning to
     /// `|0⟩`), implements exactly the input circuit. This is the form the
     /// TetrisLock designer needs to recombine split-compiled segments.
+    ///
+    /// Every gate is relabelled once, through a table indexed by
+    /// physical wire.
     pub fn into_logical_circuit(&self) -> Circuit {
         let np = self.initial_layout.num_physical();
         let nl = self.initial_layout.num_logical();
-        let mut out = self.circuit.clone();
+
+        // Relabel: physical initial_layout.physical(l) → l, spares → n_l…
+        // in ascending physical order.
+        let mut relabel: Vec<Option<u32>> = vec![None; np as usize];
+        for l in 0..nl {
+            relabel[self.initial_layout.physical(l) as usize] = Some(l);
+        }
+        let mut spares = nl..;
+        let relabel: Vec<u32> = relabel
+            .into_iter()
+            .map(|wire| wire.unwrap_or_else(|| spares.next().expect("an unbounded range")))
+            .collect();
+
+        let mut out = Circuit::with_name(np, self.circuit.name());
+        for inst in &self.circuit {
+            let qubits = inst.qubits().iter().map(|q| Qubit::new(relabel[q.index()]));
+            out.push(
+                Instruction::new(inst.gate().clone(), qubits.collect())
+                    .expect("relabelling is a bijection"),
+            )
+            .expect("total wire map over the physical register");
+        }
 
         // Undo the routing permutation with SWAPs: move each logical
         // qubit from final position back to its initial position.
@@ -178,7 +207,7 @@ impl Transpiled {
             let home = self.initial_layout.physical(l);
             let cur = pos[l as usize];
             if cur != home {
-                out.swap(cur, home);
+                out.swap(relabel[cur as usize], relabel[home as usize]);
                 // Whatever lived at `home` moves to `cur`.
                 for p in pos.iter_mut() {
                     if *p == home {
@@ -189,58 +218,37 @@ impl Transpiled {
                 pos[l as usize] = home;
             }
         }
-
-        // Relabel: physical initial_layout.physical(l) → l, spares → n_l…
-        let mut map: std::collections::BTreeMap<Qubit, Qubit> = std::collections::BTreeMap::new();
-        for l in 0..nl {
-            map.insert(Qubit::new(self.initial_layout.physical(l)), Qubit::new(l));
-        }
-        let mut next = nl;
-        for p in 0..np {
-            map.entry(Qubit::new(p)).or_insert_with(|| {
-                let w = next;
-                next += 1;
-                Qubit::new(w)
-            });
-        }
-        out.remapped(np, &map)
-            .expect("total wire map over the physical register")
+        out
     }
 }
 
-/// Rewrites every gate into the IBM native basis {RZ, SX, X, CX}.
+/// Rewrites every gate into the IBM native basis {RZ, SX, X, CX},
+/// consuming `circuit`: gates already native move through unchanged.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::UnsupportedGate`] for gates that should have
 /// been decomposed earlier (arity ≥ 3).
-pub fn translate_to_basis(circuit: &Circuit) -> Result<Circuit, CompileError> {
-    let mut out = Circuit::with_name(circuit.num_qubits(), circuit.name());
-    for inst in circuit.iter() {
+pub fn translate_to_basis(mut circuit: Circuit) -> Result<Circuit, CompileError> {
+    for inst in circuit.take_instructions() {
         match inst.gate() {
-            Gate::CX => out.push(inst.clone())?,
-            Gate::X => out.push(inst.clone())?,
-            Gate::Sx => out.push(inst.clone())?,
-            Gate::Rz(_) => out.push(inst.clone())?,
+            Gate::CX | Gate::X | Gate::Sx | Gate::Rz(_) => circuit.push(inst)?,
             Gate::Swap => {
                 let (a, b) = (inst.qubits()[0].raw(), inst.qubits()[1].raw());
-                out.cx(a, b).cx(b, a).cx(a, b);
+                circuit.cx(a, b).cx(b, a).cx(a, b);
             }
             g if g.arity() == 1 => {
                 let (t, p, l) =
                     to_u_params(g).ok_or_else(|| CompileError::UnsupportedGate(g.to_string()))?;
-                let wire = inst.qubits()[0];
+                let wire = inst.qubits()[0].raw();
                 for native in u_to_zsx(t, p, l) {
-                    out.push(
-                        Instruction::new(native, vec![Qubit::new(wire.raw())])
-                            .expect("1q instruction valid"),
-                    )?;
+                    circuit.append(native, &[wire])?;
                 }
             }
             g => return Err(CompileError::UnsupportedGate(g.to_string())),
         }
     }
-    Ok(out)
+    Ok(circuit)
 }
 
 /// Checks that `circuit` conforms to `device`: every gate is in the native
@@ -396,7 +404,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
         assert!(matches!(
-            translate_to_basis(&c),
+            translate_to_basis(c),
             Err(CompileError::UnsupportedGate(_))
         ));
     }
