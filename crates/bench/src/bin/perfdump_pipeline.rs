@@ -27,8 +27,8 @@
 //! cargo run --release -p bench --bin perfdump_pipeline -- --out path.json
 //! ```
 //!
-//! The smoke suite (rd53 on both devices, 3 reps) finishes in about a
-//! second. Each sample times one call on a state prepared outside the
+//! The smoke suite (rd53 on both devices, 3 reps) finishes in well
+//! under a second. Each sample times one call on a state prepared outside the
 //! timed region (the `JobState` clone a stage starts from is not
 //! counted) and goes through [`qobs::record_sample_ms`], so the medians
 //! are the same qobs samples a live run records.
