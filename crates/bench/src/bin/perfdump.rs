@@ -3,9 +3,10 @@
 //! Runs a fixed scaling suite — the rd53/rd84 RevLib benchmarks plus
 //! random Clifford+T circuits at 16/20/24/28 qubits and one 20-qubit
 //! stimulus-tier equivalence check — and writes `BENCH_qsim.json` with
-//! the median wall-clock per case. Each statevector case is timed three
-//! ways: the default engine (fusion + stride kernels + threading), the
-//! unfused engine, and the pre-engine naive full-scan loops
+//! the median wall-clock per case. Each statevector case is timed two
+//! ways: the engine as [`Statevector::apply_circuit`] runs it (fusion,
+//! stride kernels, and by register size threading and layer sweeps)
+//! and the pre-engine naive full-scan loops
 //! ([`qsim::statevector::reference`]), so the perf history records the
 //! speedup on every run instead of claiming it once.
 //!
@@ -33,7 +34,7 @@
 //! clamp — not the raw hardware parallelism.
 
 use qcir::random::RandomCircuitConfig;
-use qsim::statevector::{ExecConfig, Statevector, MAX_QUBITS, PARALLEL_MIN_QUBITS};
+use qsim::statevector::{Statevector, MAX_QUBITS, PARALLEL_MIN_QUBITS};
 use qverify::Verifier;
 use revlib::{rd53, rd84};
 
@@ -44,7 +45,6 @@ struct CaseResult {
     gates: usize,
     reps: usize,
     fused_ms: f64,
-    unfused_ms: Option<f64>,
     naive_ms: Option<f64>,
 }
 
@@ -108,14 +108,7 @@ fn main() {
         // billed to whichever engine happens to run first.
         let fused_ms = qobs::time_median_ms(&format!("perfdump.{name}.fused"), 1, reps, || {
             let mut sv = Statevector::zero(circuit.num_qubits()).expect("within cap");
-            sv.apply_circuit_with(circuit, &ExecConfig::default())
-                .expect("fits");
-            std::hint::black_box(sv.probability(0));
-        });
-        let unfused_ms = qobs::time_median_ms(&format!("perfdump.{name}.unfused"), 1, reps, || {
-            let mut sv = Statevector::zero(circuit.num_qubits()).expect("within cap");
-            sv.apply_circuit_with(circuit, &ExecConfig::unfused())
-                .expect("fits");
+            sv.apply_circuit(circuit).expect("fits");
             std::hint::black_box(sv.probability(0));
         });
         // The naive baseline is O(2ⁿ) per gate with a branch per
@@ -133,7 +126,6 @@ fn main() {
             gates: circuit.gate_count(),
             reps,
             fused_ms,
-            unfused_ms: Some(unfused_ms),
             naive_ms,
         });
     }
@@ -157,7 +149,6 @@ fn main() {
             gates: circuit.gate_count(),
             reps: 3,
             fused_ms,
-            unfused_ms: None,
             naive_ms: None,
         });
     }
@@ -183,14 +174,13 @@ fn render_json(cases: &[CaseResult], smoke: bool) -> String {
         };
         body.push_str(&format!(
             "    {{\"name\": \"{}\", \"qubits\": {}, \"gates\": {}, \"reps\": {}, \
-             \"fused_ms\": {:.4}, \"unfused_ms\": {}, \"naive_ms\": {}, \
+             \"fused_ms\": {:.4}, \"naive_ms\": {}, \
              \"speedup_vs_naive\": {}}}{}\n",
             case.name,
             case.qubits,
             case.gates,
             case.reps,
             case.fused_ms,
-            opt(case.unfused_ms),
             opt(case.naive_ms),
             speedup,
             if i + 1 < cases.len() { "," } else { "" },

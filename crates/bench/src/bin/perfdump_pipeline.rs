@@ -183,8 +183,8 @@ fn compile_passes(label: &str, segment: &Circuit, device: &Device, reps: usize) 
         median_ms(
             &name("relabel"),
             reps,
-            || (),
-            |()| transpiled.into_logical_circuit(),
+            || transpiled.clone(),
+            Transpiled::into_logical_circuit,
         ),
     ));
 
@@ -197,17 +197,18 @@ fn compile_passes(label: &str, segment: &Circuit, device: &Device, reps: usize) 
     );
     assert_eq!(whole.initial_layout, transpiled.initial_layout, "{label}");
     assert_eq!(whole.final_layout, transpiled.final_layout, "{label}");
+    let row = CompileRow {
+        gates_in: segment.gate_count(),
+        gates_out: transpiled.circuit.gate_count(),
+        swaps: transpiled.swaps_inserted,
+        passes,
+    };
     assert_eq!(
         whole.into_logical_circuit(),
         transpiled.into_logical_circuit(),
         "{label}: relabel drifted"
     );
-    CompileRow {
-        gates_in: segment.gate_count(),
-        gates_out: transpiled.circuit.gate_count(),
-        swaps: transpiled.swaps_inserted,
-        passes,
-    }
+    row
 }
 
 /// Every timed row of one job.

@@ -283,7 +283,7 @@ fn main() {
 }
 
 /// The (original, restored) pair a default-config protection job of
-/// `circuit` verifies, padded to one register as its verify stage does.
+/// `circuit` verifies, widened to one register as its verify stage does.
 fn restored_pair(id: &str, circuit: &Circuit, config: &JobConfig) -> (Circuit, Circuit) {
     let mut job = JobState::new(id, circuit.clone(), config.clone());
     let unused_out_dir = std::env::temp_dir();
@@ -293,12 +293,10 @@ fn restored_pair(id: &str, circuit: &Circuit, config: &JobConfig) -> (Circuit, C
     }
     let restored = job.restored.expect("the recombine stage ran");
     let n = circuit.num_qubits().max(restored.num_qubits());
-    let pad = |c: &Circuit| {
-        let mut out = Circuit::with_name(n, c.name());
-        out.compose(c).expect("a narrower register always composes");
-        out
-    };
-    (pad(circuit), pad(&restored))
+    (
+        circuit.widened(n).into_owned(),
+        restored.widened(n).into_owned(),
+    )
 }
 
 /// The masked circuit `R·C` of the first seeded obfuscation of `c`

@@ -235,35 +235,7 @@ mod tests {
     }
 }
 
-/// A seeded Clifford+T circuit over {H, S, T, X, CX, CZ} at the
-/// canonical per-width seed `0xC0DE + n` — the workload generator of
-/// the `perfdump` scaling suite, the `perfdump_qverify` wrong-key rows
-/// and perfbench's Clifford+T wrong-key cases.
-pub fn clifford_t_circuit(n: u32, gates: usize) -> qcir::Circuit {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(0xC0DE + n as u64);
-    let mut c = qcir::Circuit::with_name(n, format!("clifford_t_{n}q"));
-    for _ in 0..gates {
-        match rng.gen_range(0..6u8) {
-            0 => c.h(rng.gen_range(0..n)),
-            1 => c.s(rng.gen_range(0..n)),
-            2 => c.t(rng.gen_range(0..n)),
-            3 => c.x(rng.gen_range(0..n)),
-            4 => {
-                let a = rng.gen_range(0..n);
-                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-                c.cx(a, b)
-            }
-            _ => {
-                let a = rng.gen_range(0..n);
-                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-                c.cz(a, b)
-            }
-        };
-    }
-    c
-}
+pub use qcir::random::clifford_t_circuit;
 
 /// `git` output for `args`, trimmed; `None` without git or a repository.
 fn git(args: &[&str]) -> Option<String> {
@@ -301,13 +273,12 @@ pub fn provenance_json() -> String {
 /// perf-history consumers fails loudly instead of rotting silently.
 pub mod schema {
     /// Keys every case object must carry.
-    const CASE_KEYS: [&str; 8] = [
+    const CASE_KEYS: [&str; 7] = [
         "name",
         "qubits",
         "gates",
         "reps",
         "fused_ms",
-        "unfused_ms",
         "naive_ms",
         "speedup_vs_naive",
     ];
@@ -317,7 +288,7 @@ pub mod schema {
     /// [`crate::provenance_json`]) whose `resolved_workers` is at least
     /// 1 and which names its `qsim_workers_env`, an `engine` block whose
     /// `detected_workers` is at least 1, and a non-empty case list in
-    /// which every case carries all eight per-case keys and a numeric
+    /// which every case carries all seven per-case keys and a numeric
     /// `fused_ms`.
     ///
     /// # Example
@@ -333,7 +304,7 @@ pub mod schema {
     ///     "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
     ///     "\"detected_workers\": 4},\n  \"cases\": [\n",
     ///     "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
-    ///     "\"fused_ms\": 0.5, \"unfused_ms\": 0.6, \"naive_ms\": 1.0, ",
+    ///     "\"fused_ms\": 0.5, \"naive_ms\": 1.0, ",
     ///     "\"speedup_vs_naive\": 2.00}\n  ]\n}\n",
     /// );
     /// assert!(validate_qsim_bench_json(doc).is_ok());
@@ -419,10 +390,10 @@ pub mod schema {
                 "  \"engine\": {\"max_qubits\": 28, \"parallel_min_qubits\": 18, ",
                 "\"detected_workers\": 4},\n  \"cases\": [\n",
                 "    {\"name\": \"rd53\", \"qubits\": 7, \"gates\": 12, \"reps\": 3, ",
-                "\"fused_ms\": 0.5, \"unfused_ms\": 0.6, \"naive_ms\": 1.0, ",
+                "\"fused_ms\": 0.5, \"naive_ms\": 1.0, ",
                 "\"speedup_vs_naive\": 2.00},\n",
                 "    {\"name\": \"stimulus_20q_2trials\", \"qubits\": 20, \"gates\": 40, ",
-                "\"reps\": 3, \"fused_ms\": 9.1, \"unfused_ms\": null, \"naive_ms\": null, ",
+                "\"reps\": 3, \"fused_ms\": 9.1, \"naive_ms\": null, ",
                 "\"speedup_vs_naive\": null}\n  ]\n}\n",
             )
             .to_string()

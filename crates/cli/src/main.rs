@@ -548,16 +548,11 @@ fn inconclusive_message(report: &qverify::Report) -> &'static str {
 
 /// Runs the tiered `qverify` engine (classical permutation → stabilizer
 /// tableau → dense unitary → parallel random stimulus). The smaller
-/// circuit is padded onto the larger register; extra wires must act as
+/// circuit is widened onto the larger register; extra wires must act as
 /// identity.
 fn verification_report(a: &Circuit, b: &Circuit, verifier: &qverify::Verifier) -> qverify::Report {
     let n = a.num_qubits().max(b.num_qubits());
-    let pad = |c: &Circuit| -> Circuit {
-        let mut out = Circuit::with_name(n, c.name());
-        out.compose(c).expect("padding cannot fail");
-        out
-    };
-    verifier.check_report(&pad(a), &pad(b))
+    verifier.check_report(&a.widened(n), &b.widened(n))
 }
 
 fn check_equivalence(a: &Circuit, b: &Circuit) -> Result<bool, String> {
@@ -586,14 +581,14 @@ fn compile(args: &[String]) -> Result<(), String> {
     // Emit in the *logical* frame (input wire i stays wire i; routing
     // wires become trailing ancillas) so that `recombine` can map segment
     // wires straight through the .tlk metadata.
+    let swaps = result.swaps_inserted;
     let logical = result.into_logical_circuit();
     io::write_circuit(&out, &logical)?;
     println!(
-        "compiled {} → {} ({} native gates, {} swaps inserted)",
+        "compiled {} → {} ({} native gates, {swaps} swaps inserted)",
         input.display(),
         out.display(),
         logical.gate_count(),
-        result.swaps_inserted,
     );
     Ok(())
 }

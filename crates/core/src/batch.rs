@@ -551,13 +551,8 @@ mod tests {
         let text = std::fs::read_to_string(cfg.out_dir.join("gamma.restored.qasm")).unwrap();
         let restored = qcir::qasm::from_qasm(&text).unwrap();
         let n = restored.num_qubits().max(changed.num_qubits());
-        let pad = |c: &Circuit| {
-            let mut out = Circuit::new(n);
-            out.compose(c).unwrap();
-            out
-        };
         assert_eq!(
-            qverify::Verifier::new().check(&pad(&changed), &pad(&restored)),
+            qverify::Verifier::new().check(&changed.widened(n), &restored.widened(n)),
             qverify::Verdict::Equivalent,
             "the restored output must be the new circuit's"
         );

@@ -39,7 +39,6 @@ use crate::retry::RetryPolicy;
 use qcir::persist::{self, PersistError};
 use qcir::{Circuit, Qubit};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -400,7 +399,7 @@ impl JobState {
     }
 
     /// Checks the restored circuit against the original design with the
-    /// tiered verifier, padding the smaller register with identity
+    /// tiered verifier, widening the smaller register with identity
     /// wires (compiler ancillas must act as identity). A circuit that
     /// already spans the register is checked as it is.
     fn verify_stage(&self) -> Result<JobVerdict, JobError> {
@@ -409,18 +408,10 @@ impl JobState {
             .as_ref()
             .ok_or_else(|| self.stage_err("missing restored circuit"))?;
         let n = self.original.num_qubits().max(restored.num_qubits());
-        fn pad(c: &Circuit, n: u32) -> Cow<'_, Circuit> {
-            if c.num_qubits() == n {
-                return Cow::Borrowed(c);
-            }
-            let mut out = Circuit::with_name(n, c.name());
-            out.compose(c).expect("padding cannot fail");
-            Cow::Owned(out)
-        }
         let verifier = qverify::Verifier::new()
             .with_trials(self.config.trials)
             .with_seed(self.config.verify_seed);
-        let report = verifier.check_report(&pad(&self.original, n), &pad(restored, n));
+        let report = verifier.check_report(&self.original.widened(n), &restored.widened(n));
         match report.verdict {
             qverify::Verdict::Equivalent => Ok(JobVerdict {
                 equivalent: true,

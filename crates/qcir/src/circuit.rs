@@ -4,6 +4,7 @@ use crate::error::CircuitError;
 use crate::gate::Gate;
 use crate::qubit::Qubit;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -71,6 +72,26 @@ impl Instruction {
     pub fn controls(&self) -> &[Qubit] {
         let n = self.gate.num_controls();
         &self.qubits[..n]
+    }
+
+    /// Splits the instruction into its gate and operands, so a pass that
+    /// rewrites operands can move both into a new
+    /// [`Instruction::new`] instead of cloning them.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use qcir::{Gate, Instruction, Qubit};
+    ///
+    /// let inst = Instruction::new(Gate::CX, vec![Qubit::new(0), Qubit::new(1)])?;
+    /// let (gate, mut qubits) = inst.into_parts();
+    /// qubits.reverse();
+    /// let flipped = Instruction::new(gate, qubits)?;
+    /// assert_eq!(flipped.target(), Qubit::new(0));
+    /// # Ok::<(), qcir::CircuitError>(())
+    /// ```
+    pub fn into_parts(self) -> (Gate, Vec<Qubit>) {
+        (self.gate, self.qubits)
     }
 
     /// Returns the adjoint instruction (same wires, adjoint gate).
@@ -143,7 +164,7 @@ pub struct Circuit {
     instructions: Vec<Instruction>,
     // Count of arity-1 instructions, maintained on every mutation so
     // `single_qubit_gate_count` is O(1) — the statevector engine reads
-    // it per `apply_circuit` call to skip the fusion rewrite outright
+    // it per `apply_circuit` call to skip its fusion rewrite outright
     // for circuits that cannot contain a fusable run.
     oneq_gates: usize,
 }
@@ -504,6 +525,37 @@ impl Circuit {
         out.instructions.extend(other.instructions.iter().cloned());
         out.oneq_gates = self.oneq_gates + other.oneq_gates;
         Ok(out)
+    }
+
+    /// This circuit on a register of `num_qubits` wires, the added wires
+    /// left idle (identity factors). A circuit that already spans
+    /// `num_qubits` wires is borrowed, not copied — the form in which
+    /// two circuits of different widths go to an equivalence check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_qubits` is narrower than the circuit.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::borrow::Cow;
+    ///
+    /// let mut c = qcir::Circuit::with_name(2, "bell");
+    /// c.h(0).cx(0, 1);
+    /// let wide = c.widened(4);
+    /// assert_eq!((wide.num_qubits(), wide.name()), (4, "bell"));
+    /// assert_eq!(wide.instructions(), c.instructions());
+    /// assert!(matches!(c.widened(2), Cow::Borrowed(_)));
+    /// ```
+    pub fn widened(&self, num_qubits: u32) -> Cow<'_, Circuit> {
+        if num_qubits == self.num_qubits {
+            return Cow::Borrowed(self);
+        }
+        let mut out = Circuit::with_name(num_qubits, self.name.clone());
+        out.compose(self)
+            .expect("widening needs a register at least as wide as the circuit");
+        Cow::Owned(out)
     }
 
     /// Per-gate-kind histogram, keyed by [`Gate::name`].

@@ -14,9 +14,6 @@
 //!   wider than a `u64` index (witness replay at 64+ wires).
 //! * [`dag`] — a dependency DAG over instructions with ASAP layering, the
 //!   basis for depth computation and TetrisLock's empty-slot analysis.
-//! * [`fusion`] — a pre-pass grouping maximal runs of adjacent
-//!   single-qubit gates per wire, so simulators can apply one fused
-//!   kernel per run instead of one pass per gate.
 //! * [`persist`] — versioned, checksummed binary persistence for any
 //!   serde-encodable type (the batch service's checkpoint envelope).
 //! * [`qasm`] — OpenQASM 2.0 emission and a parser for the subset this
@@ -49,7 +46,6 @@ pub mod circuit;
 pub mod dag;
 pub mod display;
 pub mod error;
-pub mod fusion;
 pub mod gate;
 pub mod persist;
 pub mod qasm;

@@ -119,6 +119,47 @@ pub fn random_unitary_circuit(config: &RandomCircuitConfig) -> Circuit {
     c
 }
 
+/// A seeded Clifford+T circuit over {H, S, T, X, CX, CZ} at the
+/// canonical per-width seed `0xC0DE + n` — the workload generator of
+/// the `perfdump` scaling suite, the `perfdump_qverify` wrong-key rows,
+/// perfbench's Clifford+T wrong-key cases (re-exported as
+/// `bench::clifford_t_circuit`) and the statevector engine's tests.
+///
+/// # Panics
+///
+/// Panics if `n < 2` and a two-qubit gate is drawn.
+///
+/// # Example
+///
+/// ```
+/// let c = qcir::random::clifford_t_circuit(16, 200);
+/// assert_eq!((c.num_qubits(), c.gate_count()), (16, 200));
+/// assert_eq!(c, qcir::random::clifford_t_circuit(16, 200));
+/// ```
+pub fn clifford_t_circuit(n: u32, gates: usize) -> Circuit {
+    let mut rng = StdRng::seed_from_u64(0xC0DE + n as u64);
+    let mut c = Circuit::with_name(n, format!("clifford_t_{n}q"));
+    for _ in 0..gates {
+        match rng.gen_range(0..6u8) {
+            0 => c.h(rng.gen_range(0..n)),
+            1 => c.s(rng.gen_range(0..n)),
+            2 => c.t(rng.gen_range(0..n)),
+            3 => c.x(rng.gen_range(0..n)),
+            4 => {
+                let a = rng.gen_range(0..n);
+                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
+                c.cx(a, b)
+            }
+            _ => {
+                let a = rng.gen_range(0..n);
+                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
+                c.cz(a, b)
+            }
+        };
+    }
+    c
+}
+
 fn distinct_wires<R: Rng + ?Sized>(count: usize, n: u32, rng: &mut R) -> Vec<u32> {
     let mut wires = Vec::with_capacity(count);
     while wires.len() < count {

@@ -172,17 +172,25 @@ impl Transpiled {
     /// `|0⟩`), implements exactly the input circuit. This is the form the
     /// TetrisLock designer needs to recombine split-compiled segments.
     ///
-    /// Every gate is relabelled once, through a table indexed by
-    /// physical wire.
-    pub fn into_logical_circuit(&self) -> Circuit {
-        let np = self.initial_layout.num_physical();
-        let nl = self.initial_layout.num_logical();
+    /// Consumes the compilation result: every gate moves once through a
+    /// relabel table indexed by physical wire, so none is cloned. A
+    /// caller that still needs the [`Transpiled`] fields reads them
+    /// first, or clones it.
+    pub fn into_logical_circuit(self) -> Circuit {
+        let Transpiled {
+            circuit: mut physical,
+            initial_layout,
+            final_layout,
+            ..
+        } = self;
+        let np = initial_layout.num_physical();
+        let nl = initial_layout.num_logical();
 
         // Relabel: physical initial_layout.physical(l) → l, spares → n_l…
         // in ascending physical order.
         let mut relabel: Vec<Option<u32>> = vec![None; np as usize];
         for l in 0..nl {
-            relabel[self.initial_layout.physical(l) as usize] = Some(l);
+            relabel[initial_layout.physical(l) as usize] = Some(l);
         }
         let mut spares = nl..;
         let relabel: Vec<u32> = relabel
@@ -190,21 +198,21 @@ impl Transpiled {
             .map(|wire| wire.unwrap_or_else(|| spares.next().expect("an unbounded range")))
             .collect();
 
-        let mut out = Circuit::with_name(np, self.circuit.name());
-        for inst in &self.circuit {
-            let qubits = inst.qubits().iter().map(|q| Qubit::new(relabel[q.index()]));
-            out.push(
-                Instruction::new(inst.gate().clone(), qubits.collect())
-                    .expect("relabelling is a bijection"),
-            )
-            .expect("total wire map over the physical register");
+        let mut out = Circuit::with_name(np, physical.name());
+        for inst in physical.take_instructions() {
+            let (gate, mut qubits) = inst.into_parts();
+            for q in &mut qubits {
+                *q = Qubit::new(relabel[q.index()]);
+            }
+            out.push(Instruction::new(gate, qubits).expect("relabelling is a bijection"))
+                .expect("total wire map over the physical register");
         }
 
         // Undo the routing permutation with SWAPs: move each logical
         // qubit from final position back to its initial position.
-        let mut pos: Vec<u32> = (0..nl).map(|l| self.final_layout.physical(l)).collect();
+        let mut pos: Vec<u32> = (0..nl).map(|l| final_layout.physical(l)).collect();
         for l in 0..nl {
-            let home = self.initial_layout.physical(l);
+            let home = initial_layout.physical(l);
             let cur = pos[l as usize];
             if cur != home {
                 out.swap(relabel[cur as usize], relabel[home as usize]);

@@ -222,7 +222,7 @@ mod tests {
 {\"type\":\"span\",\"name\":\"verify.check\",\"id\":1,\"thread\":0,\"start_us\":0,\"elapsed_us\":500}\n\
 {\"type\":\"counter\",\"name\":\"qsim.kernel.mat1\",\"value\":9}\n\
 {\"type\":\"histogram\",\"name\":\"qverify.tier.zx.elapsed_us\",\"count\":1,\"sum_us\":400,\"max_us\":400}\n\
-{\"type\":\"event\",\"name\":\"qsim.fusion.decision\",\"thread\":0}\n";
+{\"type\":\"event\",\"name\":\"batch.tmp_swept\",\"thread\":0}\n";
         let report = summarize(trace).unwrap();
         assert!(report.contains("verify.tier[zx]"), "{report}");
         assert!(report.contains("verify.tier[tableau]"), "{report}");
@@ -230,7 +230,7 @@ mod tests {
         assert!(report.contains("qsim.kernel.mat1"), "{report}");
         assert!(report.contains("command=verify"), "{report}");
         assert!(report.contains("qsim_workers=4"), "{report}");
-        assert!(report.contains("qsim.fusion.decision"), "{report}");
+        assert!(report.contains("batch.tmp_swept"), "{report}");
         // The deciding marker must sit on the zx row, not the tableau one.
         let zx_row = report
             .lines()

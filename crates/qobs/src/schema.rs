@@ -189,7 +189,7 @@ mod tests {
             META,
             r#"{"type":"span","name":"verify.tier","id":2,"parent":1,"thread":0,"start_us":10,"elapsed_us":5,"tier":"zx","outcome":"decided"}"#,
             r#"{"type":"span","name":"verify.check","id":1,"thread":0,"start_us":0,"elapsed_us":20}"#,
-            r#"{"type":"event","name":"qsim.fusion.decision","thread":1,"accepted":true}"#,
+            r#"{"type":"event","name":"batch.tmp_swept","thread":1,"path":"job.tmp"}"#,
             r#"{"type":"counter","name":"qsim.kernel.mat1","value":12}"#,
             r#"{"type":"histogram","name":"qverify.tier.zx.elapsed_us","count":1,"sum_us":5,"max_us":5}"#,
         ]);

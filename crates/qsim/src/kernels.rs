@@ -604,7 +604,7 @@ mod tests {
     use super::*;
     use crate::matrix::gate_matrix;
     use crate::statevector::reference;
-    use crate::statevector::{Blocking, ExecConfig, Statevector};
+    use crate::statevector::Statevector;
     use proptest::prelude::*;
     use qcir::random::RandomCircuitConfig;
     use qcir::{Circuit, Gate};
@@ -762,56 +762,36 @@ mod tests {
         c
     }
 
-    /// Applies `circuit` four ways — stride single-threaded, stride
-    /// force-threaded, fused, fused force-threaded — and compares all
-    /// of them against the retained naive reference kernels.
+    /// Applies `circuit` under every engine configuration — {fused,
+    /// per-gate} × {one worker, three force-threaded workers} ×
+    /// {layering off, forced} — and per instruction through the forced
+    /// 4-worker drivers, comparing each against the retained naive
+    /// reference kernels.
     fn check_engine_matches_reference(circuit: &Circuit, context: &str) {
         let n = circuit.num_qubits();
         let mut expected = zero_state(n);
         reference::apply_circuit(&mut expected, circuit);
 
-        let mut plain = Statevector::zero(n).unwrap();
-        plain
-            .apply_circuit_with(
-                circuit,
-                &ExecConfig {
-                    fuse: false,
-                    threads: 1,
-                    blocking: Blocking::Off,
-                },
-            )
-            .unwrap();
-        assert_states_match(plain.amplitudes(), &expected, &format!("{context}: stride"));
-
-        let mut fused = Statevector::zero(n).unwrap();
-        fused
-            .apply_circuit_with(
-                circuit,
-                &ExecConfig {
-                    fuse: true,
-                    threads: 1,
-                    blocking: Blocking::Off,
-                },
-            )
-            .unwrap();
-        assert_states_match(fused.amplitudes(), &expected, &format!("{context}: fused"));
-
-        let mut layered = Statevector::zero(n).unwrap();
-        layered
-            .apply_circuit_with(
-                circuit,
-                &ExecConfig {
-                    fuse: true,
-                    threads: 1,
-                    blocking: Blocking::Force,
-                },
-            )
-            .unwrap();
-        assert_states_match(
-            layered.amplitudes(),
-            &expected,
-            &format!("{context}: layered"),
-        );
+        let three = Threading {
+            workers: 3,
+            min_amps: 2,
+        };
+        for fuse in [true, false] {
+            for th in [Threading::single(), three] {
+                for layering in [false, true] {
+                    let mut sv = Statevector::zero(n).unwrap();
+                    sv.apply_circuit_as(circuit, fuse, th, layering).unwrap();
+                    assert_states_match(
+                        sv.amplitudes(),
+                        &expected,
+                        &format!(
+                            "{context}: fuse={fuse} workers={} layering={layering}",
+                            th.workers
+                        ),
+                    );
+                }
+            }
+        }
 
         // Forced threading exercises the chunked/pair-slab drivers even
         // though the register is small.
@@ -991,6 +971,24 @@ mod tests {
         assert_eq!(plan_chunks(256, 4, Threading::single()), None);
     }
 
+    /// Gates whose targets straddle the points where the kernel layout
+    /// switches: the top qubit of a 2¹⁵-amplitude cache block
+    /// (layer-local vs cross-block under forced layering at 16 qubits)
+    /// and the register's top wire.
+    #[test]
+    fn kernels_boundary_targets_match_reference() {
+        let mut c = Circuit::new(16);
+        for q in [0, 13, 14, 15] {
+            c.h(q).t(q);
+        }
+        c.cx(14, 15).cz(0, 15).swap(1, 15).x(15).y(14);
+        c.cp(std::f64::consts::FRAC_PI_4, 15, 3);
+        check_engine_matches_reference(&c, "block boundary");
+    }
+
+    /// 20 qubits: past `LAYER_MIN_QUBITS` and `PARALLEL_MIN_QUBITS`, so
+    /// `apply_circuit` layers and threads on its own; the per-gate and
+    /// three-worker engines must agree with it and the reference.
     #[test]
     fn kernels_spot_check_20q_clifford_t() {
         let circuit = full_pool_circuit(20, 120, 0xDAC2025);
@@ -999,6 +997,16 @@ mod tests {
         let engine = Statevector::from_circuit(&circuit).unwrap();
         assert_states_match(engine.amplitudes(), &expected, "20q spot check");
         assert!((engine.norm() - 1.0).abs() < 1e-9);
+        for (fuse, workers) in [(false, 0), (true, 3)] {
+            let mut sv = Statevector::zero(20).unwrap();
+            sv.apply_circuit_as(&circuit, fuse, Threading::with_workers(workers), true)
+                .unwrap();
+            assert_states_match(
+                sv.amplitudes(),
+                &expected,
+                &format!("20q fuse={fuse} workers={workers}"),
+            );
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! * [`Statevector`] — dense pure-state simulation up to
 //!   [`statevector::MAX_QUBITS`] qubits on a layered kernel engine:
 //!   branch-free stride loops, diagonal/antidiagonal/permutation fast
-//!   paths, cost-model-gated single-qubit gate fusion, layer-blocked
-//!   cache sweeps, and persistent-pool multi-threaded application for
-//!   wide registers (see `docs/qsim.md` in the repository for the
-//!   engine internals and the determinism contract).
+//!   paths, single-qubit gate fusion, layer-blocked cache sweeps, and
+//!   persistent-pool multi-threaded application for wide registers
+//!   (see `docs/qsim.md` in the repository for the engine internals
+//!   and the determinism contract).
 //! * [`statevector::reference`] — the pre-engine naive full-scan loops,
 //!   the one reference the kernel-equivalence suites check the engine
 //!   against and the baseline its speedup is measured from.
@@ -56,6 +56,7 @@ pub mod complex;
 pub mod device;
 pub mod error;
 pub(crate) mod exec;
+pub(crate) mod fusion;
 pub(crate) mod kernels;
 pub mod matrix;
 pub mod noise;
@@ -69,4 +70,4 @@ pub use complex::C64;
 pub use device::Device;
 pub use error::SimError;
 pub use sampler::{Counts, Sampler};
-pub use statevector::{resolved_workers, Blocking, ExecConfig, Statevector};
+pub use statevector::{resolved_workers, Statevector};

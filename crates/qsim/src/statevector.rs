@@ -8,32 +8,24 @@
 //! and layer-blocked sweeps above [`LAYER_MIN_QUBITS`] qubits (a whole
 //! run of cache-block-local gates is applied per pass over the array
 //! instead of one pass per gate). [`Statevector::apply_circuit`]
-//! additionally runs `qcir`'s single-qubit fusion pre-pass, collapsing
-//! runs of adjacent same-wire gates into one kernel application — but
-//! only when `qcir`'s structural cost model says the fused kernel is
-//! cheaper than the specialized per-gate paths it displaces (see
-//! [`ExecConfig`] to pin any of this down, e.g. for benchmarking).
+//! additionally fuses every run of two or more adjacent same-wire
+//! single-qubit gates at [`FUSION_MIN_QUBITS`]+ qubits into one kernel
+//! application, picked by the exact zeros of the run's 2×2 product.
+//! The register size decides all of this; `QSIM_WORKERS` (see
+//! [`resolved_workers`]) is the one deployment setting.
 
 use crate::complex::C64;
 use crate::error::SimError;
 use crate::exec::{Executor, KernelOp};
+use crate::fusion::{compose_run, fused_stream, lower_product, FusedOp};
 use crate::kernels::{Mat2, Threading};
 use crate::matrix::{gate_matrix, Matrix};
-use qcir::fusion::{
-    fused_stream, fused_sweep_cost, fusion_wins, gate_sweep_cost, run_kernel_class, CostRegime,
-    FusedOp, KernelClass,
-};
 use qcir::{Circuit, Gate, Instruction, Qubit};
 use rand::Rng;
 
 pub use crate::exec::{BLOCK_QUBITS, LAYER_MIN_QUBITS};
 pub use crate::kernels::PARALLEL_MIN_QUBITS;
 
-// Cost-model outcome counters for the fusion gate in
-// `apply_circuit_with`; at `QOBS=full` each decision additionally emits
-// a `qsim.fusion.decision` event carrying the plan-cost inputs.
-static FUSION_ACCEPTED: qobs::Counter = qobs::Counter::new("qsim.fusion.accepted");
-static FUSION_REJECTED: qobs::Counter = qobs::Counter::new("qsim.fusion.rejected");
 static APPLY_CIRCUITS: qobs::Counter = qobs::Counter::new("qsim.apply_circuit.calls");
 
 /// A pure n-qubit quantum state as 2ⁿ complex amplitudes.
@@ -75,13 +67,6 @@ pub const MAX_QUBITS: u32 = 28;
 /// cost more than the saved passes over a tiny amplitude array.
 pub const FUSION_MIN_QUBITS: u32 = 8;
 
-/// Register size at which the fusion cost model switches from the
-/// compute-bound to the memory-bound regime (`2²³` amplitudes
-/// = 128 MiB, past any last-level cache): below it arithmetic per
-/// amplitude decides whether fusing a run wins; above it every pass
-/// streams the state from DRAM, so fewer passes always win.
-pub const MEM_BOUND_MIN_QUBITS: u32 = 23;
-
 /// The kernel worker count the engine resolves on first use:
 /// `QSIM_WORKERS` if set to a positive integer, otherwise
 /// `std::thread::available_parallelism`, both clamped to the internal
@@ -97,103 +82,6 @@ pub const MEM_BOUND_MIN_QUBITS: u32 = 23;
 /// ```
 pub fn resolved_workers() -> usize {
     crate::pool::default_workers()
-}
-
-/// Execution configuration for the kernel engine.
-///
-/// The defaults (gate fusion on, auto thread count) are what
-/// [`Statevector::apply_circuit`] uses; construct one explicitly only
-/// to pin behaviour down, e.g. in benchmarks comparing fused against
-/// unfused application.
-///
-/// # Example
-///
-/// ```
-/// use qcir::Circuit;
-/// use qsim::statevector::{ExecConfig, Statevector};
-///
-/// let mut c = Circuit::new(10);
-/// for q in 0..10 {
-///     c.h(q).t(q).h(q);
-/// }
-/// let mut fused = Statevector::zero(10)?;
-/// fused.apply_circuit_with(&c, &ExecConfig::default())?;
-/// let mut unfused = Statevector::zero(10)?;
-/// unfused.apply_circuit_with(&c, &ExecConfig::unfused())?;
-/// assert!(fused.approx_eq_up_to_phase(&unfused, 1e-12));
-/// # Ok::<(), qsim::SimError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Fuse runs of adjacent same-wire single-qubit gates into one
-    /// kernel application (above [`FUSION_MIN_QUBITS`]), gated per run
-    /// by the `qcir::fusion` cost model.
-    pub fuse: bool,
-    /// Kernel worker threads (`0` = auto-detect from `QSIM_WORKERS` /
-    /// `available_parallelism`, capped at 8; threads only engage at
-    /// [`PARALLEL_MIN_QUBITS`]+ qubits). See [`resolved_workers`].
-    pub threads: usize,
-    /// Layer-blocked sweep policy (see [`Blocking`]).
-    pub blocking: Blocking,
-}
-
-/// Layer-blocked sweep policy: whether consecutive cache-block-local
-/// kernel ops are batched and applied block by block in one pass over
-/// the amplitude array.
-///
-/// # Example
-///
-/// ```
-/// use qcir::Circuit;
-/// use qsim::statevector::{Blocking, ExecConfig, Statevector};
-///
-/// let mut c = Circuit::new(10);
-/// for q in 0..10 {
-///     c.h(q).t(q).cx(q, (q + 1) % 10);
-/// }
-/// let mut auto = Statevector::zero(10)?;
-/// auto.apply_circuit_with(&c, &ExecConfig::default())?;
-/// let mut forced = Statevector::zero(10)?;
-/// forced.apply_circuit_with(
-///     &c,
-///     &ExecConfig { blocking: Blocking::Force, ..ExecConfig::default() },
-/// )?;
-/// // Layering never changes the arithmetic, only the sweep order.
-/// assert_eq!(auto, forced);
-/// # Ok::<(), qsim::SimError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Blocking {
-    /// Layer sweeps at [`LAYER_MIN_QUBITS`]+ qubits (the default).
-    #[default]
-    Auto,
-    /// Never batch; one full pass per kernel op.
-    Off,
-    /// Batch at any register size (used by the equivalence suite to
-    /// exercise the layered path on small states).
-    Force,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            fuse: true,
-            threads: 0,
-            blocking: Blocking::Auto,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// The default configuration with fusion disabled (per-instruction
-    /// dispatch; stride kernels, threading, and layer blocking still
-    /// apply).
-    pub fn unfused() -> Self {
-        ExecConfig {
-            fuse: false,
-            ..ExecConfig::default()
-        }
-    }
 }
 
 impl Statevector {
@@ -253,27 +141,32 @@ impl Statevector {
         &self.amps
     }
 
-    /// Applies every instruction of `circuit` in order, with the
-    /// default execution configuration (fusion on, auto threads).
+    /// Applies every instruction of `circuit` in order. The register
+    /// size picks the execution: runs of single-qubit gates fuse at
+    /// [`FUSION_MIN_QUBITS`]+ qubits, kernels spread over the
+    /// [`resolved_workers`] pool at [`PARALLEL_MIN_QUBITS`]+, and
+    /// block-local ops batch into layer sweeps at [`LAYER_MIN_QUBITS`]+.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::QubitMismatch`] if the circuit register exceeds
     /// the state's.
     pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-        self.apply_circuit_with(circuit, &ExecConfig::default())
+        let layering = self.num_qubits >= LAYER_MIN_QUBITS;
+        self.apply_circuit_as(circuit, true, Threading::auto(), layering)
     }
 
-    /// Applies `circuit` under an explicit [`ExecConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QubitMismatch`] if the circuit register exceeds
-    /// the state's.
-    pub fn apply_circuit_with(
+    /// [`Statevector::apply_circuit`] with the choices the register size
+    /// makes pinned by the caller: whether runs fuse (still only at
+    /// [`FUSION_MIN_QUBITS`]+ qubits), the worker policy, and whether
+    /// block-local ops batch into layer sweeps. The crate's tests force
+    /// the per-gate, threaded and layered paths through it.
+    pub(crate) fn apply_circuit_as(
         &mut self,
         circuit: &Circuit,
-        config: &ExecConfig,
+        fuse: bool,
+        th: Threading,
+        layering: bool,
     ) -> Result<(), SimError> {
         if circuit.num_qubits() > self.num_qubits {
             return Err(SimError::QubitMismatch {
@@ -285,18 +178,6 @@ impl Statevector {
         let _span = qobs::span_at(qobs::Level::Full, "qsim.apply_circuit")
             .attr("wires", circuit.num_qubits() as u64)
             .attr("gates", circuit.gate_count());
-        let th = Threading::with_workers(config.threads);
-        let n = self.num_qubits;
-        let layering = match config.blocking {
-            Blocking::Off => false,
-            Blocking::Force => true,
-            Blocking::Auto => n >= LAYER_MIN_QUBITS,
-        };
-        let regime = if n >= MEM_BOUND_MIN_QUBITS {
-            CostRegime::MemoryBound
-        } else {
-            CostRegime::ComputeBound
-        };
         // A run needs at least two single-qubit gates to exist; purely
         // classical circuits (X/CX/CCX/Mcx — the RevLib suite) can't
         // contain one, so skip the stream rewrite and its per-run
@@ -304,84 +185,17 @@ impl Statevector {
         // this costs one integer compare.
         let fusable = circuit.single_qubit_gate_count() >= 2;
         let mut ex = Executor::new(&mut self.amps, th, layering);
-        if config.fuse && n >= FUSION_MIN_QUBITS && fusable {
+        if fuse && self.num_qubits >= FUSION_MIN_QUBITS && fusable {
             for op in fused_stream(circuit) {
                 match op {
                     FusedOp::Single(inst) => lower_gate(inst.gate(), inst.qubits(), &mut ex),
-                    FusedOp::Run(run) => {
-                        if let [gate] = run.gates[..] {
-                            lower_gate(gate, &[run.qubit], &mut ex);
-                            continue;
-                        }
-                        let accepted = fusion_wins(&run.gates, regime);
-                        if accepted {
-                            FUSION_ACCEPTED.incr();
-                        } else {
-                            FUSION_REJECTED.incr();
-                        }
-                        if qobs::enabled(qobs::Level::Full) {
-                            let unfused: f64 =
-                                run.gates.iter().map(|g| gate_sweep_cost(g, regime)).sum();
-                            qobs::event(
-                                "qsim.fusion.decision",
-                                &[
-                                    ("qubit", qobs::AttrValue::from(run.qubit.index())),
-                                    ("run_len", qobs::AttrValue::from(run.gates.len())),
-                                    (
-                                        "class",
-                                        qobs::AttrValue::from(match run_kernel_class(&run.gates) {
-                                            KernelClass::Diagonal => "diagonal",
-                                            KernelClass::Antidiagonal => "antidiagonal",
-                                            KernelClass::General => "general",
-                                        }),
-                                    ),
-                                    (
-                                        "regime",
-                                        qobs::AttrValue::from(match regime {
-                                            CostRegime::ComputeBound => "compute_bound",
-                                            CostRegime::MemoryBound => "memory_bound",
-                                        }),
-                                    ),
-                                    (
-                                        "fused_cost",
-                                        qobs::AttrValue::from(fused_sweep_cost(&run.gates, regime)),
-                                    ),
-                                    ("unfused_cost", qobs::AttrValue::from(unfused)),
-                                    ("accepted", qobs::AttrValue::from(accepted)),
-                                ],
-                            );
-                        }
-                        if accepted {
-                            let tbit = 1usize << run.qubit.index();
-                            let m = compose_run(&run.gates);
-                            match run_kernel_class(&run.gates) {
-                                KernelClass::Diagonal => {
-                                    debug_assert!(m.is_diagonal());
-                                    ex.push(KernelOp::Diag1 {
-                                        tbit,
-                                        d0: m.m00,
-                                        d1: m.m11,
-                                    });
-                                }
-                                KernelClass::Antidiagonal => {
-                                    debug_assert!(m.is_antidiagonal());
-                                    ex.push(KernelOp::Anti1 {
-                                        tbit,
-                                        a01: m.m01,
-                                        a10: m.m10,
-                                    });
-                                }
-                                KernelClass::General => ex.push(KernelOp::Mat1 { tbit, m }),
-                            }
-                        } else {
-                            // The cost model says the specialized
-                            // per-gate paths are cheaper than one fused
-                            // dense/antidiagonal pass.
-                            for gate in &run.gates {
-                                lower_gate(gate, &[run.qubit], &mut ex);
-                            }
-                        }
-                    }
+                    FusedOp::Run(run) => match run.gates[..] {
+                        [gate] => lower_gate(gate, &[run.qubit], &mut ex),
+                        _ => ex.push(lower_product(
+                            1usize << run.qubit.index(),
+                            compose_run(&run.gates),
+                        )),
+                    },
                 }
             }
         } else {
@@ -604,16 +418,6 @@ fn lower_gate(gate: &Gate, qubits: &[Qubit], ex: &mut Executor) {
             });
         }
     }
-}
-
-/// Composes a fused run's gates into one 2×2 matrix (`gates[0]` acts
-/// first, so the product is `m_k ⋯ m_1`).
-fn compose_run(gates: &[&Gate]) -> Mat2 {
-    let mut acc = Matrix::identity(2);
-    for gate in gates {
-        acc = gate_matrix(gate).mul(&acc);
-    }
-    Mat2::from_matrix(&acc)
 }
 
 /// The pre-kernel-engine naive full-scan loops, kept verbatim and kept
@@ -956,19 +760,45 @@ mod tests {
             c.cx(q, q + 1);
         }
         for q in 0..n {
-            c.tdg(q).sx(q).p(-0.8, q);
+            c.tdg(q).sx(q).x(q).p(-0.8, q);
         }
         let mut fused = Statevector::zero(n).unwrap();
-        fused
-            .apply_circuit_with(&c, &ExecConfig::default())
+        fused.apply_circuit(&c).unwrap();
+        let mut per_gate = Statevector::zero(n).unwrap();
+        per_gate
+            .apply_circuit_as(&c, false, Threading::auto(), false)
             .unwrap();
-        let mut unfused = Statevector::zero(n).unwrap();
-        unfused
-            .apply_circuit_with(&c, &ExecConfig::unfused())
-            .unwrap();
-        for (a, b) in fused.amplitudes().iter().zip(unfused.amplitudes()) {
+        for (a, b) in fused.amplitudes().iter().zip(per_gate.amplitudes()) {
             assert!(a.approx_eq(*b, EPS));
         }
+    }
+
+    /// The one wall-clock pin on fusion: on the 16-qubit Clifford+T
+    /// smoke circuit `perfdump` times, fusing every run is not slower
+    /// than per-gate dispatch. The 1.5× slack (plus a small absolute
+    /// floor) absorbs scheduler noise on loaded CI runners; best-of-4
+    /// keeps the noise one-sided and the first run doubles as warmup.
+    #[test]
+    fn fused_wall_clock_not_slower_on_smoke_circuit() {
+        let circuit = qcir::random::clifford_t_circuit(16, 200);
+        let best_of_4 = |fuse: bool| {
+            let mut best = f64::INFINITY;
+            for _ in 0..4 {
+                let mut sv = Statevector::zero(16).unwrap();
+                let start = std::time::Instant::now();
+                sv.apply_circuit_as(&circuit, fuse, Threading::auto(), false)
+                    .unwrap();
+                best = best.min(start.elapsed().as_secs_f64());
+                std::hint::black_box(sv.probability(0));
+            }
+            best
+        };
+        let fused = best_of_4(true);
+        let per_gate = best_of_4(false);
+        assert!(
+            fused <= per_gate * 1.5 + 0.005,
+            "fused {fused:.6}s vs per-gate {per_gate:.6}s at 16q"
+        );
     }
 
     #[test]
@@ -1013,6 +843,7 @@ mod tests {
 
     #[test]
     fn compose_run_multiplies_in_application_order() {
+        use crate::fusion::compose_run;
         // h then s: matrix is S·H, which maps |0⟩ to (|0⟩ + i|1⟩)/√2.
         let m = compose_run(&[&Gate::H, &Gate::S]);
         assert!(m
@@ -1026,5 +857,98 @@ mod tests {
         assert!(d.is_diagonal());
         // Any non-diagonal factor breaks exact diagonality.
         assert!(!compose_run(&[&Gate::T, &Gate::H]).is_diagonal());
+    }
+}
+
+/// The determinism contract: the worker count never changes a single
+/// bit of the output amplitudes.
+///
+/// The kernels are elementwise/pairwise with no cross-amplitude
+/// reductions, the lane-blocked and remainder loops share one inlined
+/// per-element formula, and layer blocking only reorders sweeps in
+/// time — so one worker and N workers must agree exactly
+/// (`f64::to_bits`, not epsilon). CI runs these tests under both
+/// `QSIM_WORKERS=1` and `QSIM_WORKERS=4`; the `auto` test compares the
+/// env-resolved worker count against an explicit single worker, so each
+/// setting pins the env path against the sequential baseline.
+#[cfg(test)]
+mod determinism {
+    use super::*;
+    use qcir::random::clifford_t_circuit;
+
+    /// Runs `circuit` with the given fusion, worker policy and layering
+    /// and returns the raw amplitude bits.
+    fn run_bits(circuit: &Circuit, fuse: bool, th: Threading, layering: bool) -> Vec<(u64, u64)> {
+        let mut sv = Statevector::zero(circuit.num_qubits()).unwrap();
+        sv.apply_circuit_as(circuit, fuse, th, layering).unwrap();
+        sv.amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// 18 qubits clears `PARALLEL_MIN_QUBITS`, so the pooled threaded
+    /// drivers actually engage; forced layering exercises the blocked
+    /// sweep under every worker count.
+    #[test]
+    fn worker_count_never_changes_amplitude_bits_18q_forced_layering() {
+        let circuit = clifford_t_circuit(18, 80);
+        for fuse in [true, false] {
+            let base = run_bits(&circuit, fuse, Threading::with_workers(1), true);
+            for workers in [2, 3, 4] {
+                let other = run_bits(&circuit, fuse, Threading::with_workers(workers), true);
+                assert_eq!(
+                    base, other,
+                    "amplitudes diverged: fuse={fuse} workers={workers}"
+                );
+            }
+        }
+    }
+
+    /// 20 qubits as `apply_circuit` runs them: layering engages
+    /// (`LAYER_MIN_QUBITS` = 20), on top of threading and fusion.
+    #[test]
+    fn worker_count_never_changes_amplitude_bits_20q_auto() {
+        let circuit = clifford_t_circuit(20, 80);
+        let base = run_bits(&circuit, true, Threading::with_workers(1), true);
+        for workers in [2, 4] {
+            let other = run_bits(&circuit, true, Threading::with_workers(workers), true);
+            assert_eq!(base, other, "amplitudes diverged at workers={workers}");
+        }
+    }
+
+    /// The env-resolved worker count behind `apply_circuit` is
+    /// bit-identical to an explicit single worker.
+    #[test]
+    fn auto_worker_resolution_is_bit_identical_to_single_worker() {
+        let circuit = clifford_t_circuit(18, 60);
+        let mut auto = Statevector::zero(18).unwrap();
+        auto.apply_circuit(&circuit).unwrap();
+        let auto: Vec<(u64, u64)> = auto
+            .amplitudes()
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect();
+        let single = run_bits(&circuit, true, Threading::with_workers(1), false);
+        assert_eq!(
+            auto, single,
+            "env-resolved workers diverged from one worker"
+        );
+        // The resolution itself must land in the engine's supported range.
+        let workers = resolved_workers();
+        assert!(
+            (1..=8).contains(&workers),
+            "resolved_workers out of range: {workers}"
+        );
+    }
+
+    /// Repeated runs of the same configuration are bit-identical (no
+    /// uninitialized state, no run-to-run scheduling sensitivity).
+    #[test]
+    fn repeated_runs_are_bit_identical() {
+        let circuit = clifford_t_circuit(18, 60);
+        let first = run_bits(&circuit, true, Threading::with_workers(4), true);
+        let second = run_bits(&circuit, true, Threading::with_workers(4), true);
+        assert_eq!(first, second, "same configuration diverged across runs");
     }
 }

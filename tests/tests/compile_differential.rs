@@ -538,13 +538,14 @@ fn check_passes(case: &str, circuit: &Circuit, device: &Device) -> usize {
     );
     assert_eq!(want.final_layout, got.final_layout, "{case}: final layout");
     assert_eq!(want.swaps_inserted, got.swaps_inserted, "{case}: swaps");
+    let swaps = got.swaps_inserted;
     assert_same(
         case,
         "into_logical_circuit",
         &reference::into_logical_circuit(&want),
         &got.into_logical_circuit(),
     );
-    got.swaps_inserted
+    swaps
 }
 
 /// The devices a protection job compiles for, as `JobConfig::device`

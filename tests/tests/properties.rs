@@ -162,38 +162,22 @@ proptest! {
 // ---------------------------------------------------------------------------
 //
 // `qsim::statevector::reference` keeps the original full-scan
-// statevector loops as the reference. Every engine configuration — stride kernels, the
-// lane-blocked SIMD-friendly pair loops, cost-model-gated fusion,
-// layer-blocked sweeps, and the pooled threaded drivers — must agree
-// with it on arbitrary circuits over the full gate-dispatch surface.
+// statevector loops as the reference. `Statevector::apply_circuit` —
+// stride kernels, lane-blocked pair loops, fusion, and, by register
+// size, layer-blocked sweeps and the pooled threaded drivers — must
+// agree with it on arbitrary circuits over the full gate-dispatch
+// surface. qsim's own kernel tests sweep the forced per-gate, layered
+// and threaded engine configurations against the same reference.
 
-use qsim::{Blocking, ExecConfig, Statevector};
+use qsim::Statevector;
 use std::f64::consts::FRAC_PI_4;
 
-/// The engine configurations the equivalence sweep exercises: fusion
-/// on/off × one worker / three workers × layering off / forced.
-fn engine_configs() -> Vec<ExecConfig> {
-    let mut configs = Vec::new();
-    for fuse in [true, false] {
-        for threads in [1, 3] {
-            for blocking in [Blocking::Off, Blocking::Force] {
-                configs.push(ExecConfig {
-                    fuse,
-                    threads,
-                    blocking,
-                });
-            }
-        }
-    }
-    configs
-}
-
-/// Largest per-component deviation between the engine run under
-/// `config` and the naive reference amplitudes.
-fn deviation_vs_naive(circuit: &Circuit, config: &ExecConfig) -> f64 {
+/// Largest per-component deviation between `apply_circuit` and the
+/// naive reference amplitudes.
+fn deviation_vs_naive(circuit: &Circuit) -> f64 {
     let reference = qsim::statevector::reference::from_circuit(circuit);
     let mut sv = Statevector::zero(circuit.num_qubits()).expect("within cap");
-    sv.apply_circuit_with(circuit, config).expect("fits");
+    sv.apply_circuit(circuit).expect("fits");
     sv.amplitudes()
         .iter()
         .zip(&reference)
@@ -260,29 +244,29 @@ fn kernel_circuit(max_qubits: u32, max_gates: usize) -> impl Strategy<Value = Ci
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Every engine configuration agrees with the naive loops on
-    // arbitrary circuits over the full gate surface, including the
-    // cost-model decisions (fused runs route through the diagonal /
-    // antidiagonal / dense kernels picked by their class).
+    // The engine agrees with the naive loops on arbitrary circuits over
+    // the full gate surface, including fused runs (routed through the
+    // diagonal / antidiagonal / dense kernel their product's exact
+    // zeros pick).
     #[test]
     fn kernel_engine_matches_naive_on_random_circuits(
         circuit in kernel_circuit(9, 24),
     ) {
-        for config in engine_configs() {
-            let dev = deviation_vs_naive(&circuit, &config);
-            prop_assert!(
-                dev < 1e-10,
-                "config {:?} deviates from naive by {} on {}q/{} gates",
-                config, dev, circuit.num_qubits(), circuit.gate_count()
-            );
-        }
+        let dev = deviation_vs_naive(&circuit);
+        prop_assert!(
+            dev < 1e-10,
+            "engine deviates from naive by {} on {}q/{} gates",
+            dev, circuit.num_qubits(), circuit.gate_count()
+        );
     }
 }
 
 /// Fast-path boundary checks: gates whose targets straddle the points
 /// where the kernel layout switches — the top qubit of a 2¹⁵-amplitude
-/// cache block (layer-local vs cross-block at 16q under forced
-/// layering) and the register's top wire.
+/// cache block and the register's top wire. qsim's
+/// `kernels_boundary_targets_match_reference` runs the same circuit
+/// under forced layering, where the block boundary decides between a
+/// layer-local and a cross-block op.
 #[test]
 fn kernel_boundary_targets_match_naive() {
     let n = 16;
@@ -300,13 +284,11 @@ fn kernel_boundary_targets_match_naive() {
     c.append(Gate::Y, &[14]).expect("valid wires");
     c.append(Gate::CP(FRAC_PI_4), &[15, 3])
         .expect("valid wires");
-    for config in engine_configs() {
-        let dev = deviation_vs_naive(&c, &config);
-        assert!(
-            dev < 1e-10,
-            "config {config:?} deviates from naive by {dev} at the block boundary"
-        );
-    }
+    let dev = deviation_vs_naive(&c);
+    assert!(
+        dev < 1e-10,
+        "engine deviates from naive by {dev} at the block boundary"
+    );
 }
 
 /// 20 qubits: above `LAYER_MIN_QUBITS` (auto layering engages) and
@@ -314,17 +296,8 @@ fn kernel_boundary_targets_match_naive() {
 #[test]
 fn kernel_engine_matches_naive_at_20_qubits() {
     let circuit = bench::clifford_t_circuit(20, 60);
-    for config in [
-        ExecConfig::default(),
-        ExecConfig::unfused(),
-        ExecConfig {
-            threads: 3,
-            ..ExecConfig::default()
-        },
-    ] {
-        let dev = deviation_vs_naive(&circuit, &config);
-        assert!(dev < 1e-10, "config {config:?} deviates by {dev} at 20q");
-    }
+    let dev = deviation_vs_naive(&circuit);
+    assert!(dev < 1e-10, "engine deviates by {dev} at 20q");
 }
 
 /// 24 qubits: the largest register the naive baseline can replay in
@@ -339,6 +312,6 @@ fn kernel_engine_matches_naive_at_24_qubits() {
     c.append(Gate::Y, &[17]).expect("valid wires");
     c.append(Gate::CP(FRAC_PI_4), &[3, 20])
         .expect("valid wires");
-    let dev = deviation_vs_naive(&c, &ExecConfig::default());
+    let dev = deviation_vs_naive(&c);
     assert!(dev < 1e-10, "default engine deviates by {dev} at 24q");
 }

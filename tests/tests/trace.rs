@@ -2,6 +2,9 @@
 //! obfuscate → split → compile → recombine → verify pipeline with a
 //! memory sink at full level, then schema-validate the emitted trace,
 //! re-parse every line, and check the signals each layer promised.
+//! Alongside it: what the statevector engine leaves in a trace — its
+//! kernel counters for a fused run, no per-run fusion records, and a
+//! size budget for a full-level stimulus check.
 //!
 //! The qobs level and sink are process-global. This file gets its own
 //! test binary (its own process), so it cannot disturb the other
@@ -168,4 +171,102 @@ fn spans_nest_with_resolvable_parents() {
         .expect("outer span emitted");
     let outer = qobs::json::parse_line(outer_line).unwrap();
     assert_eq!(outer.get_u64("id"), Some(parent));
+}
+
+/// An `x(q); t(q)` run on a register past `FUSION_MIN_QUBITS` fuses:
+/// the product `T·X` is exactly antidiagonal, so the run lowers to one
+/// antidiagonal kernel op instead of a swap walk plus a phase scan, and
+/// the state still matches the naive reference.
+#[test]
+fn x_then_t_run_lowers_to_one_antidiagonal_op() {
+    let _guard = lock();
+    let n = qsim::statevector::FUSION_MIN_QUBITS;
+    let mut c = Circuit::new(n);
+    c.x(3).t(3);
+    qobs::set_level(qobs::Level::Counters);
+    qobs::reset_metrics();
+    let sv = qsim::Statevector::from_circuit(&c).expect("within cap");
+    let counters = qobs::counter_snapshot();
+    qobs::set_level(qobs::Level::Off);
+
+    let count = |name: &str| {
+        counters
+            .iter()
+            .find(|(counter, _)| *counter == name)
+            .map_or(0, |&(_, value)| value)
+    };
+    assert_eq!(count("qsim.kernel.anti1"), 1, "{counters:?}");
+    assert_eq!(count("qsim.kernel.mcx"), 0, "{counters:?}");
+    assert_eq!(count("qsim.kernel.diag1"), 0, "{counters:?}");
+    let reference = qsim::statevector::reference::from_circuit(&c);
+    for (a, b) in sv.amplitudes().iter().zip(&reference) {
+        assert!(a.approx_eq(*b, 1e-12), "{a} vs {b}");
+    }
+}
+
+/// The engine makes no per-run decision, so a full-level trace of a
+/// 16-qubit Clifford+T `apply_circuit` holds no point event at all —
+/// only the call's span and the kernel counters.
+#[test]
+fn full_trace_of_apply_circuit_holds_no_event() {
+    let _guard = lock();
+    qobs::set_level(qobs::Level::Full);
+    let sink = qobs::set_trace_memory();
+    qobs::run_meta(&[]);
+    let circuit = bench::clifford_t_circuit(16, 200);
+    qsim::Statevector::from_circuit(&circuit).expect("within cap");
+    qobs::flush();
+    let text = sink.contents();
+    qobs::clear_trace();
+    qobs::set_level(qobs::Level::Off);
+
+    assert!(text.contains("\"name\":\"qsim.apply_circuit\""), "{text}");
+    assert!(text.contains("qsim.kernel."), "{text}");
+    let events: Vec<&str> = text
+        .lines()
+        .filter(|line| line.contains("\"type\":\"event\""))
+        .collect();
+    assert!(
+        events.is_empty(),
+        "{} events, first: {:?}",
+        events.len(),
+        events.first()
+    );
+}
+
+/// A full-level trace of a forced stimulus check stays bounded: a
+/// 15-qubit Clifford+T circuit against its compiled form (Euler-angle
+/// runs of `rz`/`sx` on every wire), eight trials, each replaying the
+/// miter on a prepared product state. The trace is one span per
+/// statevector replay plus the check's own spans and counters — about
+/// 2.4 KB; a per-run record (one line per fused run, as the retired
+/// fusion cost model wrote) would push it past 100 KB.
+#[test]
+fn forced_stimulus_full_trace_stays_within_its_size_budget() {
+    let _guard = lock();
+    let circuit = bench::clifford_t_circuit(15, 150);
+    let compiled = qcompile::Transpiler::new(qsim::Device::ideal(15))
+        .transpile(&circuit)
+        .expect("fits the device")
+        .into_logical_circuit();
+    qobs::set_level(qobs::Level::Full);
+    let sink = qobs::set_trace_memory();
+    qobs::run_meta(&[]);
+    let report = qverify::Verifier::new()
+        .check_stimulus(&circuit, &compiled)
+        .expect("within the stimulus cap");
+    qobs::flush();
+    let text = sink.contents();
+    qobs::clear_trace();
+    qobs::set_level(qobs::Level::Off);
+
+    assert!(report.verdict.is_equivalent());
+    assert_eq!(report.trials, 8);
+    qobs::schema::validate_trace(&text).unwrap_or_else(|e| panic!("invalid trace: {e}"));
+    const BUDGET_BYTES: usize = 8 * 1024;
+    assert!(
+        text.len() <= BUDGET_BYTES,
+        "a full-level stimulus trace of {} bytes exceeds its {BUDGET_BYTES}-byte budget:\n{text}",
+        text.len()
+    );
 }
