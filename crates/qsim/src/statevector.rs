@@ -773,34 +773,6 @@ mod tests {
         }
     }
 
-    /// The one wall-clock pin on fusion: on the 16-qubit Clifford+T
-    /// smoke circuit `perfdump` times, fusing every run is not slower
-    /// than per-gate dispatch. The 1.5× slack (plus a small absolute
-    /// floor) absorbs scheduler noise on loaded CI runners; best-of-4
-    /// keeps the noise one-sided and the first run doubles as warmup.
-    #[test]
-    fn fused_wall_clock_not_slower_on_smoke_circuit() {
-        let circuit = qcir::random::clifford_t_circuit(16, 200);
-        let best_of_4 = |fuse: bool| {
-            let mut best = f64::INFINITY;
-            for _ in 0..4 {
-                let mut sv = Statevector::zero(16).unwrap();
-                let start = std::time::Instant::now();
-                sv.apply_circuit_as(&circuit, fuse, Threading::auto(), false)
-                    .unwrap();
-                best = best.min(start.elapsed().as_secs_f64());
-                std::hint::black_box(sv.probability(0));
-            }
-            best
-        };
-        let fused = best_of_4(true);
-        let per_gate = best_of_4(false);
-        assert!(
-            fused <= per_gate * 1.5 + 0.005,
-            "fused {fused:.6}s vs per-gate {per_gate:.6}s at 16q"
-        );
-    }
-
     #[test]
     fn fidelity_and_inner() {
         let a = Statevector::basis(2, 0).unwrap();
