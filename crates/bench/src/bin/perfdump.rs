@@ -2,7 +2,8 @@
 //!
 //! Runs a fixed scaling suite — the rd53/rd84 RevLib benchmarks plus
 //! random Clifford+T circuits at 16/20/24/28 qubits and one 20-qubit
-//! stimulus-tier equivalence check — and writes `BENCH_qsim.json` with
+//! stimulus-tier equivalence check of a random reversible circuit
+//! against its ideal-device compiled form — and writes `BENCH_qsim.json` with
 //! the median wall-clock per case. Each statevector case is timed two
 //! ways: the engine as [`Statevector::apply_circuit`] runs it (fusion,
 //! stride kernels, and by register size threading and layer sweeps)
@@ -133,20 +134,26 @@ fn main() {
     if !smoke {
         // One stimulus-tier check: the qverify workload that inherits
         // the statevector engine (miter replay on random product
-        // states).
+        // states). The circuit is checked against its ideal-device
+        // compiled form, so the miter does not cancel to nothing; the
+        // case's gate count is the miter's (both sides).
         let circuit = qcir::random::random_reversible(&RandomCircuitConfig::new(20, 40, 7));
+        let compiled = qcompile::Transpiler::new(qsim::Device::ideal(20))
+            .transpile(&circuit)
+            .expect("fits the device")
+            .into_logical_circuit();
         eprintln!("timing stimulus_20q…");
         let verifier = Verifier::new().with_trials(2).with_seed(5);
         let fused_ms = qobs::time_median_ms("perfdump.stimulus_20q_2trials", 1, 3, || {
             let report = verifier
-                .check_stimulus(&circuit, &circuit.clone())
+                .check_stimulus(&circuit, &compiled)
                 .expect("within stimulus cap");
             assert!(report.verdict.is_equivalent());
         });
         cases.push(CaseResult {
             name: "stimulus_20q_2trials".into(),
             qubits: 20,
-            gates: circuit.gate_count(),
+            gates: circuit.gate_count() + compiled.gate_count(),
             reps: 3,
             fused_ms,
             naive_ms: None,

@@ -13,13 +13,20 @@
 //! from the public pass functions and must reproduce
 //! `Transpiler::transpile` and `into_logical_circuit` exactly, or the
 //! binary panics. The emit stage is a durable write, not an in-memory
-//! stage, and is left out.
+//! stage, and is left out of the stages; its QASM rendering is timed on
+//! its own (`to_qasm_ms`). Last, the same job runs as what a client
+//! submits: a one-input `run_batch` call with one worker in fresh
+//! directories, checkpoints, fsyncs and manifest included
+//! (`run_batch_ms`), so `run_batch_ms` against `job_ms` is the fixed
+//! cost a call adds to the in-memory pipeline.
 //!
 //! It writes `BENCH_pipeline.json`: the median milliseconds of every
 //! stage, pass and job, plus the provenance block (commit, `nproc`,
 //! resolved qsim workers), so the stages of the job (`stages_sum_ms`
 //! against `job_ms`) and the passes of each compile stage
 //! (`passes_sum_ms` against the stage) can be compared on one run.
+//! Before writing, the binary validates its output against
+//! [`bench::schema::validate_pipeline_bench_json`].
 //!
 //! ```text
 //! cargo run --release -p bench --bin perfdump_pipeline            # full suite
@@ -42,8 +49,9 @@ use qcompile::routing::route;
 use qcompile::transpiler::translate_to_basis;
 use qcompile::{Transpiled, Transpiler};
 use qsim::Device;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+use tetrislock::batch::{run_batch, BatchConfig};
 use tetrislock::job::{device_for, JobConfig, JobStage, JobState};
 
 /// The in-memory stages, in pipeline order.
@@ -216,11 +224,19 @@ struct JobRow {
     circuit: String,
     device: &'static str,
     job_ms: f64,
+    run_batch_ms: f64,
+    to_qasm_ms: f64,
     stages: Vec<(&'static str, f64)>,
     compile: [CompileRow; 2],
 }
 
-fn time_job(id: &str, circuit: &Circuit, device: &'static str, reps: usize) -> JobRow {
+fn time_job(
+    id: &str,
+    circuit: &Circuit,
+    device: &'static str,
+    reps: usize,
+    scratch: &Path,
+) -> JobRow {
     let config = JobConfig {
         device: device.to_string(),
         ..JobConfig::default()
@@ -228,7 +244,7 @@ fn time_job(id: &str, circuit: &Circuit, device: &'static str, reps: usize) -> J
     let label = format!("{device}.{id}");
     let out_dir = std::env::temp_dir();
     let out_dir: &Path = &out_dir;
-    let fresh = JobState::new(id, circuit.clone(), config);
+    let fresh = JobState::new(id, circuit.clone(), config.clone());
 
     // The state each stage starts from.
     let mut before = Vec::with_capacity(STAGES.len());
@@ -272,6 +288,37 @@ fn time_job(id: &str, circuit: &Circuit, device: &'static str, reps: usize) -> J
         },
     );
 
+    let restored = state.restored.as_ref().expect("the recombine stage ran");
+    let to_qasm_ms = median_ms(
+        &format!("pipeline.{label}.to_qasm"),
+        reps,
+        || (),
+        |()| qcir::qasm::to_qasm(restored),
+    );
+    let mut rep = 0;
+    let run_batch_ms = median_ms(
+        &format!("pipeline.{label}.run_batch"),
+        reps,
+        || {
+            rep += 1;
+            let dir = scratch.join(format!("{device}_{id}_{rep}"));
+            BatchConfig {
+                jobs_dir: dir.join("jobs"),
+                out_dir: dir.join("out"),
+                workers: 1,
+                resume: false,
+                job: config.clone(),
+            }
+        },
+        |batch| {
+            let report = run_batch(vec![(id.to_string(), circuit.clone())], &batch);
+            assert!(
+                report.expect("the batch runs").all_equivalent(),
+                "{label}: run_batch failed"
+            );
+        },
+    );
+
     let split = state.split.as_ref().expect("the split stage ran");
     let segment_device = |c: &Circuit| device_for(device, c.num_qubits()).expect("known device");
     let (left, right) = (&split.left.circuit, &split.right.circuit);
@@ -293,6 +340,8 @@ fn time_job(id: &str, circuit: &Circuit, device: &'static str, reps: usize) -> J
         circuit: id.to_string(),
         device,
         job_ms,
+        run_batch_ms,
+        to_qasm_ms,
         stages,
         compile,
     }
@@ -310,6 +359,10 @@ fn main() {
         .to_string();
     let reps = if smoke { 3 } else { 21 };
 
+    // Fresh batch directories for every `run_batch` rep, removed at the
+    // end.
+    let scratch: PathBuf =
+        std::env::temp_dir().join(format!("perfdump_pipeline_{}", std::process::id()));
     let mut rows = Vec::new();
     for bench in revlib::table1_benchmarks()
         .into_iter()
@@ -317,11 +370,22 @@ fn main() {
     {
         for device in DEVICES {
             eprintln!("timing {} on {device}…", bench.name());
-            rows.push(time_job(bench.name(), bench.circuit(), device, reps));
+            rows.push(time_job(
+                bench.name(),
+                bench.circuit(),
+                device,
+                reps,
+                &scratch,
+            ));
         }
     }
+    std::fs::remove_dir_all(&scratch)
+        .unwrap_or_else(|e| panic!("cannot remove {}: {e}", scratch.display()));
 
     let json = render_json(&rows, smoke, reps);
+    bench::schema::validate_pipeline_bench_json(&json).unwrap_or_else(|e| {
+        panic!("perfdump_pipeline emitted a document violating its own schema: {e}")
+    });
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("{json}");
     eprintln!("wrote {out}");
@@ -357,10 +421,13 @@ fn render_json(rows: &[JobRow], smoke: bool, reps: usize) -> String {
             .collect();
         body.push_str(&format!(
             "    {{\"circuit\": \"{}\", \"device\": \"{}\", \"job_ms\": {:.4}, \
+             \"run_batch_ms\": {:.4}, \"to_qasm_ms\": {:.4}, \
              \"stages_sum_ms\": {stages_sum:.4}, \"stages_ms\": {}, {}}}{}\n",
             row.circuit,
             row.device,
             row.job_ms,
+            row.run_batch_ms,
+            row.to_qasm_ms,
             ms_object(&row.stages),
             compile.join(", "),
             if i + 1 < rows.len() { "," } else { "" },

@@ -263,11 +263,12 @@ pub fn provenance_json() -> String {
     )
 }
 
-/// Structural validation for `BENCH_qsim.json`.
+/// Structural validation for `BENCH_qsim.json` and
+/// `BENCH_pipeline.json`.
 ///
 /// The workspace vendors no JSON parser, so these checks are
-/// line-oriented over the `perfdump` emitter's fixed layout: a header
-/// field set plus one case object per line. The binary validates its
+/// line-oriented over the emitters' fixed layout: a header field set
+/// plus one case (or job) object per line. The binary validates its
 /// own output before writing it, and CI's smoke run revalidates the
 /// freshly emitted file, so schema drift between the emitter and the
 /// perf-history consumers fails loudly instead of rotting silently.
@@ -348,6 +349,81 @@ pub mod schema {
             }
             if line.contains("\"fused_ms\": null") {
                 return Err(format!("case has null \"fused_ms\": {}", line.trim()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Keys every `BENCH_pipeline.json` job object must carry, each
+    /// followed by a number or an object.
+    const JOB_KEYS: [&str; 9] = [
+        "circuit",
+        "device",
+        "job_ms",
+        "run_batch_ms",
+        "to_qasm_ms",
+        "stages_sum_ms",
+        "stages_ms",
+        "compile_left",
+        "compile_right",
+    ];
+
+    /// Checks that `json` has the `BENCH_pipeline.json`
+    /// schema-version-1 shape written by `perfdump_pipeline`: the
+    /// suite/header fields, a `provenance` block whose
+    /// `resolved_workers` is at least 1, a `reps` count of at least 1,
+    /// and a non-empty job list in which every job carries its nine
+    /// keys (`circuit`, `device`, `job_ms`, `run_batch_ms`,
+    /// `to_qasm_ms`, `stages_sum_ms`, `stages_ms`, `compile_left`,
+    /// `compile_right`) and no `null`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bench::schema::validate_pipeline_bench_json;
+    ///
+    /// let doc = concat!(
+    ///     "{\n  \"suite\": \"pipeline\",\n  \"schema_version\": 1,\n",
+    ///     "  \"smoke\": true,\n",
+    ///     "  \"provenance\": {\"commit\": \"unknown\", \"dirty\": null, ",
+    ///     "\"nproc\": 2, \"resolved_workers\": 2, \"qsim_workers_env\": \"unset\"},\n",
+    ///     "  \"reps\": 3,\n  \"jobs\": [\n",
+    ///     "    {\"circuit\": \"rd53\", \"device\": \"ideal\", \"job_ms\": 1.5, ",
+    ///     "\"run_batch_ms\": 3.0, \"to_qasm_ms\": 0.1, \"stages_sum_ms\": 1.4, ",
+    ///     "\"stages_ms\": {}, \"compile_left\": {}, \"compile_right\": {}}\n  ]\n}\n",
+    /// );
+    /// assert!(validate_pipeline_bench_json(doc).is_ok());
+    /// assert!(validate_pipeline_bench_json("{}").is_err());
+    /// ```
+    pub fn validate_pipeline_bench_json(json: &str) -> Result<(), String> {
+        require(json, "\"suite\": \"pipeline\"")?;
+        require(json, "\"schema_version\": 1")?;
+        if !json.contains("\"smoke\": true") && !json.contains("\"smoke\": false") {
+            return Err("missing boolean \"smoke\" field".into());
+        }
+        require(json, "\"provenance\": {\"commit\": \"")?;
+        if uint_field(json, "resolved_workers")? == 0 {
+            return Err("\"resolved_workers\" must be at least 1".into());
+        }
+        if uint_field(json, "reps")? == 0 {
+            return Err("\"reps\" must be at least 1".into());
+        }
+        require(json, "\"jobs\": [")?;
+        let jobs: Vec<&str> = json
+            .lines()
+            .filter(|line| line.contains("\"circuit\":"))
+            .collect();
+        if jobs.is_empty() {
+            return Err("\"jobs\" holds no job objects".into());
+        }
+        for line in &jobs {
+            for key in JOB_KEYS {
+                if !line.contains(&format!("\"{key}\":")) {
+                    return Err(format!("job object missing \"{key}\": {}", line.trim()));
+                }
+            }
+            if line.contains("null") {
+                return Err(format!("job has a null value: {}", line.trim()));
             }
         }
         Ok(())
@@ -442,6 +518,41 @@ pub mod schema {
             assert!(validate_qsim_bench_json(&doc)
                 .unwrap_err()
                 .contains("qsim_workers_env"));
+        }
+
+        fn valid_pipeline_doc() -> String {
+            concat!(
+                "{\n  \"suite\": \"pipeline\",\n  \"schema_version\": 1,\n",
+                "  \"smoke\": false,\n",
+                "  \"provenance\": {\"commit\": \"0123abc\", \"dirty\": false, ",
+                "\"nproc\": 2, \"resolved_workers\": 2, \"qsim_workers_env\": \"unset\"},\n",
+                "  \"reps\": 21,\n  \"jobs\": [\n",
+                "    {\"circuit\": \"rd53\", \"device\": \"ideal\", \"job_ms\": 1.5, ",
+                "\"run_batch_ms\": 3.1, \"to_qasm_ms\": 0.12, \"stages_sum_ms\": 1.3, ",
+                "\"stages_ms\": {\"verify\": 0.7}, \"compile_left\": {\"swaps\": 0}, ",
+                "\"compile_right\": {\"swaps\": 0}}\n  ]\n}\n",
+            )
+            .to_string()
+        }
+
+        #[test]
+        fn pipeline_schema_requires_every_job_key() {
+            validate_pipeline_bench_json(&valid_pipeline_doc()).expect("valid document");
+            for key in ["run_batch_ms", "to_qasm_ms"] {
+                let doc = valid_pipeline_doc().replace(&format!("\"{key}\""), "\"other\"");
+                let err = validate_pipeline_bench_json(&doc).unwrap_err();
+                assert!(err.contains(key), "got: {err}");
+            }
+            let doc = valid_pipeline_doc().replace("\"to_qasm_ms\": 0.12", "\"to_qasm_ms\": null");
+            assert!(validate_pipeline_bench_json(&doc)
+                .unwrap_err()
+                .contains("null"));
+            let doc = valid_pipeline_doc().replace("\"reps\": 21", "\"reps\": 0");
+            assert!(validate_pipeline_bench_json(&doc)
+                .unwrap_err()
+                .contains("reps"));
+            let doc = valid_pipeline_doc().replace("\"suite\": \"pipeline\"", "\"suite\": \"x\"");
+            assert!(validate_pipeline_bench_json(&doc).is_err());
         }
 
         #[test]

@@ -632,8 +632,8 @@ Options:
   --out-dir D      output directory: <id>.restored.qasm per job plus a
                    sorted, tab-separated `{manifest}` (required)
   --jobs-dir D     checkpoint directory (default: <out-dir>/jobs)
-  --workers N      worker threads (default 1; output is identical for
-                   any N)
+  --workers N      worker threads, this one included (default 1;
+                   output is identical for any N)
   --resume         resume from existing checkpoints instead of starting
                    fresh; completed jobs are skipped (a missing output
                    is re-emitted), a changed input starts fresh, and a

@@ -2,12 +2,15 @@
 //! checkpointed jobs.
 //!
 //! [`run_batch`] runs one `job::Driver` per input circuit over
-//! a fixed-size worker pool, inline on the worker threads. Each job
-//! checkpoints through [`crate::job::save_checkpoint`] after verify and
-//! at `Done`. After a crash — including the deliberate aborts injected
-//! via [`crate::job::KILL_AFTER_CHECKPOINTS_ENV`] — a job killed before
-//! its verify checkpoint reruns its cheap stages from the pinned seeds,
-//! and one killed after it redoes at most the emit. Re-running with
+//! a fixed-size worker pool, inline on the worker threads; the calling
+//! thread is one of them, so `workers` = N spawns N − 1 threads. Each
+//! job checkpoints through [`crate::job::save_checkpoint`] after verify
+//! (fsynced) and at `Done` (not fsynced: a power loss there costs one
+//! re-emit from the `.prev` generation). After a crash — including the
+//! deliberate aborts injected via
+//! [`crate::job::KILL_AFTER_CHECKPOINTS_ENV`] — a job killed before its
+//! verify checkpoint reruns its cheap stages from the pinned seeds, and
+//! one killed after it redoes at most the emit. Re-running with
 //! `resume: true` picks every job up from its last good checkpoint (or
 //! its `.prev` fallback) and finishes it; a job whose input changed
 //! starts fresh.
@@ -52,7 +55,8 @@ pub struct BatchConfig {
     pub jobs_dir: PathBuf,
     /// Directory for restored-circuit outputs and the manifest.
     pub out_dir: PathBuf,
-    /// Worker threads (clamped to at least 1).
+    /// Worker threads, the calling thread included (clamped to at least
+    /// 1 and at most the job count).
     pub workers: usize,
     /// Resume jobs from existing checkpoints instead of starting fresh.
     pub resume: bool,
@@ -140,7 +144,7 @@ impl BatchReport {
 }
 
 /// Runs the batch: one checkpointed pipeline per input circuit, spread
-/// over `config.workers` threads.
+/// over `config.workers` threads, the calling thread included.
 ///
 /// `inputs` pairs each job id with its original circuit. Ids must be
 /// unique — they name checkpoint and output files.
@@ -182,15 +186,19 @@ pub fn run_batch(
     let queue: Mutex<VecDeque<(String, Circuit)>> = Mutex::new(inputs.into_iter().collect());
     let outcomes: Mutex<Vec<JobOutcome>> = Mutex::new(Vec::new());
 
+    let work = || loop {
+        let next = queue.lock().expect("queue poisoned").pop_front();
+        let Some((id, circuit)) = next else { break };
+        let outcome = run_job(&id, circuit, config);
+        outcomes.lock().expect("outcomes poisoned").push(outcome);
+    };
+    // The calling thread is worker 0: it would otherwise sit blocked in
+    // the scope's join, and a one-worker batch spawns no thread at all.
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue poisoned").pop_front();
-                let Some((id, circuit)) = next else { break };
-                let outcome = run_job(&id, circuit, config);
-                outcomes.lock().expect("outcomes poisoned").push(outcome);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
 
     let mut outcomes = outcomes.into_inner().expect("outcomes poisoned");

@@ -18,8 +18,11 @@
 //! [`qcir::persist`] (versioned, checksummed, atomic) with one level of
 //! rotation: the previous checkpoint survives as `<id>.job.prev`, so a
 //! `Done` checkpoint destroyed *after* being written (disk corruption,
-//! manual truncation) only costs the emit. [`load_checkpoint`] accepts a
-//! checkpoint at any stage, as older binaries wrote one per stage.
+//! manual truncation) only costs the emit. That is also why the `Done`
+//! checkpoint alone is written without an fsync: a power loss that
+//! empties it or undoes its rename costs the same one re-emit from the
+//! fsynced `Emit` checkpoint. [`load_checkpoint`] accepts a checkpoint
+//! at any stage, as older binaries wrote one per stage.
 //!
 //! `Driver::drive` owns one job's whole life: it acquires the state
 //! (resumed checkpoint or fresh), loops `advance` until `Done`,
@@ -428,8 +431,10 @@ impl JobState {
     }
 
     /// Writes the restored circuit atomically and durably (tmp + sync +
-    /// rename, like the checkpoints), so neither a crash mid-emit nor a
-    /// power loss after the `Done` checkpoint leaves a torn output.
+    /// rename, like the `Emit` checkpoint), so neither a crash mid-emit
+    /// nor a power loss after the `Done` checkpoint leaves a torn
+    /// output. The `Done` checkpoint that follows is not synced: if a
+    /// power loss takes it, resume re-emits these bytes from `Emit`.
     fn emit_stage(&self, out_dir: &Path) -> Result<(), JobError> {
         let restored = self
             .restored
@@ -494,6 +499,8 @@ pub fn prev_checkpoint_path(jobs_dir: &Path, id: &str) -> PathBuf {
 /// holds at least one complete, loadable checkpoint at all times — the
 /// write itself is atomic (tmp + rename), and the rotation keeps the
 /// previous generation as a fallback against post-write corruption.
+/// Every checkpoint is fsynced except a `Done` one, whose loss to a
+/// power cut the `.prev` fallback turns into one re-emit.
 ///
 /// When [`KILL_AFTER_CHECKPOINTS_ENV`] is set, aborts the process after
 /// the configured number of successful writes (fault injection).
@@ -514,7 +521,18 @@ pub fn save_checkpoint(jobs_dir: &Path, state: &JobState) -> Result<(), JobError
             },
         })?;
     }
-    persist::save(&path, state).map_err(|source| JobError::Persist {
+    let saved = if state.stage == JobStage::Done {
+        // Not fsynced: a power loss can lose an unsynced `Done`, either
+        // as an empty file (delayed allocation) or with its rename not
+        // yet committed. Either way `load_checkpoint` falls back to
+        // `.prev`, the fsynced `Emit` checkpoint, and the resumed job
+        // re-emits the same bytes. A killed process keeps the page
+        // cache, so after `kill -9` the `Done` checkpoint is intact.
+        persist::save_unsynced(&path, state)
+    } else {
+        persist::save(&path, state)
+    };
+    saved.map_err(|source| JobError::Persist {
         path: path.clone(),
         source,
     })?;

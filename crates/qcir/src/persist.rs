@@ -32,7 +32,12 @@
 //! [`save`] writes to a `.tmp` sibling, calls `sync_all`, then renames
 //! over the destination — on POSIX filesystems the destination is
 //! always either the complete old file or the complete new file, never
-//! a mixture.
+//! a mixture. [`save_unsynced`] stages and renames the same way but
+//! skips the `sync_all`: a crashed *process* (`kill -9`, abort) still
+//! leaves the old or the new file, since the page cache survives it,
+//! but a power loss may leave the destination empty or the rename
+//! undone. Callers use it only for a file whose loss costs a redo of
+//! work, never data (the job runner's `Done` checkpoint).
 //!
 //! # Example
 //!
@@ -253,6 +258,16 @@ pub fn save<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), Persist
     write_atomic(path, &to_envelope(value))
 }
 
+/// Atomically writes `value` to `path` like [`save`], without syncing
+/// it to disk (see the module's Atomicity section).
+///
+/// # Errors
+///
+/// [`PersistError::Io`] if any filesystem step fails.
+pub fn save_unsynced<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), PersistError> {
+    stage_and_rename(path, &to_envelope(value), false)
+}
+
 /// Atomically and durably replaces `path` with `bytes`.
 ///
 /// The bytes are written to `<path>.tmp`, synced, then renamed over
@@ -265,6 +280,12 @@ pub fn save<T: Serialize + ?Sized>(path: &Path, value: &T) -> Result<(), Persist
 ///
 /// [`PersistError::Io`] if any filesystem step fails.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    stage_and_rename(path, bytes, true)
+}
+
+/// Writes `bytes` to `<path>.tmp`, syncs it if `sync`, and renames it
+/// over `path`.
+fn stage_and_rename(path: &Path, bytes: &[u8], sync: bool) -> Result<(), PersistError> {
     let tmp = tmp_path(path);
     let io_err = |source| PersistError::Io {
         path: tmp.clone(),
@@ -272,7 +293,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     };
     let mut file = fs::File::create(&tmp).map_err(io_err)?;
     file.write_all(bytes).map_err(io_err)?;
-    file.sync_all().map_err(io_err)?;
+    if sync {
+        file.sync_all().map_err(io_err)?;
+    }
     drop(file);
     fs::rename(&tmp, path).map_err(|source| PersistError::Io {
         path: path.to_path_buf(),
@@ -429,6 +452,10 @@ mod tests {
         assert!(!tmp_path(&path).exists(), "tmp file left behind");
         let back: Circuit = load(&path).unwrap();
         assert_eq!(back, c);
+        let unsynced = dir.join("unsynced.bin");
+        save_unsynced(&unsynced, &c).unwrap();
+        assert!(!tmp_path(&unsynced).exists(), "tmp file left behind");
+        assert_eq!(fs::read(&unsynced).unwrap(), fs::read(&path).unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 

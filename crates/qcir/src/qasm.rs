@@ -25,7 +25,9 @@ use std::fmt::Write as _;
 /// assert!(text.contains("cx q[0], q[1];"));
 /// ```
 pub fn to_qasm(circuit: &Circuit) -> String {
-    let mut out = String::new();
+    // Writing into `out` formats nothing on the heap: a gate costs no
+    // allocation beyond the amortized growth of `out` itself.
+    let mut out = String::with_capacity(64 + 24 * circuit.gate_count());
     out.push_str("OPENQASM 2.0;\n");
     out.push_str("include \"qelib1.inc\";\n");
     if !circuit.name().is_empty() {
@@ -33,48 +35,29 @@ pub fn to_qasm(circuit: &Circuit) -> String {
     }
     let _ = writeln!(out, "qreg q[{}];", circuit.num_qubits());
     for inst in circuit.iter() {
-        let operands: Vec<String> = inst
-            .qubits()
-            .iter()
-            .map(|q| format!("q[{}]", q.index()))
-            .collect();
-        let operands = operands.join(", ");
-        match inst.gate() {
-            Gate::Rx(a) => {
-                let _ = writeln!(out, "rx({a}) {operands};");
-            }
-            Gate::Ry(a) => {
-                let _ = writeln!(out, "ry({a}) {operands};");
-            }
-            Gate::Rz(a) => {
-                let _ = writeln!(out, "rz({a}) {operands};");
-            }
-            Gate::P(a) => {
-                let _ = writeln!(out, "p({a}) {operands};");
-            }
-            Gate::CP(a) => {
-                let _ = writeln!(out, "cp({a}) {operands};");
-            }
-            Gate::CRz(a) => {
-                let _ = writeln!(out, "crz({a}) {operands};");
+        match *inst.gate() {
+            Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) | Gate::P(a) | Gate::CP(a) | Gate::CRz(a) => {
+                let _ = write!(out, "{}({a})", inst.gate().name());
             }
             Gate::U(t, p, l) => {
-                let _ = writeln!(out, "u({t},{p},{l}) {operands};");
+                let _ = write!(out, "u({t},{p},{l})");
             }
+            // qelib has c3x / c4x; larger fans out as a name the
+            // transpiler must lower first.
+            Gate::Mcx(3) => out.push_str("c3x"),
+            Gate::Mcx(4) => out.push_str("c4x"),
             Gate::Mcx(n) => {
-                // qelib has c3x / c4x; larger fans out as a comment the
-                // transpiler must lower first.
-                let name = match n {
-                    3 => "c3x".to_string(),
-                    4 => "c4x".to_string(),
-                    n => format!("mcx{n}"),
-                };
-                let _ = writeln!(out, "{name} {operands};");
+                let _ = write!(out, "mcx{n}");
             }
-            g => {
-                let _ = writeln!(out, "{} {operands};", g.name());
-            }
+            ref g => out.push_str(g.name()),
         }
+        out.push(' ');
+        for (i, q) in inst.qubits().iter().enumerate() {
+            out.push_str(if i == 0 { "q[" } else { ", q[" });
+            let _ = write!(out, "{}", q.index());
+            out.push(']');
+        }
+        out.push_str(";\n");
     }
     out
 }

@@ -18,6 +18,9 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Mutex;
+use tetrislock::batch::{run_batch, BatchConfig};
+use tetrislock::job::{checkpoint_path, load_checkpoint, JobStage};
 use tetrislock_tests::tetrislock_bin;
 
 /// Small deterministic RNG (xorshift64*) for the kill schedule — the
@@ -178,4 +181,88 @@ fn killed_run_leaves_loadable_checkpoints() {
     }
     assert!(seen >= 1, "no checkpoints were written before the kill");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Serializes the in-process power-loss cases, which read the
+/// process-wide `job.checkpoint_fallbacks` counter.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// What a power loss can leave of the unsynced `Done` checkpoint.
+enum LostDone {
+    /// Delayed allocation: the renamed file is there but empty.
+    Truncated,
+    /// The rename never reached the disk: `<id>.job` is missing.
+    Deleted,
+}
+
+/// Completes a one-job batch, damages its `Done` checkpoint the way a
+/// power loss can, and resumes: the job must fall back to the fsynced
+/// `Emit` generation in `.prev`, re-emit, and end byte-identical to
+/// the uninterrupted run. Returns the run's checkpoint fallbacks.
+fn resume_after_lost_done(tag: &str, lost: LostDone) -> u64 {
+    let _guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let id = "rd53";
+    let input = || vec![(id.to_string(), revlib::rd53().circuit().clone())];
+    let dir = unique_dir(tag);
+    let mut config = BatchConfig {
+        jobs_dir: dir.join("jobs"),
+        out_dir: dir.join("out"),
+        ..BatchConfig::default()
+    };
+    let first = run_batch(input(), &config).expect("batch runs");
+    assert!(first.all_equivalent(), "{:?}", first.outcomes);
+    let reference = read_outputs(&config.out_dir);
+    assert_eq!(reference.len(), 2, "one output plus the manifest");
+
+    let done = checkpoint_path(&config.jobs_dir, id);
+    match lost {
+        LostDone::Truncated => std::fs::File::create(&done)
+            .map(drop)
+            .expect("truncate the Done checkpoint"),
+        LostDone::Deleted => std::fs::remove_file(&done).expect("delete the Done checkpoint"),
+    }
+    let fallback = load_checkpoint(&config.jobs_dir, id)
+        .expect("the .prev generation loads")
+        .expect("a checkpoint is left");
+    assert_eq!(
+        fallback.stage,
+        JobStage::Emit,
+        "`.prev` is the verify checkpoint"
+    );
+    // Remove the output too, so only a re-emit can bring it back.
+    let output = config.out_dir.join(format!("{id}.restored.qasm"));
+    std::fs::remove_file(&output).expect("remove the output");
+
+    config.resume = true;
+    qobs::set_level(qobs::Level::Counters);
+    let counter = || {
+        qobs::counter_snapshot()
+            .into_iter()
+            .find(|(name, _)| *name == "job.checkpoint_fallbacks")
+            .map_or(0, |(_, value)| value)
+    };
+    let before = counter();
+    let resumed = run_batch(input(), &config).expect("resumed batch runs");
+    let fallbacks = counter() - before;
+    qobs::set_level(qobs::Level::Off);
+
+    assert!(resumed.all_equivalent(), "{:?}", resumed.outcomes);
+    assert!(resumed.outcomes[0].resumed);
+    assert_eq!(read_outputs(&config.out_dir), reference);
+    let done = load_checkpoint(&config.jobs_dir, id)
+        .expect("loads")
+        .expect("present");
+    assert_eq!(done.stage, JobStage::Done);
+    let _ = std::fs::remove_dir_all(&dir);
+    fallbacks
+}
+
+#[test]
+fn truncated_done_checkpoint_falls_back_to_emit_and_re_emits() {
+    assert_eq!(resume_after_lost_done("done_empty", LostDone::Truncated), 1);
+}
+
+#[test]
+fn missing_done_checkpoint_falls_back_to_emit_and_re_emits() {
+    assert_eq!(resume_after_lost_done("done_missing", LostDone::Deleted), 1);
 }
